@@ -135,12 +135,8 @@ def _format_number(val) -> str:
 
 
 def _print_model_value(mv):
-    val = mv.value
-    if abs(val.imag) < 1e-9 * max(1.0, abs(val)):
-        print(f"{val.real:.12g}")
-    else:
-        print(f"{val.real:.12g}{val.imag:+.12g}j")
-    print(f"magnitude {abs(val):.12g}  imag-residual {mv.imag_residual:.3g}  terms {mv.terms}",
+    print(_format_number(mv.value))
+    print(f"magnitude {abs(mv.value):.12g}  imag-residual {mv.imag_residual:.3g}  terms {mv.terms}",
           file=sys.stderr)
 
 

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import (
-    DEFAULT_BLOCK,
-    DEFAULT_MAX_TERMS,
-    boundary_chunk,
-    coboundary_chunk,
-    count_terms,
-    index_blocks,
-)
+from .enumeration import DEFAULT_BLOCK, DEFAULT_MAX_TERMS, count_terms
 from .graphs import Multigraph, Orientation, rank
 from .groups import (
     Group,
@@ -34,7 +27,7 @@ from .groups import (
     inverse_fourier,
     negate,
 )
-from .models import ModelValue, edge_table_sum, vertex_table_sum
+from .models import ModelValue, edge_table_sum, factor_sum, vertex_table_sum
 from .oracles import ConsistencyError, flow_polynomial
 
 __all__ = [
@@ -76,17 +69,13 @@ def tension_vertex_sum(
     block: int = DEFAULT_BLOCK,
 ) -> ModelValue:
     """sum over vertex colourings x of prod_v vv[x_v] * prod_e ev[(dx)_e]."""
-    terms = count_terms(group.q, g.num_vertices, max_terms)
-    total = 0.0 + 0.0j
-    for X in index_blocks(group.q, g.num_vertices, block):
-        D = coboundary_chunk(g, orient, group, X)
-        w = np.ones(X.shape[0], dtype=np.complex128)
-        for v in range(g.num_vertices):
-            w *= vertex_vecs[v][X[:, v]]
-        for e in range(g.num_edges):
-            w *= edge_vecs[e][D[:, e]]
-        total += w.sum()
-    return ModelValue.of(total, terms)
+    factors = [(vertex_vecs[v], (v,)) for v in range(g.num_vertices)]
+    # ev[sub.T] at (x_tail, x_head) is ev[x_head - x_tail]; a loop reads ev[0]
+    factors += [
+        (edge_vecs[e][group.sub.T], (orient.tail(g, e), orient.head(g, e)))
+        for e in range(g.num_edges)
+    ]
+    return factor_sum(group.q, g.num_vertices, factors, max_terms, block)
 
 
 def boundary_edge_sum(
@@ -99,17 +88,22 @@ def boundary_edge_sum(
     block: int = DEFAULT_BLOCK,
 ) -> ModelValue:
     """sum over edge colourings y of prod_v vv[(dy)_v] * prod_e ev[y_e]."""
-    terms = count_terms(group.q, g.num_edges, max_terms)
-    total = 0.0 + 0.0j
-    for Y in index_blocks(group.q, g.num_edges, block):
-        B = boundary_chunk(g, orient, group, Y)
-        w = np.ones(Y.shape[0], dtype=np.complex128)
-        for v in range(g.num_vertices):
-            w *= vertex_vecs[v][B[:, v]]
-        for e in range(g.num_edges):
-            w *= edge_vecs[e][Y[:, e]]
-        total += w.sum()
-    return ModelValue.of(total, terms)
+    # checked here too, so an over-cap sum fails before any table is built
+    count_terms(group.q, g.num_edges, max_terms)
+    factors = []
+    for v in range(g.num_vertices):
+        # a loop's two half-edges cancel in the boundary, so only non-loop
+        # half-edges index the table: bnd[c_1, ..., c_d] is their signed sum
+        hs = [(e, end) for e, end in g.halfedges_at(v) if not g.is_loop(e)]
+        bnd = np.zeros((), dtype=np.int64)
+        for i, (e, end) in enumerate(hs):
+            col = np.arange(group.q).reshape((-1,) + (1,) * (len(hs) - 1 - i))
+            if orient.sigma(e, end) == -1:
+                col = group.neg[col]
+            bnd = group.add[bnd, col]
+        factors.append((vertex_vecs[v][bnd], [e for e, _end in hs]))
+    factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
+    return factor_sum(group.q, g.num_edges, factors, max_terms, block)
 
 
 def general_duality_sides(
@@ -274,10 +268,7 @@ def flow_cubic_edge_model(
         tbl[idx] = weight(idx)
     mv = edge_table_sum(g, q, [tbl] * g.num_vertices, max_terms=max_terms)
     value = q ** (-g.num_edges) * 2**g.num_vertices * mv.value
-    n = round(value.real)
-    if abs(value - n) > tol * max(1.0, abs(n)):
-        raise ConsistencyError(f"edge-model flow count {value} is not integral")
-    return n
+    return ModelValue.of(value, mv.terms).rounded(tol)
 
 
 def spectral_split(gmat: np.ndarray, threshold: float = 1e-9) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Chunked exhaustive enumeration over colouring spaces.
 
-Every partition-function evaluator reduces to a sum over radix^length
-configurations of a product of table lookups.  Configurations are produced
-in mixed-radix ascending order (first coordinate most significant) in
-blocks, so q^|E| up to a few times 10^7 stays tractable in numpy without
-materializing the whole configuration space.
+Configurations of range(radix)^length are produced in mixed-radix ascending
+order (first coordinate most significant) in blocks, so q^|E| up to a few
+times 10^7 stays tractable in numpy without materializing the whole
+configuration space.  ``models.factor_sum`` consumes them for every model
+sum; the boundary and coboundary chunk operators serve only the oracles.
 """
 
 from __future__ import annotations

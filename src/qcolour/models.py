@@ -1,13 +1,16 @@
 """Partition functions of vertex- and edge-colouring models.
 
-A vertex model sums over vertex colourings with a weight per vertex and a
-(q, q) interaction per edge.  An edge model sums over edge colourings with a
-weight per edge and, at each vertex, a weight depending on the tuple of
-half-edge colours in a declared order (rotation order when present, else
-(edge_index, end) lexicographic).  The half-edge inner product pairs a vertex
-weight family against a two-argument weight on each edge's half-edge pair;
-it is evaluated factored over edge blocks, enumerating only the support of
-the pair weight, so monochrome or zero-sum pairings cost q^|E| terms.
+Every model here is a sum over colourings of a product of small tables, and
+``factor_sum`` is the one loop that enumerates it: each factor is a table
+read at the colours of its labels.  The evaluators below only build factor
+lists.  A vertex model sums over vertex colourings with a weight per vertex
+and a (q, q) interaction per edge.  An edge model sums over edge colourings
+with a weight per edge and, at each vertex, a weight depending on the tuple
+of half-edge colours in a declared order (rotation order when present, else
+(edge_index, end) lexicographic).  The half-edge inner product pairs a
+vertex weight family against a two-argument weight on each edge's half-edge
+pair; it colours each edge by a support pair of that weight, so monochrome
+or zero-sum pairings cost q^|E| terms.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "edge_partition",
     "halfedge_inner",
     "orthogonal_invariance_check",
+    "factor_sum",
     "edge_table_sum",
     "vertex_table_sum",
 ]
@@ -152,6 +156,27 @@ def _vertex_orders(g: Multigraph, rotation: RotationSystem | None):
     return [rotation.order_at(v) for v in range(g.num_vertices)]
 
 
+def factor_sum(
+    radix: int,
+    length: int,
+    factors,
+    max_terms: int = DEFAULT_MAX_TERMS,
+    block: int = DEFAULT_BLOCK,
+) -> ModelValue:
+    """Sum over colourings c in range(radix)^length of the product over
+    ``factors`` (a list of (table, labels) pairs) of table[c[labels]].  A
+    label repeated within one factor reads its colour on several axes, as a
+    loop does at its vertex; a factor with no labels is a constant."""
+    terms = count_terms(radix, length, max_terms)
+    total = 0.0 + 0.0j
+    for chunk in index_blocks(radix, length, block):
+        w = np.ones(chunk.shape[0], dtype=np.complex128)
+        for table, labels in factors:
+            w *= table[tuple(chunk[:, label] for label in labels)]
+        total += w.sum()
+    return ModelValue.of(total, terms)
+
+
 def edge_table_sum(
     g: Multigraph,
     q: int,
@@ -164,22 +189,14 @@ def edge_table_sum(
     """Sum over edge colourings of per-vertex table lookups times per-edge
     weights.  ``vertex_tables[v]`` is indexed by the half-edge colours at v
     in declared order (a loop's colour indexes twice)."""
-    terms = count_terms(q, g.num_edges, max_terms)
     orders = _vertex_orders(g, rotation)
-    total = 0.0 + 0.0j
-    for chunk in index_blocks(q, g.num_edges, block):
-        w = np.ones(chunk.shape[0], dtype=np.complex128)
-        for v in range(g.num_vertices):
-            tbl = vertex_tables[v]
-            if tbl.ndim == 0:
-                w *= complex(tbl)
-            else:
-                w *= tbl[tuple(chunk[:, e] for e, _end in orders[v])]
-        if edge_vecs is not None:
-            for e in range(g.num_edges):
-                w *= edge_vecs[e][chunk[:, e]]
-        total += w.sum()
-    return ModelValue.of(total, terms)
+    factors = [
+        (vertex_tables[v], [e for e, _end in orders[v]])
+        for v in range(g.num_vertices)
+    ]
+    if edge_vecs is not None:
+        factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
+    return factor_sum(q, g.num_edges, factors, max_terms, block)
 
 
 def vertex_table_sum(
@@ -194,18 +211,13 @@ def vertex_table_sum(
     """Sum over vertex colourings of per-edge (q, q) lookups (tail, head)
     times optional per-vertex weights.  Loops look up (x_v, x_v)."""
     orient = orient or default_orientation(g)
-    terms = count_terms(q, g.num_vertices, max_terms)
-    total = 0.0 + 0.0j
-    for chunk in index_blocks(q, g.num_vertices, block):
-        w = np.ones(chunk.shape[0], dtype=np.complex128)
-        for e in range(g.num_edges):
-            tbl = edge_tables[e]
-            w *= tbl[chunk[:, orient.tail(g, e)], chunk[:, orient.head(g, e)]]
-        if vertex_vecs is not None:
-            for v in range(g.num_vertices):
-                w *= vertex_vecs[v][chunk[:, v]]
-        total += w.sum()
-    return ModelValue.of(total, terms)
+    factors = [
+        (edge_tables[e], (orient.tail(g, e), orient.head(g, e)))
+        for e in range(g.num_edges)
+    ]
+    if vertex_vecs is not None:
+        factors += [(vertex_vecs[v], (v,)) for v in range(g.num_vertices)]
+    return factor_sum(q, g.num_vertices, factors, max_terms, block)
 
 
 def vertex_partition(
@@ -250,34 +262,25 @@ def halfedge_inner(
     block: int = DEFAULT_BLOCK,
 ) -> ModelValue:
     """Real-bilinear pairing of the vertex weight family against an arity-2
-    weight applied to each edge's half-edge pair; enumerates support pairs
-    per edge block."""
+    weight applied to each edge's half-edge pair; each edge is coloured by a
+    support pair of that weight."""
     if pair_weight.arity != 2:
         raise ValueError("pair weight must have arity 2")
-    group = weights.group
-    q = group.q
+    q = weights.group.q
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
     if supp.size == 0:
         return ModelValue.of(0.0, 0)
-    pair_ends = np.stack([supp // q, supp % q], axis=1)
-    gvals = pair_weight.values[supp]
-    radix = supp.size
-    terms = count_terms(radix, g.num_edges, max_terms)
+    # checked here too, so an over-cap sum fails before any table is built
+    count_terms(supp.size, g.num_edges, max_terms)
+    ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair
     orders = _vertex_orders(g, rotation)
-    tables = [weights.table(g.degree(v)) for v in range(g.num_vertices)]
-    total = 0.0 + 0.0j
-    for chunk in index_blocks(radix, g.num_edges, block):
-        w = np.ones(chunk.shape[0], dtype=np.complex128)
-        for v in range(g.num_vertices):
-            tbl = tables[v]
-            if tbl.ndim == 0:
-                w *= complex(tbl)
-            else:
-                w *= tbl[tuple(pair_ends[chunk[:, e], end] for e, end in orders[v])]
-        for e in range(g.num_edges):
-            w *= gvals[chunk[:, e]]
-        total += w.sum()
-    return ModelValue.of(total, terms)
+    factors = []
+    for v in range(g.num_vertices):
+        # the vertex table re-indexed from half-edge colours onto support pairs
+        axes = np.ix_(*(ends[end] for _e, end in orders[v]))
+        factors.append((weights.table(g.degree(v))[axes], [e for e, _end in orders[v]]))
+    factors += [(pair_weight.values[supp], (e,)) for e in range(g.num_edges)]
+    return factor_sum(supp.size, g.num_edges, factors, max_terms, block)
 
 
 def orthogonal_invariance_check(

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .enumeration import DEFAULT_MAX_TERMS, count_terms, index_blocks
+from .enumeration import DEFAULT_MAX_TERMS, count_terms
 from .graphs import Multigraph, RotationSystem
 from .groups import Group, QFunction
 from .models import ModelValue, VertexWeights, edge_table_sum, halfedge_inner
@@ -406,33 +406,9 @@ def even_minus_odd_proper4(
     anticlockwise cyclic order."""
     if not g.is_regular(3):
         raise ValueError("graph must be 3-regular")
-    rotation.validate(g)
-    count_terms(4, g.num_edges, max_terms)
-    orders = [rotation.order_at(v) for v in range(g.num_vertices)]
-    total = 0
-    for chunk in index_blocks(4, g.num_edges):
-        proper = np.ones(chunk.shape[0], dtype=bool)
-        for v in range(g.num_vertices):
-            (e1, _), (e2, _), (e3, _) = orders[v]
-            proper &= (
-                (chunk[:, e1] != chunk[:, e2])
-                & (chunk[:, e2] != chunk[:, e3])
-                & (chunk[:, e1] != chunk[:, e3])
-            )
-        for row in chunk[proper]:
-            anticlockwise = 0
-            for v in range(g.num_vertices):
-                a, b, c = (int(row[e]) for e, _ in orders[v])
-                srt = sorted((a, b, c))
-                cyclic = {
-                    (srt[0], srt[1], srt[2]),
-                    (srt[1], srt[2], srt[0]),
-                    (srt[2], srt[0], srt[1]),
-                }
-                if (a, b, c) not in cyclic:
-                    anticlockwise += 1
-            total += 1 if anticlockwise % 2 == 0 else -1
-    return total
+    # a 3-tuple of distinct colours is in cyclic order exactly when its
+    # inversion parity is even, so this is the signed sum with four colours
+    return proper_colouring_sign_sum(g, rotation, 4, max_terms)
 
 
 def zero_sum_mono_sign(k: int, num_edges: int, num_vertices: int) -> int:

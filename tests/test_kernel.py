@@ -1,0 +1,132 @@
+"""The model kernel against scalar brute force, and the layering rule that
+keeps the oracles and the evaluators they check on separate code paths."""
+
+import itertools
+
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import example, given, settings
+
+from qcolour import duality, enumeration, models, oracles, signed
+from qcolour.duality import boundary_edge_sum, tension_vertex_sum
+from qcolour.graphs import Multigraph, Orientation, boundary, coboundary
+from qcolour.groups import group_from_name, monochrome_indicator, zero_sum_indicator
+from qcolour.models import VertexWeights, halfedge_inner
+
+from conftest import assert_close, complex_vec
+
+GROUP_SPECS = ("2", "3", "4", "2x2", "f4")
+TOL = 1e-10
+
+
+@st.composite
+def multigraphs(draw):
+    """At most 4 vertices and 5 edges; loops, parallel edges, isolated
+    vertices and several components all occur."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=5))
+    return Multigraph(n, tuple(edges))
+
+
+def _tension_brute(g, G, orient, vv, ev):
+    total = 0j
+    for x in itertools.product(range(G.q), repeat=g.num_vertices):
+        w = 1 + 0j
+        for v, a in enumerate(x):
+            w *= vv[v][a]
+        for e, b in enumerate(coboundary(g, orient, G, x)):
+            w *= ev[e][b]
+        total += w
+    return total
+
+
+def _boundary_brute(g, G, orient, vv, ev):
+    total = 0j
+    for y in itertools.product(range(G.q), repeat=g.num_edges):
+        w = 1 + 0j
+        for v, a in enumerate(boundary(g, orient, G, y)):
+            w *= vv[v][a]
+        for e, b in enumerate(y):
+            w *= ev[e][b]
+        total += w
+    return total
+
+
+def _halfedge_brute(g, weights, pair_weight):
+    """Sum over one colour pair per edge (pairs of weight zero add nothing)
+    of the pair weights times each vertex table at its half-edge colours."""
+    q = weights.group.q
+    pw = pair_weight.values.reshape(q, q)
+    pairs = [(a, b) for a in range(q) for b in range(q) if pw[a, b] != 0]
+    total = 0j
+    for choice in itertools.product(pairs, repeat=g.num_edges):
+        w = 1 + 0j
+        for e, (a, b) in enumerate(choice):
+            w *= pw[a, b]
+        for v in range(g.num_vertices):
+            colours = tuple(choice[e][end] for e, end in g.halfedges_at(v))
+            w *= weights.table(g.degree(v))[colours]
+        total += w
+    return total
+
+
+# a parallel pair and a loop in one component, a loop alone in another,
+# and an isolated vertex
+MIXED = Multigraph(4, ((0, 1), (1, 0), (0, 0), (2, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    multigraphs(),
+    st.sampled_from(GROUP_SPECS),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 1), min_size=5, max_size=5),
+)
+@example(MIXED, "2x2", 1, [0, 1, 1, 0, 1])
+@example(MIXED, "f4", 2, [1, 0, 0, 1, 0])
+def test_kernel_sums_match_brute_force(g, spec, seed, heads):
+    G = group_from_name(spec)
+    rng = np.random.default_rng(seed)
+    orient = Orientation(tuple(heads[: g.num_edges]))
+    vv = [complex_vec(rng, G.q) for _ in range(g.num_vertices)]
+    ev = [complex_vec(rng, G.q) for _ in range(g.num_edges)]
+    assert_close(
+        tension_vertex_sum(g, G, orient, vv, ev).value,
+        _tension_brute(g, G, orient, vv, ev),
+        TOL,
+        "tension_vertex_sum",
+    )
+    assert_close(
+        boundary_edge_sum(g, G, orient, vv, ev).value,
+        _boundary_brute(g, G, orient, vv, ev),
+        TOL,
+        "boundary_edge_sum",
+    )
+    tables = {
+        d: complex_vec(rng, G.q**d).reshape((G.q,) * d) for d in set(g.degrees())
+    }
+    weights = VertexWeights.from_tables(G, tables)
+    for pair in (monochrome_indicator(G, 2), zero_sum_indicator(G, 2)):
+        assert_close(
+            halfedge_inner(g, weights, pair).value,
+            _halfedge_brute(g, weights, pair),
+            TOL,
+            "halfedge_inner",
+        )
+
+
+def _bound(module, functions):
+    return sorted(
+        name
+        for name, value in vars(module).items()
+        if any(value is fn for fn in functions)
+    )
+
+
+def test_oracles_and_evaluators_share_no_enumeration_code():
+    chunks = (enumeration.boundary_chunk, enumeration.coboundary_chunk)
+    for module in (models, duality, signed):
+        assert _bound(module, chunks) == [], module.__name__
+    evaluators = (models.factor_sum, models.edge_table_sum, models.vertex_table_sum)
+    assert _bound(oracles, evaluators) == []

@@ -321,6 +321,41 @@ def test_even_minus_odd_proper4_theta_and_prism():
     assert even_minus_odd_proper4(prism, rpr) == (-4) ** 3 * flow_polynomial(prism, 4)
 
 
+def _even_minus_odd_reference(g, rot):
+    """Even minus odd proper edge 4-colourings, one colouring at a time: a
+    colouring is odd when an odd number of vertices see their three colours
+    in anticlockwise cyclic order (not a rotation of the sorted triple)."""
+    total = 0
+    for y in itertools.product(range(4), repeat=g.num_edges):
+        anticlockwise = 0
+        for v in range(g.num_vertices):
+            a, b, c = (y[e] for e, _ in rot.order_at(v))
+            if len({a, b, c}) < 3:
+                break
+            srt = sorted((a, b, c))
+            cyclic = {
+                (srt[0], srt[1], srt[2]),
+                (srt[1], srt[2], srt[0]),
+                (srt[2], srt[0], srt[1]),
+            }
+            if (a, b, c) not in cyclic:
+                anticlockwise += 1
+        else:
+            total += 1 if anticlockwise % 2 == 0 else -1
+    return total
+
+
+@pytest.mark.parametrize(
+    "name, clockwise, swapped",
+    [("theta", -24, 24), ("k4", 96, -96), ("prism", -384, 384)],
+)
+def test_even_minus_odd_proper4_matches_reference(name, clockwise, swapped):
+    g, rot = fx(name)
+    for r, want in ((rot, clockwise), (rot.swap_adjacent(0, 0), swapped)):
+        assert _even_minus_odd_reference(g, r) == want
+        assert even_minus_odd_proper4(g, r) == want
+
+
 def test_even_minus_odd_proper4_requires_cubic():
     c4, rc4 = fx("c4")
     with pytest.raises(ValueError):
