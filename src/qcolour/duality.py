@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import DEFAULT_BLOCK, DEFAULT_MAX_TERMS, count_terms
+from .enumeration import DEFAULT_MAX_TERMS, count_terms
 from .graphs import Multigraph, Orientation, rank
 from .groups import (
     Group,
@@ -66,7 +66,6 @@ def tension_vertex_sum(
     vertex_vecs,
     edge_vecs,
     max_terms: int = DEFAULT_MAX_TERMS,
-    block: int = DEFAULT_BLOCK,
 ) -> ModelValue:
     """sum over vertex colourings x of prod_v vv[x_v] * prod_e ev[(dx)_e]."""
     factors = [(vertex_vecs[v], (v,)) for v in range(g.num_vertices)]
@@ -75,7 +74,7 @@ def tension_vertex_sum(
         (edge_vecs[e][group.sub.T], (orient.tail(g, e), orient.head(g, e)))
         for e in range(g.num_edges)
     ]
-    return factor_sum(group.q, g.num_vertices, factors, max_terms, block)
+    return factor_sum(group.q, g.num_vertices, factors, max_terms)
 
 
 def boundary_edge_sum(
@@ -85,7 +84,6 @@ def boundary_edge_sum(
     vertex_vecs,
     edge_vecs,
     max_terms: int = DEFAULT_MAX_TERMS,
-    block: int = DEFAULT_BLOCK,
 ) -> ModelValue:
     """sum over edge colourings y of prod_v vv[(dy)_v] * prod_e ev[y_e]."""
     # checked here too, so an over-cap sum fails before any table is built
@@ -103,7 +101,7 @@ def boundary_edge_sum(
             bnd = group.add[bnd, col]
         factors.append((vertex_vecs[v][bnd], [e for e, _end in hs]))
     factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
-    return factor_sum(group.q, g.num_edges, factors, max_terms, block)
+    return factor_sum(group.q, g.num_edges, factors, max_terms)
 
 
 def general_duality_sides(

@@ -1,10 +1,12 @@
-"""Chunked exhaustive enumeration over colouring spaces.
+"""Term caps, and chunked exhaustive enumeration over colouring spaces.
 
-Configurations of range(radix)^length are produced in mixed-radix ascending
-order (first coordinate most significant) in blocks, so q^|E| up to a few
-times 10^7 stays tractable in numpy without materializing the whole
-configuration space.  ``models.factor_sum`` consumes them for every model
-sum; the boundary and coboundary chunk operators serve only the oracles.
+``count_terms`` enforces the cap on the radix^length colourings a sum ranges
+over, for the oracles and the model sums alike.  Configurations of
+range(radix)^length are produced in mixed-radix ascending order (first
+coordinate most significant) in blocks, so q^|E| up to a few times 10^7
+stays tractable in numpy without materializing the whole configuration
+space.  The blocks and the boundary and coboundary chunk operators serve
+only the oracles; the model sums contract instead (``models.eliminate``).
 """
 
 from __future__ import annotations

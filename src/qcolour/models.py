@@ -1,16 +1,18 @@
 """Partition functions of vertex- and edge-colouring models.
 
 Every model here is a sum over colourings of a product of small tables, and
-``factor_sum`` is the one loop that enumerates it: each factor is a table
-read at the colours of its labels.  The evaluators below only build factor
-lists.  A vertex model sums over vertex colourings with a weight per vertex
-and a (q, q) interaction per edge.  An edge model sums over edge colourings
-with a weight per edge and, at each vertex, a weight depending on the tuple
-of half-edge colours in a declared order (rotation order when present, else
+``factor_sum`` is the one kernel that computes it: each factor is a table
+read at the colours of its labels, and ``eliminate`` sums the labels out one
+at a time, so the cost is exponential in the width of the elimination order,
+not in the number of labels.  The evaluators below only build factor lists.
+A vertex model sums over vertex colourings with a weight per vertex and a
+(q, q) interaction per edge.  An edge model sums over edge colourings with a
+weight per edge and, at each vertex, a weight depending on the tuple of
+half-edge colours in a declared order (rotation order when present, else
 (edge_index, end) lexicographic).  The half-edge inner product pairs a
 vertex weight family against a two-argument weight on each edge's half-edge
 pair; it colours each edge by a support pair of that weight, so monochrome
-or zero-sum pairings cost q^|E| terms.
+or zero-sum pairings range over q^|E| colourings.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import (
-    DEFAULT_BLOCK,
-    DEFAULT_MAX_TERMS,
-    count_terms,
-    index_blocks,
-)
+from .enumeration import DEFAULT_MAX_TERMS, count_terms
 from .graphs import Multigraph, Orientation, RotationSystem, default_orientation
 from .groups import Group, QFunction, monochrome_indicator, transform_by
 
@@ -38,6 +35,7 @@ __all__ = [
     "halfedge_inner",
     "orthogonal_invariance_check",
     "factor_sum",
+    "eliminate",
     "edge_table_sum",
     "vertex_table_sum",
 ]
@@ -161,20 +159,57 @@ def factor_sum(
     length: int,
     factors,
     max_terms: int = DEFAULT_MAX_TERMS,
-    block: int = DEFAULT_BLOCK,
 ) -> ModelValue:
     """Sum over colourings c in range(radix)^length of the product over
     ``factors`` (a list of (table, labels) pairs) of table[c[labels]].  A
     label repeated within one factor reads its colour on several axes, as a
-    loop does at its vertex; a factor with no labels is a constant."""
+    loop does at its vertex; a factor with no labels is a constant.  The cap
+    applies to the radix^length colourings the sum ranges over."""
     terms = count_terms(radix, length, max_terms)
-    total = 0.0 + 0.0j
-    for chunk in index_blocks(radix, length, block):
-        w = np.ones(chunk.shape[0], dtype=np.complex128)
-        for table, labels in factors:
-            w *= table[tuple(chunk[:, label] for label in labels)]
-        total += w.sum()
-    return ModelValue.of(total, terms)
+    return ModelValue.of(eliminate(radix, length, factors), terms)
+
+
+def eliminate(radix: int, length: int, factors) -> complex:
+    """The sum of ``factor_sum`` by variable elimination: labels are summed
+    out one at a time, each time the one whose factors together read the
+    fewest labels (ties to the smallest label), so the cost is exponential
+    in the width of that order rather than in ``length``."""
+    total = 1.0 + 0.0j
+    live = []  # (table, distinct labels), one axis per label
+    for table, labels in factors:
+        table = np.asarray(table)
+        # integer tables sum in floating point, as products of ints can wrap
+        table = table.astype(np.result_type(table, np.float64), copy=False)
+        distinct = list(dict.fromkeys(labels))
+        if not distinct:
+            total *= table[()]
+            continue
+        if len(distinct) < len(labels):  # a loop: keep the diagonal
+            axes = [distinct.index(label) for label in labels]
+            table = np.einsum(table, axes, list(range(len(distinct))))
+        live.append((table, distinct))
+    # every label no factor reads multiplies the sum by radix
+    total *= radix ** (length - len({label for _t, ls in live for label in ls}))
+    while live:
+        scopes: dict[int, set] = {}
+        for _t, ls in live:
+            for label in ls:
+                scopes.setdefault(label, set()).update(ls)
+        label = min(scopes, key=lambda lb: (len(scopes[lb]), lb))
+        # einsum takes at most 52 axis letters, so number the scope locally
+        ids = {lb: i for i, lb in enumerate(sorted(scopes[label]))}
+        out = [lb for lb in ids if lb != label]
+        operands = []
+        for t, ls in live:
+            if label in ls:
+                operands += [t, [ids[lb] for lb in ls]]
+        live = [f for f in live if label not in f[1]]
+        table = np.einsum(*operands, [ids[lb] for lb in out])
+        if out:
+            live.append((table, out))
+        else:
+            total *= table[()]
+    return complex(total)
 
 
 def edge_table_sum(
@@ -184,7 +219,6 @@ def edge_table_sum(
     edge_vecs=None,
     rotation: RotationSystem | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
-    block: int = DEFAULT_BLOCK,
 ) -> ModelValue:
     """Sum over edge colourings of per-vertex table lookups times per-edge
     weights.  ``vertex_tables[v]`` is indexed by the half-edge colours at v
@@ -196,7 +230,7 @@ def edge_table_sum(
     ]
     if edge_vecs is not None:
         factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
-    return factor_sum(q, g.num_edges, factors, max_terms, block)
+    return factor_sum(q, g.num_edges, factors, max_terms)
 
 
 def vertex_table_sum(
@@ -206,7 +240,6 @@ def vertex_table_sum(
     vertex_vecs=None,
     orient: Orientation | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
-    block: int = DEFAULT_BLOCK,
 ) -> ModelValue:
     """Sum over vertex colourings of per-edge (q, q) lookups (tail, head)
     times optional per-vertex weights.  Loops look up (x_v, x_v)."""
@@ -217,7 +250,7 @@ def vertex_table_sum(
     ]
     if vertex_vecs is not None:
         factors += [(vertex_vecs[v], (v,)) for v in range(g.num_vertices)]
-    return factor_sum(q, g.num_vertices, factors, max_terms, block)
+    return factor_sum(q, g.num_vertices, factors, max_terms)
 
 
 def vertex_partition(
@@ -259,7 +292,6 @@ def halfedge_inner(
     pair_weight: QFunction,
     rotation: RotationSystem | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
-    block: int = DEFAULT_BLOCK,
 ) -> ModelValue:
     """Real-bilinear pairing of the vertex weight family against an arity-2
     weight applied to each edge's half-edge pair; each edge is coloured by a
@@ -280,7 +312,7 @@ def halfedge_inner(
         axes = np.ix_(*(ends[end] for _e, end in orders[v]))
         factors.append((weights.table(g.degree(v))[axes], [e for e, _end in orders[v]]))
     factors += [(pair_weight.values[supp], (e,)) for e in range(g.num_edges)]
-    return factor_sum(supp.size, g.num_edges, factors, max_terms, block)
+    return factor_sum(supp.size, g.num_edges, factors, max_terms)
 
 
 def orthogonal_invariance_check(

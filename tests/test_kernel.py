@@ -5,13 +5,20 @@ import itertools
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 
 from qcolour import duality, enumeration, models, oracles, signed
 from qcolour.duality import boundary_edge_sum, tension_vertex_sum
 from qcolour.graphs import Multigraph, Orientation, boundary, coboundary
 from qcolour.groups import group_from_name, monochrome_indicator, zero_sum_indicator
-from qcolour.models import VertexWeights, halfedge_inner
+from qcolour.models import (
+    VertexWeights,
+    edge_table_sum,
+    factor_sum,
+    halfedge_inner,
+    vertex_table_sum,
+)
 
 from conftest import assert_close, complex_vec
 
@@ -49,6 +56,40 @@ def _boundary_brute(g, G, orient, vv, ev):
             w *= vv[v][a]
         for e, b in enumerate(y):
             w *= ev[e][b]
+        total += w
+    return total
+
+
+def _edge_table_brute(g, q, tables, ev):
+    total = 0j
+    for y in itertools.product(range(q), repeat=g.num_edges):
+        w = 1 + 0j
+        for v in range(g.num_vertices):
+            w *= tables[v][tuple(y[e] for e, _end in g.halfedges_at(v))]
+        for e, b in enumerate(y):
+            w *= ev[e][b]
+        total += w
+    return total
+
+
+def _vertex_table_brute(g, q, orient, tables, vv):
+    total = 0j
+    for x in itertools.product(range(q), repeat=g.num_vertices):
+        w = 1 + 0j
+        for v, a in enumerate(x):
+            w *= vv[v][a]
+        for e in range(g.num_edges):
+            w *= tables[e][x[orient.tail(g, e)], x[orient.head(g, e)]]
+        total += w
+    return total
+
+
+def _factor_brute(radix, length, factors):
+    total = 0j
+    for c in itertools.product(range(radix), repeat=length):
+        w = 1 + 0j
+        for table, labels in factors:
+            w *= table[tuple(c[label] for label in labels)]
         total += w
     return total
 
@@ -114,6 +155,69 @@ def test_kernel_sums_match_brute_force(g, spec, seed, heads):
             TOL,
             "halfedge_inner",
         )
+    vtables = [complex_vec(rng, G.q**d).reshape((G.q,) * d) for d in g.degrees()]
+    assert_close(
+        edge_table_sum(g, G.q, vtables, ev).value,
+        _edge_table_brute(g, G.q, vtables, ev),
+        TOL,
+        "edge_table_sum",
+    )
+    etables = [complex_vec(rng, G.q**2).reshape(G.q, G.q) for _ in ev]
+    assert_close(
+        vertex_table_sum(g, G.q, etables, vv, orient=orient).value,
+        _vertex_table_brute(g, G.q, orient, etables, vv),
+        TOL,
+        "vertex_table_sum",
+    )
+
+
+def _factor_cases():
+    rng = np.random.default_rng(7)
+    t3 = complex_vec(rng, 27).reshape(3, 3, 3)
+    return {
+        "length 0": (3, 0, [(np.array(2.5 - 1j), ())]),
+        "length 0, no factors": (2, 0, []),
+        "constant factor": (
+            2,
+            2,
+            [(np.array(3j), ()), (complex_vec(rng, 4).reshape(2, 2), (0, 1))],
+        ),
+        "unread label": (3, 3, [(complex_vec(rng, 3), (1,))]),
+        "no factors": (3, 2, []),
+        "radix 1": (1, 3, [(np.array([[2.0 + 1j]]), (0, 2)), (np.array([-3.0]), (1,))]),
+        "label three times": (
+            3,
+            2,
+            [(t3, (1, 1, 1)), (complex_vec(rng, 9).reshape(3, 3), (0, 1))],
+        ),
+        "loop beside an edge": (3, 2, [(t3, (0, 1, 0)), (complex_vec(rng, 3), (1,))]),
+        "int64 tables past 2^63": (2, 1, [(np.array([2**40, 3]), (0,))] * 2),
+        "float64 tables": (
+            2,
+            4,
+            [
+                (rng.choice([-1.0, 1.0], size=(2, 2, 2)), (0, 1, 2)),
+                (rng.choice([-1.0, 1.0], size=(2, 2, 2)), (3, 1, 2)),
+                (rng.standard_normal(2), (0,)),
+            ],
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_factor_cases()))
+def test_factor_sum_edge_cases(case):
+    radix, length, factors = _factor_cases()[case]
+    mv = factor_sum(radix, length, factors)
+    assert mv.terms == radix**length
+    assert_close(mv.value, _factor_brute(radix, length, factors), TOL, case)
+
+
+def test_factor_sum_numbers_labels_past_einsum_letters():
+    # a path of 60 labels: more labels than einsum has axis letters
+    M = np.array([[1.0, 0.5], [0.25, -1.0]])
+    factors = [(M, (i, i + 1)) for i in range(59)]
+    want = np.ones(2) @ np.linalg.matrix_power(M, 59) @ np.ones(2)
+    assert_close(factor_sum(2, 60, factors, max_terms=2**60).value, want, TOL)
 
 
 def _bound(module, functions):
@@ -125,8 +229,17 @@ def _bound(module, functions):
 
 
 def test_oracles_and_evaluators_share_no_enumeration_code():
-    chunks = (enumeration.boundary_chunk, enumeration.coboundary_chunk)
+    enumerators = (
+        enumeration.index_blocks,
+        enumeration.boundary_chunk,
+        enumeration.coboundary_chunk,
+    )
     for module in (models, duality, signed):
-        assert _bound(module, chunks) == [], module.__name__
-    evaluators = (models.factor_sum, models.edge_table_sum, models.vertex_table_sum)
+        assert _bound(module, enumerators) == [], module.__name__
+    evaluators = (
+        models.factor_sum,
+        models.eliminate,
+        models.edge_table_sum,
+        models.vertex_table_sum,
+    )
     assert _bound(oracles, evaluators) == []
