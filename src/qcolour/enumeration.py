@@ -1,12 +1,14 @@
 """Term caps, and chunked exhaustive enumeration over colouring spaces.
 
-``count_terms`` enforces the cap on the radix^length colourings a sum ranges
-over, for the oracles and the model sums alike.  Configurations of
-range(radix)^length are produced in mixed-radix ascending order (first
-coordinate most significant) in blocks, so q^|E| up to a few times 10^7
-stays tractable in numpy without materializing the whole configuration
-space.  The blocks and the boundary and coboundary chunk operators serve
-only the oracles; the model sums contract instead (``models.eliminate``).
+``count_terms`` enforces the cap on radix^length configurations, for the
+oracles and the model sums alike.  Configurations of range(radix)^length are
+produced in mixed-radix ascending order (first coordinate most significant)
+in blocks, so a few times 10^7 of them stay tractable in numpy without
+materializing the whole space.  No model sum uses the blocks or the chunk
+operators; the model sums contract instead (``models.eliminate``).  The
+oracles enumerate only free coordinates (the edges outside a spanning
+forest, the non-root vertices) and apply ``coboundary_chunk``;
+``boundary_chunk`` remains for the tests' scanning reference.
 """
 
 from __future__ import annotations

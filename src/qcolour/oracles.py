@@ -1,21 +1,26 @@
 """Independent brute-force ground truth for the identity checks.
 
 The Tutte polynomial is computed by the 2^|E| subset expansion with exact
-integer coefficients (no deletion-contraction), flows and tensions by direct
-enumeration, and weight enumerators by summation over the enumerated sets.
-These deliberately share no code path with the model evaluators they verify.
+integer coefficients (no deletion-contraction).  Flows and tensions are
+listed explicitly from a BFS spanning forest: a flow is fixed by its values
+on the |E|-|V|+k edges outside the forest (k components), a tension by a
+vertex colouring with each component's root at 0, so the term caps count
+q^(|E|-|V|+k) and q^(|V|-k) candidates, every one of them kept.  Weight
+enumerators are exact sums over the listed sets.  These deliberately share
+no code path with the model evaluators they verify.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .enumeration import (
     DEFAULT_MAX_TERMS,
     TermCapExceeded,
-    boundary_chunk,
     coboundary_chunk,
     count_terms,
     index_blocks,
@@ -104,24 +109,70 @@ def tutte(g: Multigraph, max_subsets: int = 1 << 22) -> TuttePolynomial:
     return TuttePolynomial(coeffs, m, full)
 
 
+def _spanning_forest(g: Multigraph):
+    """BFS spanning forest: one root per component, and every other vertex in
+    BFS order with the half-edge, at that vertex, of the edge to its parent."""
+    seen = [False] * g.num_vertices
+    roots, order = [], []
+    for r in range(g.num_vertices):
+        if seen[r]:
+            continue
+        seen[r] = True
+        roots.append(r)
+        queue = [r]
+        for u in queue:
+            for e, end in g.halfedges_at(u):
+                w = g.endpoint(e, 1 - end)
+                if not seen[w]:
+                    seen[w] = True
+                    order.append((w, (e, 1 - end)))
+                    queue.append(w)
+    return roots, order
+
+
+def _flow_blocks(g: Multigraph, group: Group, orient: Orientation, max_terms: int):
+    """Yield (C, |E|) blocks of flows: the non-tree edges take every value,
+    and each tree edge is then set, from the leaves inward, so that the
+    boundary at its child vertex is zero.  A root's boundary is then zero
+    too, because the boundaries of a component sum to zero."""
+    _roots, order = _spanning_forest(g)
+    free = sorted(set(range(g.num_edges)) - {e for _v, (e, _end) in order})
+    count_terms(group.q, len(free), max_terms)
+    for chunk in index_blocks(group.q, len(free)):
+        Y = np.zeros((chunk.shape[0], g.num_edges), dtype=np.int64)
+        Y[:, free] = chunk
+        for v, (parent, parent_end) in reversed(order):
+            # the parent edge still reads 0, so this is the rest's boundary
+            acc = np.zeros(chunk.shape[0], dtype=np.int64)
+            for e, end in g.halfedges_at(v):
+                col = Y[:, e]
+                if orient.sigma(e, end) == -1:
+                    col = group.neg[col]
+                acc = group.add[acc, col]
+            if orient.sigma(parent, parent_end) == 1:
+                acc = group.neg[acc]
+            Y[:, parent] = acc
+        yield Y
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows in lexicographic order, first coordinate most significant."""
+    if rows.shape[1] == 0:
+        return rows
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def enumerate_flows(
     g: Multigraph,
     group: Group,
     orient: Orientation | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> np.ndarray:
-    """All edge colourings with zero boundary, as an (n, |E|) index array."""
+    """All edge colourings with zero boundary, as an (n, |E|) index array in
+    lexicographic order; q^(|E|-|V|+k) rows for k components."""
     orient = orient or default_orientation(g)
-    count_terms(group.q, g.num_edges, max_terms)
-    rows = []
-    for chunk in index_blocks(group.q, g.num_edges):
-        bnd = boundary_chunk(g, orient, group, chunk)
-        keep = ~bnd.any(axis=1)
-        if keep.any():
-            rows.append(chunk[keep])
-    if not rows:
-        return np.zeros((0, g.num_edges), dtype=np.int64)
-    return np.concatenate(rows, axis=0)
+    blocks = list(_flow_blocks(g, group, orient, max_terms))
+    return _sorted_rows(np.concatenate(blocks, axis=0))
 
 
 def enumerate_tensions(
@@ -130,13 +181,20 @@ def enumerate_tensions(
     orient: Orientation | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> np.ndarray:
-    """All coboundaries of vertex colourings, deduplicated and sorted."""
+    """All coboundaries of vertex colourings, in lexicographic order.
+
+    Fixing one root per component at 0 leaves q^(|V|-k) vertex colourings
+    with pairwise distinct coboundaries, one for each tension."""
     orient = orient or default_orientation(g)
-    count_terms(group.q, g.num_vertices, max_terms)
+    roots, _order = _spanning_forest(g)
+    free = sorted(set(range(g.num_vertices)) - set(roots))
+    count_terms(group.q, len(free), max_terms)
     pieces = []
-    for chunk in index_blocks(group.q, g.num_vertices):
-        pieces.append(np.unique(coboundary_chunk(g, orient, group, chunk), axis=0))
-    return np.unique(np.concatenate(pieces, axis=0), axis=0)
+    for chunk in index_blocks(group.q, len(free)):
+        X = np.zeros((chunk.shape[0], g.num_vertices), dtype=np.int64)
+        X[:, free] = chunk
+        pieces.append(coboundary_chunk(g, orient, group, X))
+    return _sorted_rows(np.concatenate(pieces, axis=0))
 
 
 def flow_count(
@@ -147,15 +205,9 @@ def flow_count(
 ) -> int:
     """Number of nowhere-zero flows with values in the given group."""
     orient = orient or default_orientation(g)
-    count_terms(group.q, g.num_edges, max_terms)
-    total = 0
-    for chunk in index_blocks(group.q, g.num_edges):
-        nz = chunk.all(axis=1)
-        if not nz.any():
-            continue
-        bnd = boundary_chunk(g, orient, group, chunk[nz])
-        total += int((~bnd.any(axis=1)).sum())
-    return total
+    return sum(
+        int(Y.all(axis=1).sum()) for Y in _flow_blocks(g, group, orient, max_terms)
+    )
 
 
 def flow_polynomial(
@@ -168,7 +220,7 @@ def flow_polynomial(
     specialization, cross-checked by direct enumeration when within cap."""
     T = tutte(g)
     value = (-1) ** (g.num_edges - T.full_rank) * T(0, 1 - q)
-    if cross_check and q**g.num_edges <= max_terms:
+    if cross_check and q ** (g.num_edges - T.full_rank) <= max_terms:
         direct = flow_count(g, cyclic_group(q), max_terms=max_terms)
         if direct != value:
             raise ConsistencyError(
@@ -212,33 +264,67 @@ def chromatic(
 
 def hamming_weight_enum(vectors, s, length: int):
     """sum over the set of s^(length - hamming weight); exact for int s."""
-    total = 0
-    for y in vectors:
-        zeros = length - sum(1 for c in y if c != 0)
-        total = total + s**zeros
-    return total
+    return sum(c * s**z for z, c in enumerate(hwe_coefficients(vectors, length)) if c)
 
 
 def hwe_coefficients(vectors, length: int) -> list[int]:
     """Coefficient vector of the Hamming weight enumerator: entry w counts
     vectors with exactly w zero coordinates."""
-    out = [0] * (length + 1)
-    for y in vectors:
-        zeros = length - sum(1 for c in y if c != 0)
-        out[zeros] += 1
-    return out
+    rows = np.asarray(vectors, dtype=np.int64)
+    if len(rows) == 0:
+        return [0] * (length + 1)
+    zeros = length - np.count_nonzero(rows, axis=1)
+    return np.bincount(zeros, minlength=length + 1).tolist()
+
+
+def _gauss_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 def complete_weight_enum(vectors, weights):
-    """sum over the set of the product of per-coordinate weights; the weight
-    table may hold ints, Fractions or complex numbers."""
-    total = 0
-    for y in vectors:
-        term = 1
-        for c in y:
-            term = term * weights[c]
-        total = total + term
-    return total
+    """sum over the set of the product of per-coordinate weights.
+
+    The rows are grouped by colour composition (how many coordinates take
+    each colour), so the sum is over compositions of count * prod w_c^n_c.
+    Int and Fraction weights give the exact value.  Float and complex
+    weights are exact binary fractions over one power-of-two denominator D,
+    so the sum is taken in Gaussian integers over D^length and rounded once:
+    a float for real weights, a complex for complex ones.
+    """
+    rows = np.asarray(vectors, dtype=np.int64)
+    if len(rows) == 0:
+        return 0
+    counts = np.stack(
+        [np.count_nonzero(rows == c, axis=1) for c in range(len(weights))], axis=1
+    )
+    comps, mults = np.unique(counts, axis=0, return_counts=True)
+    terms = [
+        (int(m), [(c, int(n)) for c, n in enumerate(comp) if n])
+        for comp, m in zip(comps, mults)
+    ]
+    if all(isinstance(w, (int, np.integer, Fraction)) for w in weights):
+        ws = [w if isinstance(w, Fraction) else int(w) for w in weights]
+        return sum(m * math.prod(ws[c] ** n for c, n in comp) for m, comp in terms)
+    zs = [complex(w) for w in weights]
+    is_complex = any(isinstance(w, (complex, np.complexfloating)) for w in weights)
+    if not np.isfinite(zs).all():
+        total = sum(m * math.prod(zs[c] ** n for c, n in comp) for m, comp in terms)
+        return total if is_complex else total.real
+    ratios = [x.as_integer_ratio() for z in zs for x in (z.real, z.imag)]
+    den = max(d for _n, d in ratios)
+    parts = [n * (den // d) for n, d in ratios]
+    powers = [[(1, 0)] for _ in zs]
+    for c, base in enumerate(zip(parts[::2], parts[1::2])):
+        for _ in range(rows.shape[1]):
+            powers[c].append(_gauss_mul(powers[c][-1], base))
+    re = im = 0
+    for m, comp in terms:
+        term = (m, 0)
+        for c, n in comp:
+            term = _gauss_mul(term, powers[c][n])
+        re, im = re + term[0], im + term[1]
+    scale = den ** rows.shape[1]
+    return complex(re / scale, im / scale) if is_complex else re / scale
 
 
 def monochrome_polynomial(

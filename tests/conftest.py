@@ -1,6 +1,10 @@
+import zlib
+
+import hypothesis.strategies as st
 import pytest
 
 from qcolour.corpus import CORPUS, fixture
+from qcolour.graphs import Multigraph
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +28,18 @@ def assert_close(a, b, tol=1e-9, msg=""):
     a, b = complex(a), complex(b)
     scale = max(1.0, abs(a), abs(b))
     assert abs(a - b) <= tol * scale, f"{msg} {a} != {b} (tol {tol})"
+
+
+def stable_seed(*key):
+    """A seed fixed by the key alone: hash() of a str changes per process."""
+    return zlib.crc32(repr(key).encode())
+
+
+@st.composite
+def multigraphs(draw):
+    """At most 4 vertices and 5 edges; loops, parallel edges, isolated
+    vertices and several components all occur."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=5))
+    return Multigraph(n, tuple(edges))

@@ -34,7 +34,7 @@ from qcolour.models import (
     vertex_partition,
 )
 
-from conftest import complex_vec
+from conftest import complex_vec, stable_seed
 
 MAX_TERMS = 10**8
 
@@ -116,7 +116,7 @@ def test_criterion_02_flow_cwe_triple(cache):
             G = cyclic_group(q)
             flows = cache.flows_of(name, q)
             tensions = cache.tensions_of(name, q)
-            rng = np.random.default_rng(abs(hash((name, q))) % 2**31)
+            rng = np.random.default_rng(stable_seed(name, q))
             for _ in range(5):
                 gv = complex_vec(rng, q)
                 oracle = oracles.complete_weight_enum(flows, gv * gv[G.neg])
@@ -151,7 +151,7 @@ def test_criterion_03_duality_and_macwilliams(cache):
             )
             tensions = cache.tensions_of(name, q)
             F = G.fourier_matrix()
-            rng = np.random.default_rng(abs(hash((name, q, 3))) % 2**31)
+            rng = np.random.default_rng(stable_seed(name, q, 3))
             for _ in range(5):
                 fs = [complex_vec(rng, q) for _ in range(g.num_vertices)]
                 gs = [complex_vec(rng, q) for _ in range(g.num_edges)]
@@ -234,7 +234,7 @@ def test_criterion_07_xq_family():
         orient = default_orientation(g)
         for q in (2, 3, 4):
             G = cyclic_group(q)
-            rng = np.random.default_rng(abs(hash((name, q, 7))) % 2**31)
+            rng = np.random.default_rng(stable_seed(name, q, 7))
             s = complex_vec(rng, q)
             t = complex_vec(rng, q)
             assert relerr(
@@ -371,7 +371,7 @@ def test_criterion_13_property_suites():
         G = cyclic_group(q)
         for name in ("triangle", "k4"):
             g = CORPUS[name].graph
-            rng = np.random.default_rng(abs(hash((name, q, 13))) % 2**31)
+            rng = np.random.default_rng(stable_seed(name, q, 13))
             w = VertexWeights.from_tuple_function(
                 G, lambda t: complex(rng.standard_normal(), rng.standard_normal())
             )

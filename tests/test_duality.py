@@ -40,7 +40,7 @@ from qcolour.oracles import (
     tutte,
 )
 
-from conftest import assert_close, complex_vec, graph_of
+from conftest import assert_close, complex_vec, graph_of, stable_seed
 
 SMALL = ("single_edge", "single_loop", "digon", "triangle", "c4", "theta", "k4")
 
@@ -77,7 +77,7 @@ def test_duality_random_draws(name, spec):
     g = graph_of(name)
     G = group_from_name(spec)
     o = default_orientation(g)
-    rng = np.random.default_rng(abs(hash((name, spec))) % 2**32)
+    rng = np.random.default_rng(stable_seed(name, spec))
     for _ in range(2):
         fs = [complex_vec(rng, G.q) for _ in range(g.num_vertices)]
         gs = [complex_vec(rng, G.q) for _ in range(g.num_edges)]
@@ -110,7 +110,7 @@ def test_flow_cwe_routes_match_oracle(name, q):
     g = graph_of(name)
     G = cyclic_group(q)
     flows = enumerate_flows(g, G)
-    rng = np.random.default_rng(abs(hash((name, q))) % 2**32)
+    rng = np.random.default_rng(stable_seed(name, q))
     for _ in range(2):
         gv = complex_vec(rng, q)
         oracle = complete_weight_enum(flows, gv * gv[G.neg])
@@ -124,7 +124,7 @@ def test_tension_cwe_matches_oracle(name, q):
     g = graph_of(name)
     G = cyclic_group(q)
     tensions = enumerate_tensions(g, G)
-    rng = np.random.default_rng(abs(hash((name, q, "t"))) % 2**32)
+    rng = np.random.default_rng(stable_seed(name, q, "t"))
     fv = complex_vec(rng, q)
     fq = QFunction(G, 1, fv)
     oracle = complete_weight_enum(tensions, convolve(fq, negate(fq)).values)
@@ -252,7 +252,7 @@ def test_spectral_edge_model_all_ones():
 def test_spectral_edge_model_matches_vertex_model(name, q):
     g = graph_of(name)
     G = cyclic_group(q)
-    rng = np.random.default_rng(abs(hash((name, q, "sz"))) % 2**32)
+    rng = np.random.default_rng(stable_seed(name, q, "sz"))
     A = rng.standard_normal((q, q))
     gm = (A + A.T) / 2
     fv = rng.standard_normal(q)
@@ -319,7 +319,7 @@ def test_xq_dual_expansion(name, spec):
     g = graph_of(name)
     G = group_from_name(spec)
     o = default_orientation(g)
-    rng = np.random.default_rng(abs(hash((name, spec, "xq"))) % 2**32)
+    rng = np.random.default_rng(stable_seed(name, spec, "xq"))
     s = complex_vec(rng, G.q)
     t = complex_vec(rng, G.q)
     assert_close(
@@ -411,7 +411,7 @@ def test_symmetric_weight_root_rejects_asymmetric():
 def test_xq_edge_model_matches_direct(name, q):
     g = graph_of(name)
     G = cyclic_group(q)
-    rng = np.random.default_rng(abs(hash((name, q, "em"))) % 2**32)
+    rng = np.random.default_rng(stable_seed(name, q, "em"))
     s = complex_vec(rng, q)
     raw = rng.standard_normal(q)
     t = raw + raw[G.neg]

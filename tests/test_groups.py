@@ -22,7 +22,7 @@ from qcolour.groups import (
     zero_sum_indicator,
 )
 
-from conftest import assert_close, complex_vec
+from conftest import assert_close, complex_vec, stable_seed
 
 GROUP_SPECS = ("2", "3", "4", "6", "2x2", "2x3", "f4")
 
@@ -81,7 +81,7 @@ def test_cor_g_transform_formula():
 @pytest.mark.parametrize("d", [1, 2])
 def test_unitarity_random(spec, d):
     G = group_from_name(spec)
-    rng = np.random.default_rng(hash((spec, d)) % 2**32)
+    rng = np.random.default_rng(stable_seed(spec, d))
     f = QFunction(G, d, complex_vec(rng, G.q**d))
     g = QFunction(G, d, complex_vec(rng, G.q**d))
     assert_close(

@@ -20,20 +20,10 @@ from qcolour.models import (
     vertex_table_sum,
 )
 
-from conftest import assert_close, complex_vec
+from conftest import assert_close, complex_vec, multigraphs
 
 GROUP_SPECS = ("2", "3", "4", "2x2", "f4")
 TOL = 1e-10
-
-
-@st.composite
-def multigraphs(draw):
-    """At most 4 vertices and 5 edges; loops, parallel edges, isolated
-    vertices and several components all occur."""
-    n = draw(st.integers(1, 4))
-    vertex = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=5))
-    return Multigraph(n, tuple(edges))
 
 
 def _tension_brute(g, G, orient, vv, ev):

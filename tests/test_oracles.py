@@ -1,11 +1,32 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from qcolour.enumeration import TermCapExceeded
-from qcolour.graphs import Multigraph, components, line_graph, rank
-from qcolour.groups import cyclic_group, gf4, group_from_name
+from qcolour.duality import tension_cwe_expectation
+from qcolour.enumeration import (
+    TermCapExceeded,
+    boundary_chunk,
+    coboundary_chunk,
+    index_blocks,
+)
+from qcolour.graphs import (
+    Multigraph,
+    Orientation,
+    components,
+    line_graph,
+    rank,
+)
+from qcolour.groups import (
+    QFunction,
+    convolve,
+    cyclic_group,
+    gf4,
+    group_from_name,
+    negate,
+)
 from qcolour.oracles import (
     chromatic,
     complete_weight_enum,
@@ -19,7 +40,13 @@ from qcolour.oracles import (
     tutte,
 )
 
-from conftest import assert_close, complex_vec, graph_of
+from conftest import (
+    assert_close,
+    complex_vec,
+    graph_of,
+    multigraphs,
+    stable_seed,
+)
 
 CORPUS_SMALL = ("single_edge", "single_loop", "digon", "triangle", "c4", "theta", "k4")
 
@@ -139,7 +166,7 @@ def test_macwilliams_random_weights(name, spec):
     G = group_from_name(spec)
     flows = enumerate_flows(g, G)
     tensions = enumerate_tensions(g, G)
-    rng = np.random.default_rng(abs(hash((name, spec))) % 2**32)
+    rng = np.random.default_rng(stable_seed(name, spec))
     for _ in range(3):
         h = complex_vec(rng, G.q)
         lhs = complete_weight_enum(flows, h)
@@ -156,3 +183,128 @@ def test_flow_polynomial_cross_check_runs():
     assert flow_polynomial(graph_of("prism"), 5, max_terms=10**7) == flow_polynomial(
         graph_of("prism"), 5, cross_check=False
     )
+
+
+# Reference: scan every edge or vertex colouring and filter, as the oracles
+# did before they enumerated from a spanning forest.
+
+
+def _scan_flows(g, group, orient):
+    rows = []
+    for chunk in index_blocks(group.q, g.num_edges):
+        bnd = boundary_chunk(g, orient, group, chunk)
+        keep = ~bnd.any(axis=1)
+        if keep.any():
+            rows.append(chunk[keep])
+    if not rows:
+        return np.zeros((0, g.num_edges), dtype=np.int64)
+    return np.concatenate(rows, axis=0)
+
+
+def _scan_tensions(g, group, orient):
+    pieces = []
+    for chunk in index_blocks(group.q, g.num_vertices):
+        pieces.append(np.unique(coboundary_chunk(g, orient, group, chunk), axis=0))
+    return np.unique(np.concatenate(pieces, axis=0), axis=0)
+
+
+def _scan_flow_count(g, group, orient):
+    total = 0
+    for chunk in index_blocks(group.q, g.num_edges):
+        nz = chunk.all(axis=1)
+        if not nz.any():
+            continue
+        bnd = boundary_chunk(g, orient, group, chunk[nz])
+        total += int((~bnd.any(axis=1)).sum())
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    multigraphs(),
+    st.sampled_from(("2", "3", "4", "2x2", "f4")),
+    st.lists(st.integers(0, 1), min_size=5, max_size=5),
+)
+@example(Multigraph(0, ()), "3", [1] * 5)
+@example(Multigraph(4, ((0, 1), (1, 0), (0, 0), (2, 2))), "f4", [0, 1, 1, 0, 1])
+def test_forest_enumeration_matches_scan(g, spec, heads):
+    G = group_from_name(spec)
+    orient = Orientation(tuple(heads[: g.num_edges]))
+    for fast, scan in (
+        (enumerate_flows(g, G, orient), _scan_flows(g, G, orient)),
+        (enumerate_tensions(g, G, orient), _scan_tensions(g, G, orient)),
+    ):
+        assert fast.dtype == scan.dtype
+        assert fast.shape == scan.shape
+        assert np.array_equal(fast, scan)
+    assert flow_count(g, G, orient) == _scan_flow_count(g, G, orient)
+
+
+def test_flow_cap_counts_free_edges():
+    with pytest.raises(TermCapExceeded) as err:
+        enumerate_flows(graph_of("petersen"), cyclic_group(4), max_terms=10**3)
+    assert err.value.estimate == 4**6
+
+
+@pytest.mark.parametrize("seed", [35654619, 154927927])
+def test_cwe_exact_on_petersen_tension_route(seed):
+    # terms near |w|^15 ~ 1e16 cancel to ~6e6: summing row products in
+    # floats was 1e-5 off here
+    g = graph_of("petersen")
+    G = cyclic_group(2)
+    rng = np.random.default_rng(seed)
+    gv = [complex_vec(rng, 2) for _ in range(2)][1]
+    fq = QFunction(G, 1, gv)
+    got = complete_weight_enum(
+        enumerate_tensions(g, G), convolve(fq, negate(fq)).values
+    )
+    want = tension_cwe_expectation(g, G, gv).value
+    assert abs(got - want) < 1e-10 * abs(want)
+
+
+def _gauss_exact(rows, weights):
+    """Exact sum of row products, each weight a pair of Fractions."""
+    total = (Fraction(0), Fraction(0))
+    for row in rows:
+        re, im = Fraction(1), Fraction(0)
+        for c in row:
+            w = complex(weights[c])
+            a, b = Fraction(w.real), Fraction(w.imag)
+            re, im = re * a - im * b, re * b + im * a
+        total = (total[0] + re, total[1] + im)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_cwe_float_and_complex_are_correctly_rounded(q, length, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, q, size=(int(rng.integers(1, 40)), length))
+    scale = 10.0 ** rng.integers(-8, 9, size=q)
+    real = rng.standard_normal(q) * scale
+    got = complete_weight_enum(rows, real)
+    assert isinstance(got, float)
+    assert got == float(complete_weight_enum(rows, [Fraction(w) for w in real]))
+    cplx = complex_vec(rng, q) * scale
+    got = complete_weight_enum(rows, cplx)
+    re, im = _gauss_exact(rows, cplx)
+    assert isinstance(got, complex)
+    assert got == complex(float(re), float(im))
+
+
+def test_weight_enums_exact_types_and_edge_cases():
+    S = np.array([[0, 1, 1], [2, 0, 0], [1, 1, 1]])
+    assert complete_weight_enum(S, np.array([2, 3, 5])) == 2 * 9 + 5 * 4 + 27
+    assert type(complete_weight_enum(S, np.array([2, 3, 5]))) is int
+    # products past 2^63 stay exact
+    assert complete_weight_enum(S, [2**40, 3, 5]) == 2**40 * 9 + 5 * 2**80 + 27
+    half = complete_weight_enum(S, [Fraction(1, 2), Fraction(1, 3), 1])
+    assert half == Fraction(1, 18) + Fraction(1, 4) + Fraction(1, 27)
+    assert complete_weight_enum([], [1.5, 2.5]) == 0
+    assert complete_weight_enum(np.zeros((4, 0), dtype=np.int64), [1.5]) == 4
+    assert hamming_weight_enum([], 3, 4) == 0
+    assert hwe_coefficients([], 4) == [0] * 5
+    # 0^0 is 1: at s = 0 exactly the nowhere-zero vectors count
+    assert hamming_weight_enum(S, 0, 3) == 1
+    assert hamming_weight_enum([(0, 0, 0), (1, 0, 0)], 0, 3) == 0
+    assert hamming_weight_enum(S, Fraction(1, 2), 3) == Fraction(3, 4) + 1
