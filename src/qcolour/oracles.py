@@ -1,7 +1,9 @@
 """Independent brute-force ground truth for the identity checks.
 
 The Tutte polynomial is computed by the 2^|E| subset expansion with exact
-integer coefficients (no deletion-contraction).  Flows and tensions are
+integer coefficients (no deletion-contraction): the ranks of all subsets
+come from one pass over the subset lattice, one edge at a time, holding a
+component label per vertex for 2^(|E|-1) subsets.  Flows and tensions are
 listed explicitly from a BFS spanning forest: a flow is fixed by its values
 on the |E|-|V|+k edges outside the forest (k components), a tension by a
 vertex colouring with each component's root at 0, so the term caps count
@@ -25,7 +27,7 @@ from .enumeration import (
     count_terms,
     index_blocks,
 )
-from .graphs import Multigraph, Orientation, default_orientation, rank
+from .graphs import Multigraph, Orientation, default_orientation
 from .groups import Group, cyclic_group
 
 __all__ = [
@@ -85,19 +87,37 @@ def _binomial_row(n: int) -> list[int]:
 
 
 def tutte(g: Multigraph, max_subsets: int = 1 << 22) -> TuttePolynomial:
-    """Subset expansion: sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A))."""
-    m = g.num_edges
+    """Subset expansion: sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)).
+
+    A subset A is the bitmask of its edges.  The subsets holding edge e are
+    those of edges 0..e-1 with e added, so rows [2^e, 2^(e+1)) of the rank,
+    size and vertex component-label arrays are filled from rows [0, 2^e):
+    edge (u, v) raises the rank where u and v carry different labels, then
+    relabels v's component with u's label.  The last edge needs no labels,
+    so the memory is 2^(|E|-1)*|V| label bytes plus the 2^|E| ranks and
+    sizes.
+    """
+    m, n = g.num_edges, g.num_vertices
     if 2**m > max_subsets:
         raise TermCapExceeded(2**m, max_subsets)
-    full = rank(g)
-    # corank-nullity counts: c[(i, j)] = #{A : r(E)-r(A)=i, |A|-r(A)=j}
-    counts: dict[tuple[int, int], int] = {}
-    for mask in range(1 << m):
-        ra = rank(g, mask)
-        key = (full - ra, bin(mask).count("1") - ra)
-        counts[key] = counts.get(key, 0) + 1
+    labels = np.empty((1 << max(m - 1, 0), n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    labels[0] = np.arange(n)
+    ranks = np.zeros(1 << m, dtype=np.intp)
+    sizes = np.zeros(1 << m, dtype=np.intp)
+    for e, (u, v) in enumerate(g.edges):
+        h = 1 << e
+        lab = labels[:h]
+        ranks[h : 2 * h] = ranks[:h] + (lab[:, u] != lab[:, v])
+        sizes[h : 2 * h] = sizes[:h] + 1
+        if e < m - 1:
+            labels[h : 2 * h] = np.where(lab == lab[:, v : v + 1], lab[:, u : u + 1], lab)
+    full = int(ranks[-1])
+    # corank-nullity counts: hist[i*(m+1) + j] = #{A : r(E)-r(A)=i, |A|-r(A)=j}
+    hist = np.bincount((full - ranks) * (m + 1) + (sizes - ranks))
     coeffs: dict[tuple[int, int], int] = {}
-    for (i, j), c in counts.items():
+    for idx in np.flatnonzero(hist):
+        i, j = divmod(int(idx), m + 1)
+        c = int(hist[idx])
         bi, bj = _binomial_row(i), _binomial_row(j)
         for a in range(i + 1):
             for b in range(j + 1):
@@ -294,13 +314,14 @@ def complete_weight_enum(vectors, weights):
     rows = np.asarray(vectors, dtype=np.int64)
     if len(rows) == 0:
         return 0
-    counts = np.stack(
-        [np.count_nonzero(rows == c, axis=1) for c in range(len(weights))], axis=1
+    counts = _sorted_rows(
+        np.stack([np.count_nonzero(rows == c, axis=1) for c in range(len(weights))], axis=1)
     )
-    comps, mults = np.unique(counts, axis=0, return_counts=True)
+    starts = np.flatnonzero(np.r_[True, np.any(counts[1:] != counts[:-1], axis=1)])
+    comps, mults = counts[starts], np.diff(starts, append=len(counts))
     terms = [
-        (int(m), [(c, int(n)) for c, n in enumerate(comp) if n])
-        for comp, m in zip(comps, mults)
+        (m, [(c, n) for c, n in enumerate(comp) if n])
+        for comp, m in zip(comps.tolist(), mults.tolist())
     ]
     if all(isinstance(w, (int, np.integer, Fraction)) for w in weights):
         ws = [w if isinstance(w, Fraction) else int(w) for w in weights]

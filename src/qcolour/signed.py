@@ -12,7 +12,6 @@ oriented ordered bipartite (near) 2-factorizations.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -71,13 +70,16 @@ def sgn_edge_colouring(g: Multigraph, rotation: RotationSystem, y) -> int:
 
 def parity_sign_table(q: int, k: int, K=None) -> np.ndarray:
     """(q,)*k table: sign of the tuple when injective (into K when given),
-    else 0."""
-    allowed = None if K is None else set(K)
-    tbl = np.zeros((q,) * k, dtype=np.float64)
-    for idx in itertools.product(range(q), repeat=k):
-        if allowed is not None and any(c not in allowed for c in idx):
-            continue
-        tbl[idx] = sgn_injection(idx)
+    else 0.  The sign is the product over pairs l < m of sign(b_m - b_l),
+    which is (-1)^inversions on injective tuples and 0 on any repeat."""
+    idx = np.indices((q,) * k)
+    tbl = np.ones((q,) * k, dtype=np.float64)
+    for l, m in itertools.combinations(range(k), 2):
+        tbl *= np.sign(idx[m] - idx[l])
+    if K is not None:
+        members = set(K)
+        allowed = np.array([c in members for c in range(q)], dtype=bool)
+        tbl *= allowed[idx].all(axis=0)
     return tbl
 
 
@@ -119,9 +121,10 @@ def character_matrix_det(q: int) -> complex:
     return 1j ** (((q - 1) * (3 * q - 2) // 2) % 4) * q ** (q / 2)
 
 
-def parity_transform_closed(k: int, q: int, b) -> complex:
+def parity_transform_closed(k: int, q: int, b) -> complex | np.ndarray:
     """Fourier transform of the parity weight on the canonical symmetric
-    colour set, evaluated at a tuple of residues in {0, ..., q-1}.
+    colour set, evaluated at a tuple of residues in {0, ..., q-1}, or
+    elementwise over an integer array whose last axis holds k-tuples.
 
     Odd k: q^(-k/2) i^(k(k-1)/2) prod_(l<m) 2 sin(pi (b_m - b_l)/q).
     Even k: q^(-k/2) i^(k(k+1)/2) times the same product times the sum over
@@ -130,22 +133,26 @@ def parity_transform_closed(k: int, q: int, b) -> complex:
     order on K differing from the signed ascending order by a block swap
     with (k/2)^2 inversions; it is what makes the k+1-colour special case
     below a literal specialization.
+
+    A single k-tuple gives a complex, an array of shape (..., k) a complex
+    array of shape (...).
     """
-    b = [int(x) % q for x in b]
-    if len(b) != k:
+    b = np.asarray(b, dtype=np.int64) % q
+    if b.shape[-1:] != (k,):
         raise ValueError("need a k-tuple")
-    prod = 1.0
-    for l in range(k):
-        for m in range(l + 1, k):
-            prod *= 2.0 * math.sin(math.pi * (b[m] - b[l]) / q)
+    prod = np.ones(b.shape[:-1])
+    for l, m in itertools.combinations(range(k), 2):
+        prod *= 2.0 * np.sin(np.pi * (b[..., m] - b[..., l]) / q)
     if k % 2:
-        return q ** (-k / 2) * 1j ** ((k * (k - 1) // 2) % 4) * prod
-    total = 0.0
-    allsum = sum(b)
-    for S in itertools.combinations(range(k), k // 2):
-        inS = sum(b[i] for i in S)
-        total += math.cos(math.pi * (2 * inS - allsum) / q)
-    return q ** (-k / 2) * 1j ** ((k * (k + 1) // 2) % 4) * prod * total
+        value = q ** (-k / 2) * 1j ** ((k * (k - 1) // 2) % 4) * prod
+    else:
+        allsum = b.sum(axis=-1)
+        total = sum(
+            np.cos(np.pi * (2 * b[..., list(S)].sum(axis=-1) - allsum) / q)
+            for S in itertools.combinations(range(k), k // 2)
+        )
+        value = q ** (-k / 2) * 1j ** ((k * (k + 1) // 2) % 4) * prod * total
+    return complex(value) if b.ndim == 1 else value
 
 
 def parity_transform_kplus1(k: int, b) -> complex:

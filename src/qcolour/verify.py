@@ -554,10 +554,8 @@ def _check_parity_transforms(ctx: VerifyContext):
         G = cyclic_group(q)
         K = signed.canonical_symmetric_set(q, k)
         fF = fourier(signed.parity_function(G, k, K)).values.reshape((q,) * k)
-        worst = max(
-            abs(fF[b] - signed.parity_transform_closed(k, q, b))
-            for b in itertools.product(range(q), repeat=k)
-        )
+        grid = np.moveaxis(np.indices((q,) * k), 0, -1)
+        worst = float(np.max(np.abs(fF - signed.parity_transform_closed(k, q, grid))))
         out.append(
             _record(
                 f"sign.parity-transform.k{k}q{q}", "sign.parity-transform", worst, 0.0, 1e-9

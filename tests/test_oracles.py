@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -68,6 +69,53 @@ def test_tutte_at_two_two_counts_subsets(name):
 def test_tutte_cap():
     with pytest.raises(TermCapExceeded):
         tutte(graph_of("petersen"), max_subsets=1000)
+
+
+def test_tutte_cap_counts_subsets():
+    g = graph_of("petersen")
+    with pytest.raises(TermCapExceeded) as err:
+        tutte(g, max_subsets=2**15 - 1)
+    assert err.value.estimate == 2**15
+    assert tutte(g, max_subsets=2**15)(2, 2) == 2**15
+
+
+def test_tutte_pinned_values():
+    assert str(tutte(graph_of("k4"))) == "x^3 + 3*x^2 + 4*x*y + 2*x + y^3 + 3*y^2 + 2*y"
+    T = tutte(graph_of("petersen"))
+    assert T(1, 1) == 2000  # spanning trees (Kirchhoff)
+    assert T(2, 1) == 22292  # spanning forests
+    assert T(1, 2) == 5968  # connected spanning subgraphs
+
+
+# Reference: one union-find rank per edge subset, as `tutte` computed before
+# it filled the subset lattice one edge at a time.
+
+
+def _tutte_by_subsets(g):
+    m = g.num_edges
+    full = rank(g)
+    counts = {}
+    for mask in range(1 << m):
+        ra = rank(g, mask)
+        key = (full - ra, bin(mask).count("1") - ra)
+        counts[key] = counts.get(key, 0) + 1
+    coeffs = {}
+    for (i, j), c in counts.items():
+        for a in range(i + 1):
+            for b in range(j + 1):
+                sign = (-1) ** ((i - a) + (j - b))
+                term = c * math.comb(i, a) * math.comb(j, b) * sign
+                coeffs[a, b] = coeffs.get((a, b), 0) + term
+    return {k: v for k, v in coeffs.items() if v}, m, full
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+@example(Multigraph(0, ()))
+@example(Multigraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (5, 5), (0, 3), (2, 2), (1, 4))))
+def test_tutte_matches_subset_ranks(g):
+    T = tutte(g)
+    assert (T.coeffs, T.num_edges, T.full_rank) == _tutte_by_subsets(g)
 
 
 def test_flow_polynomial_examples():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -147,6 +148,39 @@ def test_parity_transform_closed_entrywise(k, q):
     fF = fourier(parity_function(G, k, K)).values.reshape((q,) * k)
     for b in itertools.product(range(q), repeat=k):
         assert abs(fF[b] - parity_transform_closed(k, q, b)) <= 1e-9, (k, q, b)
+
+
+def _parity_transform_by_tuple(k, q, b):
+    """Reference: the closed form for one tuple in scalar floats."""
+    prod = 1.0
+    for l, m in itertools.combinations(range(k), 2):
+        prod *= 2.0 * math.sin(math.pi * (b[m] - b[l]) / q)
+    if k % 2:
+        return q ** (-k / 2) * 1j ** ((k * (k - 1) // 2) % 4) * prod
+    total = 0.0
+    for S in itertools.combinations(range(k), k // 2):
+        total += math.cos(math.pi * (2 * sum(b[i] for i in S) - sum(b)) / q)
+    return q ** (-k / 2) * 1j ** ((k * (k + 1) // 2) % 4) * prod * total
+
+
+@pytest.mark.parametrize("k,q", [(2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
+def test_parity_transform_closed_grid_matches_tuples(k, q):
+    grid = np.moveaxis(np.indices((q,) * k), 0, -1)
+    got = parity_transform_closed(k, q, grid)
+    assert got.shape == (q,) * k
+    for b in itertools.product(range(q), repeat=k):
+        want = _parity_transform_by_tuple(k, q, b)
+        assert abs(got[b] - want) <= 1e-12, (k, q, b)
+        one = parity_transform_closed(k, q, b)
+        assert type(one) is complex
+        assert abs(one - want) <= 1e-12, (k, q, b)
+
+
+def test_parity_transform_closed_shape_check():
+    with pytest.raises(ValueError):
+        parity_transform_closed(3, 5, (1, 2))
+    with pytest.raises(ValueError):
+        parity_transform_closed(2, 5, np.zeros((4, 3), dtype=np.int64))
 
 
 def test_parity_transform_kplus1_examples():
@@ -399,3 +433,16 @@ def test_parity_sign_table_values():
     tbl = parity_sign_table(3, 2, (0, 1))
     assert tbl[0, 1] == 1 and tbl[1, 0] == -1
     assert tbl[0, 2] == 0 and tbl[2, 2] == 0
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+@pytest.mark.parametrize("k", range(5))
+def test_parity_sign_table_matches_sgn_injection(q, k):
+    for K in (None, tuple(range(0, q, 2)), (q - 1,)):
+        want = np.zeros((q,) * k)
+        for idx in itertools.product(range(q), repeat=k):
+            if K is None or all(c in K for c in idx):
+                want[idx] = sgn_injection(idx)
+        got = parity_sign_table(q, k, K)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), (q, k, K)
