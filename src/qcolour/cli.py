@@ -226,14 +226,15 @@ def main(argv=None) -> int:
             records = run_battery(
                 doc, group, suites, tol=args.tol, max_terms=max_terms, seed=args.seed
             )
-            failures = 0
             for rec in records:
                 print(rec.to_json())
-                failures += 0 if rec.passed else 1
+            status = [rec.passed for rec in records]  # None: skipped
             print(
-                f"{len(records)} checks, {failures} failures", file=sys.stderr
+                f"{len(records)} checks: {status.count(True)} passed, "
+                f"{status.count(False)} failed, {status.count(None)} skipped",
+                file=sys.stderr,
             )
-            return 0 if failures == 0 else 1
+            return 1 if False in status else 0
         else:  # pragma: no cover
             raise SystemExit(f"unknown command {args.command}")
     except TermCapExceeded as exc:

@@ -1,12 +1,13 @@
 """Term caps, and chunked exhaustive enumeration over colouring spaces.
 
-``count_terms`` enforces the cap on radix^length configurations, for the
-oracles and the model sums alike.  Configurations of range(radix)^length are
-produced in mixed-radix ascending order (first coordinate most significant)
-in blocks, so a few times 10^7 of them stay tractable in numpy without
-materializing the whole space.  No model sum uses the blocks or the chunk
-operators; the model sums contract instead (``models.eliminate``).  The
-oracles enumerate only free coordinates (the edges outside a spanning
+``count_terms`` caps the radix^length configurations that the oracles and
+``signed.factorization_sign_sum`` list; a model sum caps the planned cost of
+its contraction instead (``models.eliminate``).  Configurations of
+range(radix)^length are produced in mixed-radix ascending order (first
+coordinate most significant) in blocks, so a few times 10^7 of them stay
+tractable in numpy without materializing the whole space.  No model sum
+uses the blocks or the chunk operators; the model sums contract instead.
+The oracles enumerate only free coordinates (the edges outside a spanning
 forest, the non-root vertices) and apply ``coboundary_chunk``;
 ``boundary_chunk`` remains for the tests' scanning reference.
 """

@@ -4,7 +4,9 @@ Every model here is a sum over colourings of a product of small tables, and
 ``factor_sum`` is the one kernel that computes it: each factor is a table
 read at the colours of its labels, and ``eliminate`` sums the labels out one
 at a time, so the cost is exponential in the width of the elimination order,
-not in the number of labels.  The evaluators below only build factor lists.
+not in the number of labels.  The order is planned from the labels alone; its
+cost is what the term cap bounds and ``ModelValue.terms`` reports.  The
+evaluators below only build factor lists.
 A vertex model sums over vertex colourings with a weight per vertex and a
 (q, q) interaction per edge.  An edge model sums over edge colourings with a
 weight per edge and, at each vertex, a weight depending on the tuple of
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import DEFAULT_MAX_TERMS, count_terms
+from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from .graphs import Multigraph, Orientation, RotationSystem, default_orientation
 from .groups import Group, QFunction, monochrome_indicator, transform_by
 
@@ -43,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelValue:
-    """A partition-function value with diagnostics."""
+    """A partition-function value with diagnostics (``terms``: its cost)."""
 
     value: complex
     imag_residual: float
@@ -164,23 +166,39 @@ def factor_sum(
     ``factors`` (a list of (table, labels) pairs) of table[c[labels]].  A
     label repeated within one factor reads its colour on several axes, as a
     loop does at its vertex; a factor with no labels is a constant.  The cap
-    applies to the radix^length colourings the sum ranges over."""
-    terms = count_terms(radix, length, max_terms)
-    return ModelValue.of(eliminate(radix, length, factors), terms)
+    and ``ModelValue.terms`` are the planned cost of the contraction."""
+    return ModelValue.of(*eliminate(radix, length, factors, max_terms))
 
 
-def eliminate(radix: int, length: int, factors) -> complex:
-    """The sum of ``factor_sum`` by variable elimination: labels are summed
-    out one at a time, each time the one whose factors together read the
-    fewest labels (ties to the smallest label), so the cost is exponential
-    in the width of that order rather than in ``length``."""
+def eliminate(
+    radix: int, length: int, factors, max_terms: int = DEFAULT_MAX_TERMS
+) -> tuple[complex, int]:
+    """The sum of ``factor_sum`` by variable elimination, and its planned
+    cost: the sum over steps of radix^(labels read at that step).  A cost
+    over ``max_terms`` raises before any table is touched."""
+    factors = [(t, list(labels), list(dict.fromkeys(labels))) for t, labels in factors]
+    # plan from the labels alone: each step sums out the label whose factors
+    # together read the fewest labels (ties to the smallest label)
+    steps, scopes = [], [set(ls) for _t, _labels, ls in factors if ls]
+    while scopes:
+        joint: dict[int, set] = {}
+        for ls in scopes:
+            for label in ls:
+                joint.setdefault(label, set()).update(ls)
+        label = min(joint, key=lambda lb: (len(joint[lb]), lb))
+        steps.append((label, sorted(joint[label])))
+        scopes = [ls for ls in scopes if label not in ls]
+        if len(joint[label]) > 1:
+            scopes.append(joint[label] - {label})
+    cost = sum(radix ** len(scope) for _label, scope in steps)
+    if cost > max_terms:
+        raise TermCapExceeded(cost, max_terms)
     total = 1.0 + 0.0j
     live = []  # (table, distinct labels), one axis per label
-    for table, labels in factors:
+    for table, labels, distinct in factors:
         table = np.asarray(table)
         # integer tables sum in floating point, as products of ints can wrap
         table = table.astype(np.result_type(table, np.float64), copy=False)
-        distinct = list(dict.fromkeys(labels))
         if not distinct:
             total *= table[()]
             continue
@@ -190,15 +208,10 @@ def eliminate(radix: int, length: int, factors) -> complex:
         live.append((table, distinct))
     # every label no factor reads multiplies the sum by radix
     total *= radix ** (length - len({label for _t, ls in live for label in ls}))
-    while live:
-        scopes: dict[int, set] = {}
-        for _t, ls in live:
-            for label in ls:
-                scopes.setdefault(label, set()).update(ls)
-        label = min(scopes, key=lambda lb: (len(scopes[lb]), lb))
+    for label, scope in steps:
         # einsum takes at most 52 axis letters, so number the scope locally
-        ids = {lb: i for i, lb in enumerate(sorted(scopes[label]))}
-        out = [lb for lb in ids if lb != label]
+        ids = {lb: i for i, lb in enumerate(scope)}
+        out = [lb for lb in scope if lb != label]
         operands = []
         for t, ls in live:
             if label in ls:
@@ -209,7 +222,7 @@ def eliminate(radix: int, length: int, factors) -> complex:
             live.append((table, out))
         else:
             total *= table[()]
-    return complex(total)
+    return complex(total), cost
 
 
 def edge_table_sum(
@@ -302,8 +315,6 @@ def halfedge_inner(
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
     if supp.size == 0:
         return ModelValue.of(0.0, 0)
-    # checked here too, so an over-cap sum fails before any table is built
-    count_terms(supp.size, g.num_edges, max_terms)
     ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair
     orders = _vertex_orders(g, rotation)
     factors = []

@@ -249,19 +249,6 @@ def flow_polynomial(
     return value
 
 
-def _count_proper(g: Multigraph, q: int, max_terms: int) -> int:
-    count_terms(q, g.num_vertices, max_terms)
-    if any(g.is_loop(e) for e in range(g.num_edges)):
-        return 0
-    total = 0
-    for chunk in index_blocks(q, g.num_vertices):
-        ok = np.ones(chunk.shape[0], dtype=bool)
-        for u, v in g.edges:
-            ok &= chunk[:, u] != chunk[:, v]
-        total += int(ok.sum())
-    return total
-
-
 def chromatic(
     g: Multigraph,
     q: int,
@@ -269,12 +256,14 @@ def chromatic(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> int:
     """Number of proper vertex q-colourings, via the Tutte specialization,
-    cross-checked by brute force when within cap."""
+    cross-checked when within cap by brute force: the colourings with no
+    monochromatic edge, the monochrome polynomial at t = 0 (a loop is always
+    monochromatic, so a graph with one has none)."""
     T = tutte(g)
     k = g.num_vertices - T.full_rank
     value = q**k * (-1) ** T.full_rank * T(1 - q, 0)
     if cross_check and q**g.num_vertices <= max_terms:
-        direct = _count_proper(g, q, max_terms)
+        direct = monochrome_polynomial(g, q, 0, max_terms)
         if direct != value:
             raise ConsistencyError(
                 f"proper-colouring count gives {direct}, Tutte route gives {value}"

@@ -128,10 +128,10 @@ def test_cli_xq(corpus_files, capsys):
 
 def test_cli_cap_exceeded(corpus_files, capsys):
     path, _ = corpus_files["petersen"]
-    code = main(["sine-model", "--graph", path, "--q", "4", "--k", "3", "--max-terms", "1e6"])
+    code = main(["sine-model", "--graph", path, "--q", "4", "--k", "3", "--max-terms", "1e5"])
     assert code == 3
     err = capsys.readouterr().err
-    assert "1073741824" in err  # the offending 4^15 estimate
+    assert "125268" in err  # the offending planned contraction cost
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):
@@ -187,3 +187,35 @@ def test_verify_detects_failure(monkeypatch, corpus_files, capsys):
     out = capsys.readouterr()
     assert code == 1
     assert any(not json.loads(l)["pass"] for l in out.out.splitlines() if l.strip())
+
+
+def test_verify_petersen_runs_every_check():
+    # no budget beyond the callees' caps: every model sum here plans well
+    # under the default cap, so all 74 checks over Z3 run
+    fx = CORPUS["petersen"]
+    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    records = run_battery(doc, cyclic_group(3), seed=0)
+    assert len(records) == 74
+    assert all(rec.passed is True for rec in records)
+
+
+def test_cli_verify_reports_cap_skips(corpus_files, capsys):
+    path, _ = corpus_files["prism"]
+    code = main(
+        ["verify", "--graph", path, "--q", "4", "--suite", "all", "--max-terms", "100"]
+    )
+    out = capsys.readouterr()
+    assert code == 0  # a skip is not a failure
+    records = [json.loads(line) for line in out.out.splitlines() if line.strip()]
+    skips = [rec for rec in records if rec["name"].startswith("skip.")]
+    assert skips
+    for rec in records:
+        assert set(rec) == {"name", "anchor", "lhs", "rhs", "residual", "pass"}
+        if rec in skips:
+            assert rec["anchor"] == "term-cap"
+            assert rec["pass"] is None and rec["residual"] == 0.0
+            assert int(rec["lhs"]) > int(rec["rhs"]) == 100  # estimate, cap
+        else:
+            assert rec["pass"] is True
+    n, s = len(records), len(skips)
+    assert f"{n} checks: {n - s} passed, 0 failed, {s} skipped" in out.err

@@ -194,12 +194,51 @@ def _factor_cases():
     }
 
 
+# sum over elimination steps of radix^(labels read at that step), by hand
+PLANNED_COST = {
+    "length 0": 0,
+    "length 0, no factors": 0,
+    "constant factor": 2**2 + 2,
+    "unread label": 3,
+    "no factors": 0,
+    "radix 1": 3,
+    "label three times": 3**2 + 3,
+    "loop beside an edge": 3**2 + 3,
+    "int64 tables past 2^63": 2,
+    "float64 tables": 2**3 + 2**3 + 2**2 + 2,
+}
+
+
 @pytest.mark.parametrize("case", list(_factor_cases()))
 def test_factor_sum_edge_cases(case):
     radix, length, factors = _factor_cases()[case]
     mv = factor_sum(radix, length, factors)
-    assert mv.terms == radix**length
+    assert mv.terms == PLANNED_COST[case]
     assert_close(mv.value, _factor_brute(radix, length, factors), TOL, case)
+
+
+def test_cap_fires_before_any_einsum(monkeypatch):
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("einsum ran before the cap was checked")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    t3 = np.ones((3, 3, 3))
+    with pytest.raises(enumeration.TermCapExceeded) as err:
+        # a loop at label 0, whose diagonal is itself taken by einsum
+        factor_sum(3, 3, [(t3, (0, 1, 0)), (t3, (1, 2, 2))], max_terms=20)
+    assert (err.value.estimate, err.value.cap) == (3**2 + 3**2 + 3, 20)
+    # these two adapters build their small tables, then stop at the plan
+    G = group_from_name("4")
+    g = Multigraph(3, ((0, 1), (1, 2), (2, 0), (0, 0)))
+    orient = Orientation((1, 1, 1, 1))
+    vv, ev = [np.ones(4)] * 3, [np.ones(4)] * 4
+    with pytest.raises(enumeration.TermCapExceeded) as err:
+        boundary_edge_sum(g, G, orient, vv, ev, max_terms=20)
+    assert err.value.estimate == 4**3 + 4**2 + 4 + 4
+    weights = VertexWeights.uniform(G)
+    with pytest.raises(enumeration.TermCapExceeded) as err:
+        halfedge_inner(g, weights, monochrome_indicator(G, 2), max_terms=20)
+    assert err.value.estimate == 4**3 + 4**3 + 4**2 + 4
 
 
 def test_factor_sum_numbers_labels_past_einsum_letters():

@@ -99,7 +99,10 @@ def test_halfedge_inner_support_term_count():
     G = cyclic_group(3)
     w = VertexWeights.uniform(G)
     mv = halfedge_inner(g, w, monochrome_indicator(G, 2))
-    assert mv.terms == 3**6  # support pairs per edge, not q^2 per edge
+    # the contraction is planned over the 3 support pairs per edge, as
+    # 3^5 + 3^5 + 3^4 + 3^3 + 3^2 + 3; over all q^2 = 9 pairs per edge the same
+    # order would cost 125478
+    assert mv.terms == 606
 
 
 def test_loop_consistency_between_model_kinds():
@@ -138,8 +141,9 @@ def test_multiplicative_over_disjoint_unions():
 def test_term_cap():
     g = graph_of("petersen")
     with pytest.raises(TermCapExceeded) as exc:
-        edge_partition(g, matching_model(4), max_terms=10**6)
-    assert exc.value.estimate == 4**15
+        edge_partition(g, matching_model(4), max_terms=10**5)
+    # the planned contraction cost, not the 4^15 colourings it sums over
+    assert exc.value.estimate == 125268
 
 
 def test_model_value_rounding():
