@@ -9,6 +9,7 @@ sine-weight edge model next to the line-graph chromatic oracle.
 import argparse
 
 from qcolour.corpus import CORPUS
+from qcolour.enumeration import TermCapExceeded
 from qcolour.graphs import line_graph
 from qcolour.oracles import chromatic, flow_polynomial, tutte
 from qcolour.signed import sine_model
@@ -30,13 +31,17 @@ def main():
         T = tutte(g)
         flow = flow_polynomial(g, args.q, max_terms=cap)
         chrom = chromatic(g, 3, max_terms=cap)
-        sine = pl3 = ""
-        if g.is_regular(3) and 3**g.num_edges <= cap:
-            mv = sine_model(g, fx.rotation, 3, 3, max_terms=cap)
-            sine = f"{abs(mv.value):8.3f}"
-            L = line_graph(g)
-            if 2**L.num_edges <= 1 << 22:
-                pl3 = f"{chromatic(L, 3):8d}"
+        sine = pl3 = ""  # blank where a term cap refuses the sum
+        if g.is_regular(3):
+            try:
+                mv = sine_model(g, fx.rotation, 3, 3, max_terms=cap)
+                sine = f"{abs(mv.value):8.3f}"
+            except TermCapExceeded:
+                pass
+            try:
+                pl3 = f"{chromatic(line_graph(g), 3):8d}"
+            except TermCapExceeded:
+                pass
         print(
             f"{name:12s} {g.num_vertices:3d} {g.num_edges:3d} {T(2, 2):8d} "
             f"{flow:8d} {chrom:8d} {sine:>8s} {pl3:>8s}"

@@ -204,16 +204,6 @@ def tension_cwe_expectation(
     return ModelValue.of(group.q ** (rank(g) - g.num_vertices) * mv.value, mv.terms)
 
 
-def _colour_count_table(q: int, d: int, base, bonus) -> np.ndarray:
-    """Table T(c_1..c_d) = sum_a base^(multiplicity of a among the c_i);
-    entries for absent colours contribute bonus each (bonus = base^0)."""
-    tbl = np.empty((q,) * d, dtype=np.complex128)
-    for idx in np.ndindex(*tbl.shape):
-        counts = np.bincount(idx, minlength=q) if d else np.zeros(q, dtype=int)
-        tbl[idx] = sum(base**c if c else bonus for c in counts)
-    return tbl
-
-
 def tutte_edge_model(
     g: Multigraph, q: int, s, max_terms: int = DEFAULT_MAX_TERMS
 ) -> ModelValue:
@@ -226,9 +216,13 @@ def tutte_edge_model(
     if s == 1:
         raise ValueError("s = 1 is a pole of the edge-model weights")
     t = (s - 1 + q) / (s - 1)
+    # with t on M's diagonal and 1 elsewhere, sum_a prod_i M[a, c_i] is
+    # sum_a t^(number of c_i equal to a)
+    M = np.where(np.eye(q, dtype=bool), t, 1.0)
+    ones = np.ones(q, dtype=np.complex128)
     tables = {}
     for v in range(g.num_vertices):
-        tables.setdefault(g.degree(v), _colour_count_table(q, g.degree(v), t, 1.0))
+        tables.setdefault(g.degree(v), _sum_over_shift_table(q, ones, M, g.degree(v)))
     mv = edge_table_sum(
         g,
         q,
@@ -251,17 +245,13 @@ def flow_cubic_edge_model(
     if not g.is_regular(3):
         raise ValueError("graph must be 3-regular")
 
-    def weight(idx):
-        a, b, c = idx
-        if a == b == c:
-            return (1 - q) * (1 - q / 2)
-        if a != b and b != c and a != c:
-            return 1.0
-        return 1 - q / 2
-
-    tbl = np.empty((q, q, q), dtype=np.complex128)
-    for idx in np.ndindex(*tbl.shape):
-        tbl[idx] = weight(idx)
+    a, b, c = np.indices((q,) * 3)
+    equal_pairs = (a == b).astype(int) + (b == c) + (a == c)  # 3, 1 or 0
+    tbl = np.where(
+        equal_pairs == 3,
+        (1 - q) * (1 - q / 2),
+        np.where(equal_pairs == 0, 1.0, 1 - q / 2),
+    ).astype(np.complex128)
     mv = edge_table_sum(g, q, [tbl] * g.num_vertices, max_terms=max_terms)
     value = q ** (-g.num_edges) * 2**g.num_vertices * mv.value
     return ModelValue.of(value, mv.terms).rounded(tol)

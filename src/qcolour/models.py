@@ -313,8 +313,6 @@ def halfedge_inner(
         raise ValueError("pair weight must have arity 2")
     q = weights.group.q
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
-    if supp.size == 0:
-        return ModelValue.of(0.0, 0)
     ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair
     orders = _vertex_orders(g, rotation)
     factors = []

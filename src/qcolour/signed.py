@@ -7,6 +7,13 @@ repeat).  For graphs whose proper edge k-colourings all share one sign
 sums below count those colourings up to sign, via the parity weight
 function, its Fourier transform in closed form, and the bijection with
 oriented ordered bipartite (near) 2-factorizations.
+
+The 2-factorization sum is read as an edge colouring z with colours in
+K = P u -P whose half-edges read z_e at end 1 and -z_e at end 0, every
+vertex seeing each colour of K once; reversing a circuit of length L
+multiplies the sign by (-1)^L, so odd circuits cancel in pairs.  It is
+built edge by edge as a whole-array frontier of partial colourings, not
+contracted like the model sums.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from .enumeration import DEFAULT_MAX_TERMS, count_terms
+from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from .graphs import Multigraph, RotationSystem
 from .groups import Group, QFunction
 from .models import ModelValue, VertexWeights, edge_table_sum, halfedge_inner
@@ -228,39 +235,6 @@ def monochrome_parity_sum(
     )
 
 
-def _colour_classes(g: Multigraph, y, colour) -> list[list[int]]:
-    """Circuits of the spanning subgraph of edges coloured ``colour``, each
-    as a list of (edge, entry_end) steps; raises if a vertex degree is not 2."""
-    half_at = [[] for _ in range(g.num_vertices)]
-    for e in range(g.num_edges):
-        if y[e] != colour:
-            continue
-        u, v = g.edges[e]
-        half_at[u].append((e, 0))
-        half_at[v].append((e, 1))
-    for v, hs in enumerate(half_at):
-        if len(hs) != 2:
-            raise ValueError("colour class is not a 2-factor")
-    used = set()
-    circuits = []
-    for e0 in range(g.num_edges):
-        if y[e0] != colour or e0 in used:
-            continue
-        steps = []
-        e, entry = e0, 0
-        while True:
-            used.add(e)
-            steps.append((e, entry))
-            exit_vertex = g.endpoint(e, 1 - entry)
-            h1, h2 = half_at[exit_vertex]
-            # continue along the half-edge that is not the arrival one
-            e, entry = h2 if h1 == (e, 1 - entry) else h1
-            if e == e0 and entry == 0:
-                break
-        circuits.append(steps)
-    return circuits
-
-
 def factorization_sign_sum(
     g: Multigraph,
     rotation: RotationSystem,
@@ -270,66 +244,49 @@ def factorization_sign_sum(
 ) -> int:
     """Signed count of oriented ordered bipartite (near) 2-factorizations.
 
-    P indexes the ordered partition; the colour a is a 1-factor when a = -a
-    mod q and a 2-factor otherwise.  Each 2-factor circuit is taken with both
-    directions; odd circuits are rejected.  1-factor orientations do not
-    affect the sign and are not enumerated.
+    P holds one representative per class {a, -a} mod q; the colour a is a
+    1-factor when a = -a and a 2-factor otherwise, and 1-factor
+    orientations do not affect the sign.  With K = P u -P, a configuration
+    (a colouring in P^E plus a direction per 2-factor circuit) is an edge
+    colouring z in K^E whose half-edge (e, 1) reads z_e and (e, 0) reads
+    -z_e, every vertex seeing each colour of K once.  Reversing a circuit
+    of length L swaps a and -a at its L vertices and multiplies the sign by
+    (-1)^L, so odd circuits cancel in pairs and need no filter.
+
+    The colourings z are built one edge at a time as a frontier of partial
+    rows, each with a bitmask of used colours per vertex; extending a row
+    by a colour that repeats at a vertex drops it.  The cap bounds the
+    rows times |K| of each step.
     """
     rotation.validate(g)
     P = list(P)
-    K = sorted({a % q for a in P} | {(-a) % q for a in P})
+    if len({min(a % q, -a % q) for a in P}) != len(P):
+        raise ValueError(f"P must hold one residue per class {{a, -a}} mod {q}")
+    K = np.array(sorted({a % q for a in P} | {-a % q for a in P}), dtype=np.int64)
     k = _regular_degree(g)
     if len(K) != k:
         raise ValueError(f"P union -P has size {len(K)}, expected {k}")
-    count_terms(len(P), g.num_edges, max_terms)
-    one_factors = [a for a in P if a % q == (-a) % q]
-    two_factors = [a for a in P if a % q != (-a) % q]
-    total = 0
-    for y in itertools.product(P, repeat=g.num_edges):
-        ok = True
-        for v in range(g.num_vertices):
-            counts = {}
-            for e, _ in g.halfedges_at(v):
-                counts[y[e]] = counts.get(y[e], 0) + 1
-            if any(counts.get(a, 0) != 1 for a in one_factors) or any(
-                counts.get(a, 0) != 2 for a in two_factors
-            ):
-                ok = False
-                break
-        if not ok:
-            continue
-        circuits = []
-        bipartite = True
-        for a in two_factors:
-            for circ in _colour_classes(g, y, a):
-                if len(circ) % 2:
-                    bipartite = False
-                    break
-                circuits.append(circ)
-            if not bipartite:
-                break
-        if not bipartite:
-            continue
-        head_end = [1] * g.num_edges
-        for direction in itertools.product((0, 1), repeat=len(circuits)):
-            for circ, rev in zip(circuits, direction):
-                for e, entry in circ:
-                    head_end[e] = entry if rev else 1 - entry
-            sign = 1
-            for v in range(g.num_vertices):
-                tup = []
-                for e, end in rotation.order_at(v):
-                    a = y[e] % q
-                    if y[e] in two_factors and end != head_end[e]:
-                        a = (-a) % q
-                    tup.append(a)
-                s = sgn_injection(tup)
-                if s == 0:
-                    sign = 0
-                    break
-                sign *= s
-            total += sign
-    return total
+    neg = -K % q
+    head_bit = 1 << np.arange(k, dtype=np.int64)  # bit of z_e, read at end 1
+    tail_bit = head_bit[np.searchsorted(K, neg)]  # bit of -z_e, read at end 0
+    Z = np.zeros((1, 0), dtype=np.int64)  # rows of colour indices into K
+    used = np.zeros((1, g.num_vertices), dtype=np.int64)
+    for u, v in g.edges:
+        if len(Z) * k > max_terms:
+            raise TermCapExceeded(len(Z) * k, max_terms)
+        row, c = np.divmod(np.arange(len(Z) * k), k)
+        used = used[row]
+        ok = (used[:, u] & tail_bit[c]) == 0
+        used[:, u] |= tail_bit[c]
+        ok &= (used[:, v] & head_bit[c]) == 0  # after u's update: a loop sees both
+        used[:, v] |= head_bit[c]
+        Z = np.column_stack([Z[row], c])[ok]
+        used = used[ok]
+    table = parity_sign_table(q, k).astype(np.int64)
+    sign = np.ones(len(Z), dtype=np.int64)
+    for order in rotation.orders:
+        sign *= table[tuple((K if end else neg)[Z[:, e]] for e, end in order)]
+    return int(sign.sum())
 
 
 def _signed_edge_sum(

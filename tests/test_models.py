@@ -105,6 +105,17 @@ def test_halfedge_inner_support_term_count():
     assert mv.terms == 606
 
 
+def test_halfedge_inner_empty_support():
+    G = cyclic_group(2)
+    w = VertexWeights.uniform(G)
+    zero = QFunction(G, 2, np.zeros(4))
+    # without edges the sum has one term, the empty colouring
+    assert halfedge_inner(Multigraph(2, ()), w, zero).value == 1
+    assert halfedge_inner(Multigraph(2, ()), w, monochrome_indicator(G, 2)).value == 1
+    for edges in (((0, 1),), ((0, 0),), ((0, 1), (1, 1))):
+        assert halfedge_inner(Multigraph(2, edges), w, zero).value == 0, edges
+
+
 def test_loop_consistency_between_model_kinds():
     loop = graph_of("single_loop")
     q = 3

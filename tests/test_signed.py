@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from qcolour import models
 from qcolour.corpus import fixture
-from qcolour.graphs import line_graph
+from qcolour.enumeration import TermCapExceeded
+from qcolour.graphs import Multigraph, RotationSystem, line_graph
 from qcolour.groups import cyclic_group, fourier, monochrome_indicator, zero_sum_indicator
 from qcolour.models import VertexWeights, halfedge_inner
 from qcolour.oracles import chromatic, flow_polynomial
@@ -275,6 +277,186 @@ def test_factorization_size_mismatch():
     k4, rk4 = fx("k4")
     with pytest.raises(ValueError):
         factorization_sign_sum(k4, rk4, 3, (0,))  # |P u -P| = 1 != 3
+
+
+def _colour_classes_reference(g, y, colour):
+    """Circuits of the spanning subgraph of edges coloured ``colour``, each
+    as a list of (edge, entry_end) steps; raises if a vertex degree is not 2."""
+    half_at = [[] for _ in range(g.num_vertices)]
+    for e in range(g.num_edges):
+        if y[e] != colour:
+            continue
+        u, v = g.edges[e]
+        half_at[u].append((e, 0))
+        half_at[v].append((e, 1))
+    for hs in half_at:
+        if len(hs) != 2:
+            raise ValueError("colour class is not a 2-factor")
+    used = set()
+    circuits = []
+    for e0 in range(g.num_edges):
+        if y[e0] != colour or e0 in used:
+            continue
+        steps = []
+        e, entry = e0, 0
+        while True:
+            used.add(e)
+            steps.append((e, entry))
+            exit_vertex = g.endpoint(e, 1 - entry)
+            h1, h2 = half_at[exit_vertex]
+            # continue along the half-edge that is not the arrival one
+            e, entry = h2 if h1 == (e, 1 - entry) else h1
+            if e == e0 and entry == 0:
+                break
+        circuits.append(steps)
+    return circuits
+
+
+def _factorization_reference(g, rotation, q, P):
+    """The 2-factorization sum one colouring at a time: every y in P^E whose
+    colour a is a 1-factor (a = -a) or a 2-factor of even circuits, each
+    2-factor circuit taken in both directions, a head reading a and a tail
+    -a; odd circuits are rejected."""
+    one_factors = [a for a in P if a % q == (-a) % q]
+    two_factors = [a for a in P if a % q != (-a) % q]
+    total = 0
+    for y in itertools.product(P, repeat=g.num_edges):
+        ok = True
+        for v in range(g.num_vertices):
+            counts = {}
+            for e, _ in g.halfedges_at(v):
+                counts[y[e]] = counts.get(y[e], 0) + 1
+            if any(counts.get(a, 0) != 1 for a in one_factors) or any(
+                counts.get(a, 0) != 2 for a in two_factors
+            ):
+                ok = False
+                break
+        if not ok:
+            continue
+        circuits = []
+        bipartite = True
+        for a in two_factors:
+            for circ in _colour_classes_reference(g, y, a):
+                if len(circ) % 2:
+                    bipartite = False
+                    break
+                circuits.append(circ)
+            if not bipartite:
+                break
+        if not bipartite:
+            continue
+        head_end = [1] * g.num_edges
+        for direction in itertools.product((0, 1), repeat=len(circuits)):
+            for circ, rev in zip(circuits, direction):
+                for e, entry in circ:
+                    head_end[e] = entry if rev else 1 - entry
+            sign = 1
+            for v in range(g.num_vertices):
+                tup = []
+                for e, end in rotation.order_at(v):
+                    a = y[e] % q
+                    if y[e] in two_factors and end != head_end[e]:
+                        a = (-a) % q
+                    tup.append(a)
+                sign *= sgn_injection(tup)
+            total += sign
+    return total
+
+
+@st.composite
+def regular_cases(draw):
+    """(graph, rotation, q, P): a k-regular multigraph (k <= 4, at most 8
+    edges) from a random pairing of vertex stubs, so loops and parallel
+    edges occur, with random rotations; q in k..k+2 and P one representative,
+    shifted by a multiple of q, per class {a, -a} of a choice of classes
+    covering k residues, in random order."""
+    k = draw(st.integers(1, 4))
+    n = 2 * draw(st.integers(1, 8 // k)) if k % 2 else draw(st.integers(1, 16 // k))
+    stubs = draw(st.permutations([v for v in range(n) for _ in range(k)]))
+    g = Multigraph(n, tuple(zip(stubs[::2], stubs[1::2])))
+    rotation = RotationSystem(
+        tuple(tuple(draw(st.permutations(g.halfedges_at(v)))) for v in range(n))
+    )
+    q = draw(st.integers(k, k + 2))
+    classes = sorted({tuple(sorted({a, -a % q})) for a in range(q)})
+    choices = [
+        S
+        for r in range(len(classes) + 1)
+        for S in itertools.combinations(classes, r)
+        if sum(map(len, S)) == k
+    ]
+    P = [
+        draw(st.sampled_from(c)) + q * draw(st.integers(-1, 1))
+        for c in draw(st.sampled_from(choices))
+    ]
+    return g, rotation, q, tuple(draw(st.permutations(P)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_cases())
+@example((*fx("petersen"), 3, (0, 1)))
+@example((*fx("prism"), 3, (0, 1)))
+def test_factorization_matches_reference(case):
+    g, rotation, q, P = case
+    got = factorization_sign_sum(g, rotation, q, P)
+    assert type(got) is int
+    assert got == _factorization_reference(g, rotation, q, P)
+
+
+def test_factorization_petersen_and_prism():
+    assert factorization_sign_sum(*fx("petersen"), 3, (0, 1)) == 0
+    assert factorization_sign_sum(*fx("prism"), 3, (0, 1)) == 6
+
+
+def test_factorization_runs_without_contraction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 2-factorization sum must not contract")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    monkeypatch.setattr(models, "eliminate", refuse)
+    assert factorization_sign_sum(*fx("prism"), 3, (0, 1)) == 6
+
+
+def _partial_colourings(g, q, K, i):
+    """Colourings z of edges 0..i-1 from K, half-edge (e, 1) reading z_e and
+    (e, 0) reading -z_e, with no colour read twice at a vertex."""
+    count = 0
+    for z in itertools.product(K, repeat=i):
+        reads = [
+            (g.endpoint(e, end), z[e] if end else -z[e] % q)
+            for e in range(i)
+            for end in (0, 1)
+        ]
+        count += len(set(reads)) == len(reads)
+    return count
+
+
+def test_factorization_cap_bounds_widest_step():
+    prism, rot = fx("prism")
+    K = (0, 1, 2)
+    widest = max(
+        _partial_colourings(prism, 3, K, i) * len(K) for i in range(prism.num_edges)
+    )
+    with pytest.raises(TermCapExceeded) as exc:
+        factorization_sign_sum(prism, rot, 3, (0, 1), max_terms=widest - 1)
+    assert (exc.value.estimate, exc.value.cap) == (widest, widest - 1)
+    assert factorization_sign_sum(prism, rot, 3, (0, 1), max_terms=widest) == 6
+
+
+@pytest.mark.parametrize(
+    "name, q, P",
+    [
+        ("c4", 3, (1, 1)),  # a repeated residue
+        ("c4", 3, (1, 2)),  # both a and -a
+        ("theta", 3, (0, 1, 1)),
+        ("theta", 3, (0, 0, 1)),
+        ("theta", 3, (0, 1, 4)),  # 4 = 1 mod 3
+    ],
+)
+def test_factorization_rejects_degenerate_P(name, q, P):
+    g, rot = fx(name)
+    with pytest.raises(ValueError):
+        factorization_sign_sum(g, rot, q, P)
 
 
 # ------------------------------------------------------------------ oracle sums
