@@ -2,12 +2,14 @@
 """Run the identity battery over every corpus graph and group flavour.
 
 Exits nonzero if any check fails anywhere; prints one summary line per
-(graph, group) pair with its failed and skipped counts, and every failing
-record in full.  A skipped check (over its term cap) is not a failure.
+(graph, group) pair with its failed and skipped counts and the seconds its
+battery took, every failing record in full, and the total seconds.  A
+skipped check (over its term cap) is not a failure.
 """
 
 import argparse
 import sys
+import time
 
 from qcolour.corpus import CORPUS
 from qcolour.graphio import GraphDocument
@@ -26,12 +28,14 @@ def main():
 
     skip = set(args.skip.split(",")) if args.skip else set()
     failures = 0
+    start = time.perf_counter()
     for name, fx in CORPUS.items():
         if name in skip:
             continue
         doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
         for spec in args.groups.split(","):
             group = group_from_name(spec)
+            t0 = time.perf_counter()
             records = run_battery(
                 doc,
                 group,
@@ -39,16 +43,17 @@ def main():
                 max_terms=int(args.max_terms),
                 seed=args.seed,
             )
+            elapsed = time.perf_counter() - t0
             bad = [r for r in records if r.passed is False]
             skipped = sum(r.passed is None for r in records)
             failures += len(bad)
             print(
                 f"{name:12s} group={spec:4s} checks={len(records):3d} "
-                f"failures={len(bad)} skipped={skipped}"
+                f"failures={len(bad)} skipped={skipped} elapsed={elapsed:.3f}s"
             )
             for rec in bad:
                 print("  " + rec.to_json())
-    print(f"total failures: {failures}")
+    print(f"total failures: {failures} elapsed={time.perf_counter() - start:.3f}s")
     return 1 if failures else 0
 
 

@@ -4,8 +4,11 @@ Every model here is a sum over colourings of a product of small tables, and
 ``factor_sum`` is the one kernel that computes it: each factor is a table
 read at the colours of its labels, and ``eliminate`` sums the labels out one
 at a time, so the cost is exponential in the width of the elimination order,
-not in the number of labels.  The order is planned from the labels alone; its
-cost is what the term cap bounds and ``ModelValue.terms`` reports.  The
+not in the number of labels.  The order is planned from the labels alone
+and compiled into einsum steps over numbered table slots, once per label
+structure (a bounded cache keyed by the factors' label tuples, so a sum
+repeated with other tables or another radix only runs the steps); its cost
+is what the term cap bounds and ``ModelValue.terms`` reports.  The
 evaluators below only build factor lists.
 A vertex model sums over vertex colourings with a weight per vertex and a
 (q, q) interaction per edge.  An edge model sums over edge colourings with a
@@ -19,7 +22,9 @@ or zero-sum pairings range over q^|E| colourings.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,58 +175,92 @@ def factor_sum(
     return ModelValue.of(*eliminate(radix, length, factors, max_terms))
 
 
+# plans kept: one per label structure, and a battery call reads a few dozen
+_PLAN_CACHE_SIZE = 512
+
+
+class _Plan(NamedTuple):
+    """A contraction compiled from the factors' labels alone.  Slots
+    0..n-1 hold the n factors' tables, and step i writes slot n + i."""
+
+    diagonals: tuple  # (slot, input axes, output axes) of each loop factor
+    constants: tuple  # slots of the factors with no labels
+    read: int  # distinct labels any factor reads
+    scopes: tuple  # labels read at each step
+    steps: tuple  # (operand slots, their subscripts, output subscripts)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(label_tuples: tuple) -> _Plan:
+    """Each step sums out the label whose factors together read the fewest
+    labels (ties to the smallest label); a factor reading a label several
+    times is first cut to its diagonal, one axis per distinct label."""
+    distinct = [tuple(dict.fromkeys(labels)) for labels in label_tuples]
+    diagonals = tuple(
+        (i, tuple(ls.index(label) for label in labels), tuple(range(len(ls))))
+        for i, (labels, ls) in enumerate(zip(label_tuples, distinct))
+        if len(ls) < len(labels)
+    )
+    constants = tuple(i for i, ls in enumerate(distinct) if not ls)
+    live = [(i, ls) for i, ls in enumerate(distinct) if ls]  # (slot, labels)
+    read = len({label for _slot, ls in live for label in ls})
+    scopes, steps = [], []
+    while live:
+        joint: dict[int, set] = {}
+        for _slot, ls in live:
+            for label in ls:
+                joint.setdefault(label, set()).update(ls)
+        label = min(joint, key=lambda lb: (len(joint[lb]), lb))
+        scope = sorted(joint[label])
+        # einsum takes at most 52 axis letters, so number the scope locally
+        ids = {lb: i for i, lb in enumerate(scope)}
+        out = tuple(lb for lb in scope if lb != label)
+        used = [f for f in live if label in f[1]]
+        live = [f for f in live if label not in f[1]]
+        if out:
+            live.append((len(label_tuples) + len(steps), out))
+        scopes.append(len(scope))
+        steps.append(
+            (
+                tuple(slot for slot, _ls in used),
+                tuple(tuple(ids[lb] for lb in ls) for _slot, ls in used),
+                tuple(ids[lb] for lb in out),
+            )
+        )
+    return _Plan(diagonals, constants, read, tuple(scopes), tuple(steps))
+
+
 def eliminate(
     radix: int, length: int, factors, max_terms: int = DEFAULT_MAX_TERMS
 ) -> tuple[complex, int]:
     """The sum of ``factor_sum`` by variable elimination, and its planned
-    cost: the sum over steps of radix^(labels read at that step).  A cost
-    over ``max_terms`` raises before any table is touched."""
-    factors = [(t, list(labels), list(dict.fromkeys(labels))) for t, labels in factors]
-    # plan from the labels alone: each step sums out the label whose factors
-    # together read the fewest labels (ties to the smallest label)
-    steps, scopes = [], [set(ls) for _t, _labels, ls in factors if ls]
-    while scopes:
-        joint: dict[int, set] = {}
-        for ls in scopes:
-            for label in ls:
-                joint.setdefault(label, set()).update(ls)
-        label = min(joint, key=lambda lb: (len(joint[lb]), lb))
-        steps.append((label, sorted(joint[label])))
-        scopes = [ls for ls in scopes if label not in ls]
-        if len(joint[label]) > 1:
-            scopes.append(joint[label] - {label})
-    cost = sum(radix ** len(scope) for _label, scope in steps)
+    cost: the sum over steps of radix^(labels read at that step).  The plan
+    is cached per label structure; a cost over ``max_terms`` raises before
+    any table is touched."""
+    factors = list(factors)
+    plan = _plan(tuple(tuple(labels) for _table, labels in factors))
+    cost = sum(radix**size for size in plan.scopes)
     if cost > max_terms:
         raise TermCapExceeded(cost, max_terms)
-    total = 1.0 + 0.0j
-    live = []  # (table, distinct labels), one axis per label
-    for table, labels, distinct in factors:
+    tables = []
+    for table, _labels in factors:
         table = np.asarray(table)
         # integer tables sum in floating point, as products of ints can wrap
-        table = table.astype(np.result_type(table, np.float64), copy=False)
-        if not distinct:
-            total *= table[()]
-            continue
-        if len(distinct) < len(labels):  # a loop: keep the diagonal
-            axes = [distinct.index(label) for label in labels]
-            table = np.einsum(table, axes, list(range(len(distinct))))
-        live.append((table, distinct))
+        tables.append(table.astype(np.result_type(table, np.float64), copy=False))
+    for slot, axes, out in plan.diagonals:
+        tables[slot] = np.einsum(tables[slot], axes, out)
+    total = 1.0 + 0.0j
+    for slot in plan.constants:
+        total *= tables[slot][()]
     # every label no factor reads multiplies the sum by radix
-    total *= radix ** (length - len({label for _t, ls in live for label in ls}))
-    for label, scope in steps:
-        # einsum takes at most 52 axis letters, so number the scope locally
-        ids = {lb: i for i, lb in enumerate(scope)}
-        out = [lb for lb in scope if lb != label]
+    total *= radix ** (length - plan.read)
+    for slots, subscripts, out in plan.steps:
         operands = []
-        for t, ls in live:
-            if label in ls:
-                operands += [t, [ids[lb] for lb in ls]]
-        live = [f for f in live if label not in f[1]]
-        table = np.einsum(*operands, [ids[lb] for lb in out])
-        if out:
-            live.append((table, out))
-        else:
-            total *= table[()]
+        for slot, subs in zip(slots, subscripts):
+            operands += [tables[slot], subs]
+        tables.append(np.einsum(*operands, out))
+        if not out:
+            total *= tables[-1][()]
     return complex(total), cost
 
 

@@ -8,8 +8,10 @@ listed explicitly from a BFS spanning forest: a flow is fixed by its values
 on the |E|-|V|+k edges outside the forest (k components), a tension by a
 vertex colouring with each component's root at 0, so the term caps count
 q^(|E|-|V|+k) and q^(|V|-k) candidates, every one of them kept.  Weight
-enumerators are exact sums over the listed sets.  These deliberately share
-no code path with the model evaluators they verify.
+enumerators are exact sums over the listed sets, one term per colour
+composition: each row's colour counts come from one bincount and fold into
+one integer key, and one 1-D unique groups the keys.  These deliberately
+share no code path with the model evaluators they verify.
 """
 
 from __future__ import annotations
@@ -294,7 +296,9 @@ def complete_weight_enum(vectors, weights):
     """sum over the set of the product of per-coordinate weights.
 
     The rows are grouped by colour composition (how many coordinates take
-    each colour), so the sum is over compositions of count * prod w_c^n_c.
+    each colour), so the sum is over compositions of count * prod w_c^n_c,
+    in lexicographic composition order.  A row value outside
+    range(len(weights)) raises ValueError.
     Int and Fraction weights give the exact value.  Float and complex
     weights are exact binary fractions over one power-of-two denominator D,
     so the sum is taken in Gaussian integers over D^length and rounded once:
@@ -303,11 +307,26 @@ def complete_weight_enum(vectors, weights):
     rows = np.asarray(vectors, dtype=np.int64)
     if len(rows) == 0:
         return 0
-    counts = _sorted_rows(
-        np.stack([np.count_nonzero(rows == c, axis=1) for c in range(len(weights))], axis=1)
-    )
-    starts = np.flatnonzero(np.r_[True, np.any(counts[1:] != counts[:-1], axis=1)])
-    comps, mults = counts[starts], np.diff(starts, append=len(counts))
+    num_rows, length = rows.shape
+    q = len(weights)
+    if rows.size and (rows.min() < 0 or rows.max() >= q):
+        raise ValueError(f"row values must lie in range({q})")
+    # counts[i, c]: how many coordinates of row i take colour c
+    counts = np.bincount(
+        (rows + q * np.arange(num_rows)[:, None]).ravel(), minlength=num_rows * q
+    ).reshape(num_rows, q)
+    # one key per composition, colour 0 most significant, so key order is
+    # composition order; a key that could pass 2^63 is first replaced by
+    # its rank among the keys, which keeps that order
+    key, span = np.zeros(num_rows, dtype=np.int64), 1
+    for c in range(q):
+        if span * (length + 1) > 2**63:
+            uniq, key = np.unique(key, return_inverse=True)
+            span = len(uniq)
+        key = key * (length + 1) + counts[:, c]
+        span *= length + 1
+    _, starts, mults = np.unique(key, return_index=True, return_counts=True)
+    comps = counts[starts]
     terms = [
         (m, [(c, n) for c, n in enumerate(comp) if n])
         for comp, m in zip(comps.tolist(), mults.tolist())
@@ -325,7 +344,7 @@ def complete_weight_enum(vectors, weights):
     parts = [n * (den // d) for n, d in ratios]
     powers = [[(1, 0)] for _ in zs]
     for c, base in enumerate(zip(parts[::2], parts[1::2])):
-        for _ in range(rows.shape[1]):
+        for _ in range(length):
             powers[c].append(_gauss_mul(powers[c][-1], base))
     re = im = 0
     for m, comp in terms:
@@ -333,7 +352,7 @@ def complete_weight_enum(vectors, weights):
         for c, n in comp:
             term = _gauss_mul(term, powers[c][n])
         re, im = re + term[0], im + term[1]
-    scale = den ** rows.shape[1]
+    scale = den**length
     return complex(re / scale, im / scale) if is_complex else re / scale
 
 

@@ -87,6 +87,11 @@ def _record(name, anchor, lhs, rhs, tol) -> CheckRecord:
     return CheckRecord(name, anchor, _fmt(lhs), _fmt(rhs), resid, resid <= tol)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass
 class VerifyContext:
     doc: GraphDocument
@@ -98,6 +103,21 @@ class VerifyContext:
     @property
     def graph(self):
         return self.doc.graph
+
+    @functools.cached_property
+    def flows(self) -> np.ndarray:
+        """The graph's flows over the group, listed once per battery call
+        and shared, read-only, by every check that reads them."""
+        return _read_only(
+            oracles.enumerate_flows(self.graph, self.group, max_terms=self.max_terms)
+        )
+
+    @functools.cached_property
+    def tensions(self) -> np.ndarray:
+        """The graph's tensions over the group, as ``flows``."""
+        return _read_only(
+            oracles.enumerate_tensions(self.graph, self.group, max_terms=self.max_terms)
+        )
 
     def rng(self, salt: int = 0):
         return np.random.default_rng(self.seed * 1000003 + salt)
@@ -276,7 +296,7 @@ def _check_hwe_tutte(ctx: VerifyContext):
     out = []
     g = ctx.graph
     q = ctx.group.q
-    flows = oracles.enumerate_flows(g, ctx.group, max_terms=ctx.max_terms)
+    flows = ctx.flows
     T = oracles.tutte(g)
     for s in (2, 3):
         lhs = oracles.hamming_weight_enum(flows, s, g.num_edges)
@@ -293,7 +313,7 @@ def _check_monochrome(ctx: VerifyContext):
     out = []
     g = ctx.graph
     q = ctx.group.q
-    tensions = oracles.enumerate_tensions(g, ctx.group, max_terms=ctx.max_terms)
+    tensions = ctx.tensions
     kG = components(g)
     for t in (0, 2, 3):
         lhs = q**kG * oracles.hamming_weight_enum(tensions, t, g.num_edges)
@@ -314,8 +334,8 @@ def _check_macwilliams(ctx: VerifyContext):
     out = []
     g = ctx.graph
     G = ctx.group
-    flows = oracles.enumerate_flows(g, G, max_terms=ctx.max_terms)
-    tensions = oracles.enumerate_tensions(g, G, max_terms=ctx.max_terms)
+    flows = ctx.flows
+    tensions = ctx.tensions
     rng = ctx.rng(5)
     F = G.fourier_matrix()
     for i in range(5):
@@ -352,8 +372,8 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
     out = []
     g = ctx.graph
     G = ctx.group
-    flows = oracles.enumerate_flows(g, G, max_terms=ctx.max_terms)
-    tensions = oracles.enumerate_tensions(g, G, max_terms=ctx.max_terms)
+    flows = ctx.flows
+    tensions = ctx.tensions
     rng = ctx.rng(7)
     for i in range(5):
         gv = ctx.cvec(rng, G.q)

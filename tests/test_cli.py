@@ -199,6 +199,39 @@ def test_verify_petersen_runs_every_check():
     assert all(rec.passed is True for rec in records)
 
 
+def test_battery_lists_flows_and_tensions_once(monkeypatch):
+    import qcolour.verify as verify_mod
+
+    calls = {"enumerate_flows": 0, "enumerate_tensions": 0}
+    for fname in calls:
+        real = getattr(verify_mod.oracles, fname)
+
+        def counted(*args, _real=real, _fname=fname, **kwargs):
+            calls[_fname] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod.oracles, fname, counted)
+    fx = CORPUS["prism"]
+    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    records = run_battery(doc, cyclic_group(3), seed=0)
+    assert calls == {"enumerate_flows": 1, "enumerate_tensions": 1}
+    assert all(rec.passed is True for rec in records)
+    # over the cap, every check that reads them still skips on its own
+    records = run_battery(doc, cyclic_group(4), max_terms=100, seed=0)
+    skipped = {rec.name for rec in records if rec.passed is None}
+    assert {
+        "skip.hwe_tutte",
+        "skip.monochrome",
+        "skip.macwilliams",
+        "skip.flow_cwe_routes",
+    } <= skipped
+    ctx = verify_mod.VerifyContext(doc, cyclic_group(3), 1e-7, 10**8, 0)
+    with pytest.raises(ValueError):
+        ctx.flows[0, 0] = 1
+    with pytest.raises(ValueError):
+        ctx.tensions[0, 0] = 1
+
+
 def test_cli_verify_reports_cap_skips(corpus_files, capsys):
     path, _ = corpus_files["prism"]
     code = main(

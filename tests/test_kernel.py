@@ -241,6 +241,31 @@ def test_cap_fires_before_any_einsum(monkeypatch):
     assert err.value.estimate == 4**3 + 4**3 + 4**2 + 4
 
 
+def test_plan_is_reused_across_radix_and_tables():
+    labels = [(0, 1, 0), (1, 2), (2,), ()]
+
+    def factors(radix, rng):
+        return [
+            (complex_vec(rng, radix ** len(ls)).reshape((radix,) * len(ls)), ls)
+            for ls in labels
+        ]
+
+    # steps read {0, 1}, then {1, 2}, then {2}
+    planned = {2: 2**2 + 2**2 + 2, 3: 3**2 + 3**2 + 3}
+    rng = np.random.default_rng(11)
+    for radix in (2, 3):
+        fs = factors(radix, rng)
+        mv = factor_sum(radix, 4, fs)
+        assert mv.terms == planned[radix]
+        assert_close(mv.value, _factor_brute(radix, 4, fs), TOL, f"radix {radix}")
+        as_list = [(t, list(ls)) for t, ls in fs]
+        assert factor_sum(radix, 4, as_list) == mv
+    factor_sum(2, 4, factors(2, rng), max_terms=planned[2])
+    with pytest.raises(enumeration.TermCapExceeded) as err:
+        factor_sum(3, 4, factors(3, rng), max_terms=planned[2])
+    assert (err.value.estimate, err.value.cap) == (planned[3], planned[2])
+
+
 def test_factor_sum_numbers_labels_past_einsum_letters():
     # a path of 60 labels: more labels than einsum has axis letters
     M = np.array([[1.0, 0.5], [0.25, -1.0]])

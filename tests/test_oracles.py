@@ -340,6 +340,29 @@ def test_cwe_float_and_complex_are_correctly_rounded(q, length, seed):
     assert got == complex(float(re), float(im))
 
 
+def test_cwe_groups_compositions_past_int64_keys():
+    # K4 tensions over Z23: compositions of 6 coordinates into 23 colours,
+    # (|E|+1)^q = 7^23 > 2^63, so the composition key must be re-ranked
+    g = graph_of("k4")
+    rows = enumerate_tensions(g, cyclic_group(23))
+    assert (g.num_edges + 1) ** 23 > 2**63
+    rng = np.random.default_rng(23)
+    ints = [int(w) for w in rng.integers(-9, 10, size=23)]
+    assert complete_weight_enum(rows, ints) == sum(
+        math.prod(ints[c] for c in row) for row in rows.tolist()
+    )
+    cplx = complex_vec(rng, 23)
+    re, im = _gauss_exact(rows, cplx)
+    assert complete_weight_enum(rows, cplx) == complex(float(re), float(im))
+
+
+def test_cwe_rejects_values_outside_the_weights():
+    with pytest.raises(ValueError):
+        complete_weight_enum([[0, 3]], [1, 2])
+    with pytest.raises(ValueError):
+        complete_weight_enum([[0, -1]], [1, 2])
+
+
 def test_weight_enums_exact_types_and_edge_cases():
     S = np.array([[0, 1, 1], [2, 0, 0], [1, 1, 1]])
     assert complete_weight_enum(S, np.array([2, 3, 5])) == 2 * 9 + 5 * 4 + 27
