@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .graphs import Multigraph, RotationSystem, default_rotation
 
-__all__ = ["Fixture", "CORPUS", "fixture", "corpus_names", "cubic_names"]
+__all__ = ["Fixture", "CORPUS", "fixture"]
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,3 @@ CORPUS: dict[str, Fixture] = _build_corpus()
 
 def fixture(name: str) -> Fixture:
     return CORPUS[name]
-
-
-def corpus_names() -> list[str]:
-    return list(CORPUS)
-
-
-def cubic_names() -> list[str]:
-    return [n for n, f in CORPUS.items() if f.graph.is_regular(3)]

@@ -5,6 +5,14 @@ weighted sums, the flow/tension weight-enumerator models, the Tutte
 hyperbola edge model, spectral conversion of symmetric vertex models to
 edge models, the two-variable boundary generating function and its
 principal specialization, and the GF(4) flow identity for cubic graphs.
+
+Six of the models rest on one split (the relationship behind Szegedy's
+edge-colouring result): a vertex model whose edge interaction factors as
+g = h h^T equals the edge model whose vertex weight is
+sum_a f(a) prod over half-edges of h(a, y_e).  ``_split_vertex_sum`` is its
+vertex side (f uniform) and ``_split_edge_sum`` its edge side; the flow and
+tension weight-enumerator routes, the Tutte, spectral and X_Q edge models
+only choose f, h and a prefactor.
 """
 
 from __future__ import annotations
@@ -144,9 +152,29 @@ def general_duality_check(
     return abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
 
 
-def _difference_matrix(group: Group, vec: np.ndarray) -> np.ndarray:
-    """M[a, b] = vec[a - b]."""
-    return vec[group.sub]
+def _split_vertex_sum(
+    g: Multigraph, q: int, h: np.ndarray, max_terms: int
+) -> ModelValue:
+    """Vertex side of the split: sum_x prod_e sum_b h[x_tail, b] h[x_head, b],
+    the vertex model with edge interaction h h^T and unit vertex weights."""
+    return vertex_table_sum(g, q, [h @ h.T] * g.num_edges, max_terms=max_terms)
+
+
+def _split_edge_sum(
+    g: Multigraph, q: int, f: np.ndarray, h: np.ndarray, max_terms: int
+) -> ModelValue:
+    """Edge side of the split: sum_y prod_v sum_a f[a] prod over half-edges
+    at v of h[a, y_e], with one vertex table per distinct degree."""
+    tables = {}
+    for d in set(g.degrees()):
+        # acc[a, c_1, ..., c_d] = f[a] prod_i h[a, c_i], then summed over a
+        acc = f.reshape((q,) + (1,) * d).astype(np.complex128)
+        acc = np.broadcast_to(acc, (q,) * (d + 1)).copy()
+        for i in range(d):
+            acc *= h.reshape([q if j in (0, i + 1) else 1 for j in range(d + 1)])
+        tables[d] = acc.sum(axis=0)
+    vertex_tables = [tables[g.degree(v)] for v in range(g.num_vertices)]
+    return edge_table_sum(g, q, vertex_tables, max_terms=max_terms)
 
 
 def flow_cwe_vertex_model(
@@ -155,24 +183,10 @@ def flow_cwe_vertex_model(
     """Vertex-colouring route to the complete weight enumerator of flows
     evaluated at g * g^N: q^(-|V|) sum_x prod_e sum_b prod over the edge's
     half-edges of (Fg)(x_v - b).  A loop's factor appears squared."""
-    gvec = _as_weights(group, gtable)
-    gF = group.fourier_matrix() @ gvec
-    A = _difference_matrix(group, gF)  # A[x, b] = gF(x - b)
-    M = A @ A.T  # M[x1, x2] = sum_b gF(x1-b) gF(x2-b)
-    mv = vertex_table_sum(g, group.q, [M] * g.num_edges, max_terms=max_terms)
+    gF = group.fourier_matrix() @ _as_weights(group, gtable)
+    # h[x, b] = gF(x - b)
+    mv = _split_vertex_sum(g, group.q, gF[group.sub], max_terms)
     return ModelValue.of(group.q ** (-g.num_vertices) * mv.value, mv.terms)
-
-
-def _sum_over_shift_table(q: int, svec: np.ndarray, M: np.ndarray, d: int):
-    """Table T(c_1..c_d) = sum_a svec[a] * prod_i M[a, c_i]."""
-    acc = svec.reshape((q,) + (1,) * d).astype(np.complex128)
-    acc = np.broadcast_to(acc, (q,) * (d + 1)).copy()
-    for i in range(d):
-        shape = [1] * (d + 1)
-        shape[0] = q
-        shape[i + 1] = q
-        acc *= M.reshape(shape)
-    return acc.sum(axis=0)
 
 
 def flow_cwe_edge_model(
@@ -180,15 +194,8 @@ def flow_cwe_edge_model(
 ) -> ModelValue:
     """Edge-colouring route to the same enumerator: q^(-|V|) sum_y prod_v
     sum_a prod over half-edges at v of (Fg)(a - y_e)."""
-    gvec = _as_weights(group, gtable)
-    gF = group.fourier_matrix() @ gvec
-    M = _difference_matrix(group, gF)  # M[a, c] = gF(a - c)
-    ones = np.ones(group.q, dtype=np.complex128)
-    tables = [
-        _sum_over_shift_table(group.q, ones, M, g.degree(v))
-        for v in range(g.num_vertices)
-    ]
-    mv = edge_table_sum(g, group.q, tables, max_terms=max_terms)
+    gF = group.fourier_matrix() @ _as_weights(group, gtable)
+    mv = _split_edge_sum(g, group.q, np.ones(group.q), gF[group.sub], max_terms)
     return ModelValue.of(group.q ** (-g.num_vertices) * mv.value, mv.terms)
 
 
@@ -198,9 +205,7 @@ def tension_cwe_expectation(
     """Half-edge expectation route to the complete weight enumerator of
     tensions at f * f^N: q^(r(E)-|V|) sum_x prod_e sum_b prod f(x_v - b)."""
     fvec = _as_weights(group, ftable)
-    A = _difference_matrix(group, fvec)
-    M = A @ A.T
-    mv = vertex_table_sum(g, group.q, [M] * g.num_edges, max_terms=max_terms)
+    mv = _split_vertex_sum(g, group.q, fvec[group.sub], max_terms)
     return ModelValue.of(group.q ** (rank(g) - g.num_vertices) * mv.value, mv.terms)
 
 
@@ -216,19 +221,10 @@ def tutte_edge_model(
     if s == 1:
         raise ValueError("s = 1 is a pole of the edge-model weights")
     t = (s - 1 + q) / (s - 1)
-    # with t on M's diagonal and 1 elsewhere, sum_a prod_i M[a, c_i] is
+    # with t on h's diagonal and 1 elsewhere, sum_a prod_i h[a, c_i] is
     # sum_a t^(number of c_i equal to a)
-    M = np.where(np.eye(q, dtype=bool), t, 1.0)
-    ones = np.ones(q, dtype=np.complex128)
-    tables = {}
-    for v in range(g.num_vertices):
-        tables.setdefault(g.degree(v), _sum_over_shift_table(q, ones, M, g.degree(v)))
-    mv = edge_table_sum(
-        g,
-        q,
-        [tables[g.degree(v)] for v in range(g.num_vertices)],
-        max_terms=max_terms,
-    )
+    h = np.where(np.eye(q, dtype=bool), t, 1.0)
+    mv = _split_edge_sum(g, q, np.ones(q), h, max_terms)
     pref = q ** (-g.num_edges - g.num_vertices) * (s - 1) ** (2 * g.num_edges)
     return ModelValue.of(pref * mv.value, mv.terms)
 
@@ -298,11 +294,7 @@ def spectral_edge_model(
     q = group_or_q if isinstance(group_or_q, int) else group_or_q.q
     fvec = np.asarray(list(fvec), dtype=np.complex128)
     h = spectral_split(np.asarray(gmat, dtype=float))
-    tables = [
-        _sum_over_shift_table(q, fvec, h, g.degree(v))
-        for v in range(g.num_vertices)
-    ]
-    return edge_table_sum(g, q, tables, max_terms=max_terms)
+    return _split_edge_sum(g, q, fvec, h, max_terms)
 
 
 @dataclass(frozen=True)
@@ -384,21 +376,19 @@ def principal_specialization(
     group = cyclic_group(q)
     evec = np.full(q, t - 1, dtype=np.complex128)
     evec[0] = t - 1 + q
-    edge_vecs = [evec] * g.num_edges
     if abs(s**q - 1) < root_tol:
         c = round(-q * cmath.phase(complex(s)) / (2 * math.pi)) % q
         vvec = np.zeros(q, dtype=np.complex128)
         vvec[c] = 1.0
-        mv = boundary_edge_sum(
-            g, group, orient, [vvec] * g.num_vertices, edge_vecs, max_terms
-        )
-        return q ** (g.num_vertices - g.num_edges) * mv.value
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    vvec = (s**q - 1) / (s * roots - 1)
+        pref = q ** (g.num_vertices - g.num_edges)
+    else:
+        roots = np.exp(2j * np.pi * np.arange(q) / q)
+        vvec = (s**q - 1) / (s * roots - 1)
+        pref = q ** (-g.num_edges)
     mv = boundary_edge_sum(
-        g, group, orient, [vvec] * g.num_vertices, edge_vecs, max_terms
+        g, group, orient, [vvec] * g.num_vertices, [evec] * g.num_edges, max_terms
     )
-    return q ** (-g.num_edges) * mv.value
+    return pref * mv.value
 
 
 def symmetric_weight_root(group: Group, t_table, tol: float = 1e-9) -> np.ndarray:
@@ -430,12 +420,8 @@ def xq_edge_model(
     u_b^(edges at v coloured a + b)."""
     svec = _as_weights(group, s_table)
     u = symmetric_weight_root(group, t_table)
-    M = u[group.sub]  # M[a, c] = u(a - c); factor per half-edge is u(y_e - a)
-    tables = [
-        _sum_over_shift_table(group.q, svec, M.T, g.degree(v))
-        for v in range(g.num_vertices)
-    ]
-    return edge_table_sum(g, group.q, tables, max_terms=max_terms)
+    # u[sub][a, c] = u(a - c), so its transpose reads u(y_e - a) per half-edge
+    return _split_edge_sum(g, group.q, svec, u[group.sub].T, max_terms)
 
 
 def gf4_flow_identity_check(

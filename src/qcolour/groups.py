@@ -59,21 +59,6 @@ class Group:
     def __post_init__(self):
         object.__setattr__(self, "sub", self.add[:, self.neg])
 
-    def element_index(self, residues) -> int:
-        if isinstance(residues, int):
-            return residues
-        idx = 0
-        for r, n in zip(residues, self.factors):
-            idx = idx * n + (r % n)
-        return idx
-
-    def element_tuple(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for n in reversed(self.factors):
-            out.append(idx % n)
-            idx //= n
-        return tuple(reversed(out))
-
     def dot(self, a, b) -> int:
         """Ring dot product of two tuples of element indices."""
         acc = 0

@@ -101,13 +101,7 @@ class VertexWeights:
 
     @classmethod
     def from_tuple_function(cls, group: Group, fn) -> "VertexWeights":
-        def build(d):
-            tbl = np.empty((group.q,) * d, dtype=np.complex128)
-            for idx in np.ndindex(*tbl.shape):
-                tbl[idx] = fn(idx)
-            return tbl
-
-        return cls(group, build)
+        return cls(group, lambda d: QFunction.from_function(group, d, fn).as_tensor())
 
     @classmethod
     def from_tables(cls, group: Group, tables: dict[int, np.ndarray]) -> "VertexWeights":

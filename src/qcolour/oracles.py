@@ -63,9 +63,6 @@ class TuttePolynomial:
     def __call__(self, x, y):
         return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
 
-    def coefficient(self, i: int, j: int) -> int:
-        return self.coeffs.get((i, j), 0)
-
     def __str__(self):
         def term(i, j, c):
             parts = []
@@ -280,10 +277,13 @@ def hamming_weight_enum(vectors, s, length: int):
 
 def hwe_coefficients(vectors, length: int) -> list[int]:
     """Coefficient vector of the Hamming weight enumerator: entry w counts
-    vectors with exactly w zero coordinates."""
+    vectors with exactly w zero coordinates.  Every vector must have
+    ``length`` coordinates."""
     rows = np.asarray(vectors, dtype=np.int64)
     if len(rows) == 0:
         return [0] * (length + 1)
+    if rows.shape[1] != length:
+        raise ValueError(f"rows have {rows.shape[1]} coordinates, expected {length}")
     zeros = length - np.count_nonzero(rows, axis=1)
     return np.bincount(zeros, minlength=length + 1).tolist()
 

@@ -128,6 +128,14 @@ def character_matrix_det(q: int) -> complex:
     return 1j ** (((q - 1) * (3 * q - 2) // 2) % 4) * q ** (q / 2)
 
 
+def _sine_product(b: np.ndarray, q: int) -> np.ndarray:
+    """prod over l < m of 2 sin(pi (b_m - b_l)/q), over the last axis of b."""
+    prod = np.ones(b.shape[:-1])
+    for l, m in itertools.combinations(range(b.shape[-1]), 2):
+        prod *= 2.0 * np.sin(np.pi * (b[..., m] - b[..., l]) / q)
+    return prod
+
+
 def parity_transform_closed(k: int, q: int, b) -> complex | np.ndarray:
     """Fourier transform of the parity weight on the canonical symmetric
     colour set, evaluated at a tuple of residues in {0, ..., q-1}, or
@@ -147,9 +155,7 @@ def parity_transform_closed(k: int, q: int, b) -> complex | np.ndarray:
     b = np.asarray(b, dtype=np.int64) % q
     if b.shape[-1:] != (k,):
         raise ValueError("need a k-tuple")
-    prod = np.ones(b.shape[:-1])
-    for l, m in itertools.combinations(range(k), 2):
-        prod *= 2.0 * np.sin(np.pi * (b[..., m] - b[..., l]) / q)
+    prod = _sine_product(b, q)
     if k % 2:
         value = q ** (-k / 2) * 1j ** ((k * (k - 1) // 2) % 4) * prod
     else:
@@ -184,17 +190,27 @@ def parity_transform_kplus1(k: int, b) -> complex:
     return q ** (-0.5) * 1j ** ((k * (k + 1) // 2) % 4) * (-1) ** missing * s
 
 
-def _parity_weights(group: Group, k: int, K=None) -> VertexWeights:
-    return VertexWeights.from_tables(
-        group, {k: parity_sign_table(group.q, k, K).astype(np.complex128)}
-    )
-
-
 def _regular_degree(g: Multigraph) -> int:
     degs = set(g.degrees())
     if len(degs) != 1:
         raise ValueError("graph must be regular")
     return degs.pop()
+
+
+def _parity_pairing(
+    g: Multigraph,
+    rotation: RotationSystem,
+    group: Group,
+    K,
+    pair: QFunction,
+    max_terms: int,
+) -> ModelValue:
+    """Pair the parity weight on colour set K against a pair weight over the
+    half-edges of a regular graph."""
+    k = _regular_degree(g)
+    tbl = parity_sign_table(group.q, k, K).astype(np.complex128)
+    weights = VertexWeights.from_tables(group, {k: tbl})
+    return halfedge_inner(g, weights, pair, rotation=rotation, max_terms=max_terms)
 
 
 def zero_sum_parity_sum(
@@ -206,13 +222,10 @@ def zero_sum_parity_sum(
 ) -> ModelValue:
     """Pair the parity weight on colour set K against the zero-sum pair
     indicator over the half-edges."""
-    k = _regular_degree(g)
-    if len(set(K)) != k:
+    if len(set(K)) != _regular_degree(g):
         raise ValueError("colour set size must equal the regular degree")
-    weights = _parity_weights(group, k, K)
-    return halfedge_inner(
-        g, weights, zero_sum_indicator(group, 2), rotation=rotation, max_terms=max_terms
-    )
+    pair = zero_sum_indicator(group, 2)
+    return _parity_pairing(g, rotation, group, K, pair, max_terms)
 
 
 def monochrome_parity_sum(
@@ -224,15 +237,8 @@ def monochrome_parity_sum(
 ) -> ModelValue:
     """Pair the parity weight on colour set K against the monochrome pair
     indicator (a signed sum over proper-at-every-vertex edge colourings)."""
-    k = _regular_degree(g)
-    weights = _parity_weights(group, k, K)
-    return halfedge_inner(
-        g,
-        weights,
-        monochrome_indicator(group, 2),
-        rotation=rotation,
-        max_terms=max_terms,
-    )
+    pair = monochrome_indicator(group, 2)
+    return _parity_pairing(g, rotation, group, K, pair, max_terms)
 
 
 def factorization_sign_sum(
@@ -290,17 +296,11 @@ def factorization_sign_sum(
 
 
 def _signed_edge_sum(
-    g: Multigraph,
-    rotation: RotationSystem,
-    q: int,
-    K=None,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    g: Multigraph, rotation: RotationSystem, q: int, max_terms: int
 ) -> ModelValue:
-    k = _regular_degree(g)
-    tbl = parity_sign_table(q, k, K)
-    tables = [tbl] * g.num_vertices
+    tbl = parity_sign_table(q, _regular_degree(g))
     return edge_table_sum(
-        g, q, tables, rotation=rotation, max_terms=max_terms
+        g, q, [tbl] * g.num_vertices, rotation=rotation, max_terms=max_terms
     )
 
 
@@ -312,7 +312,7 @@ def proper_colouring_sign_sum(
 ) -> int:
     """Exact signed sum over proper edge k-colourings (improper ones get
     sign 0 at a repeating vertex)."""
-    mv = _signed_edge_sum(g, rotation, k, None, max_terms)
+    mv = _signed_edge_sum(g, rotation, k, max_terms)
     return mv.rounded(1e-6)
 
 
@@ -334,11 +334,7 @@ def sine_model(
     deg = _regular_degree(g)
     if deg != k:
         raise ValueError(f"graph is {deg}-regular, expected {k}")
-    grid = np.indices((q,) * k)
-    tbl = np.ones((q,) * k, dtype=np.float64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            tbl *= 2.0 * np.sin(np.pi * (grid[j] - grid[i]) / q)
+    tbl = _sine_product(np.stack(np.indices((q,) * k), axis=-1), q)
     mv = edge_table_sum(
         g, q, [tbl] * g.num_vertices, rotation=rotation, max_terms=max_terms
     )
@@ -354,7 +350,7 @@ def kplus1_sign_sum(
     """(k+1)^(-|V|/2) times the signed sum over all edge colourings with
     k+1 colours; magnitude gives the proper edge k-colouring count on
     constant-sign graphs."""
-    mv = _signed_edge_sum(g, rotation, k + 1, None, max_terms)
+    mv = _signed_edge_sum(g, rotation, k + 1, max_terms)
     pref = (k + 1) ** (-g.num_vertices / 2)
     return ModelValue.of(pref * mv.value, mv.terms)
 

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qcolour.duality import (
     XQParams,
@@ -40,7 +42,7 @@ from qcolour.oracles import (
     tutte,
 )
 
-from conftest import assert_close, complex_vec, graph_of, stable_seed
+from conftest import assert_close, complex_vec, graph_of, multigraphs, stable_seed
 
 SMALL = ("single_edge", "single_loop", "digon", "triangle", "c4", "theta", "k4")
 
@@ -446,3 +448,57 @@ def test_gf4_identity(name, st_pair):
 def test_gf4_identity_requires_cubic():
     with pytest.raises(ValueError):
         gf4_flow_identity_check(graph_of("c4"), 1, 1)
+
+
+# ------------------------------------------- the split on random multigraphs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    multigraphs(),
+    st.sampled_from(["2", "3", "4", "2x2", "f4"]),
+    st.sampled_from([2, 3, Fraction(1, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_split_models_match_oracles_on_multigraphs(g, spec, s, seed):
+    G = group_from_name(spec)
+    q = G.q
+    rng = np.random.default_rng(seed)
+
+    flows = enumerate_flows(g, G)
+    gv = complex_vec(rng, q)
+    oracle = complete_weight_enum(flows, gv * gv[G.neg])
+    assert_close(flow_cwe_vertex_model(g, G, gv).value, oracle, 1e-8, "vertex route")
+    assert_close(flow_cwe_edge_model(g, G, gv).value, oracle, 1e-8, "edge route")
+
+    fq = QFunction(G, 1, complex_vec(rng, q))
+    oracle = complete_weight_enum(enumerate_tensions(g, G), convolve(fq, negate(fq)).values)
+    assert_close(tension_cwe_expectation(g, G, fq.values).value, oracle, 1e-8, "tension")
+
+    A = rng.standard_normal((q, q))
+    gm = (A + A.T) / 2
+    fv = rng.standard_normal(q)
+    vm = VertexModel(
+        G, QFunction(G, 1, fv.astype(complex)), QFunction(G, 2, gm.reshape(-1).astype(complex))
+    )
+    assert_close(
+        spectral_edge_model(g, G, fv, gm).value,
+        vertex_partition(g, vm).value,
+        1e-8,
+        "spectral",
+    )
+
+    sv = complex_vec(rng, q)
+    tv = complex_vec(rng, q)
+    tsym = tv + tv[G.neg]
+    assert_close(
+        xq_edge_model(g, G, sv, tsym).value,
+        xq_evaluate(g, G, default_orientation(g), sv, tsym),
+        1e-8,
+        "xq",
+    )
+
+    T = tutte(g)
+    s2 = Fraction(s) ** 2
+    want = float((s2 - 1) ** (g.num_edges - T.full_rank) * T(s2, (s2 - 1 + q) / (s2 - 1)))
+    assert_close(tutte_edge_model(g, q, float(s)).value, want, 1e-8, "tutte")

@@ -363,6 +363,22 @@ def test_cwe_rejects_values_outside_the_weights():
         complete_weight_enum([[0, -1]], [1, 2])
 
 
+def test_hwe_rejects_rows_shorter_than_length():
+    # [1, 0] has one zero; with length 3 it would count as two
+    with pytest.raises(ValueError):
+        hwe_coefficients([[1, 0]], 3)
+    with pytest.raises(ValueError):
+        hamming_weight_enum([[1, 0]], 2, 3)
+
+
+def test_hwe_rejects_rows_longer_than_length():
+    # with length 1 the zero of [1, 0] would go uncounted
+    with pytest.raises(ValueError):
+        hwe_coefficients([[1, 0]], 1)
+    with pytest.raises(ValueError):
+        hamming_weight_enum([[1, 0]], 2, 1)
+
+
 def test_weight_enums_exact_types_and_edge_cases():
     S = np.array([[0, 1, 1], [2, 0, 0], [1, 1, 1]])
     assert complete_weight_enum(S, np.array([2, 3, 5])) == 2 * 9 + 5 * 4 + 27
