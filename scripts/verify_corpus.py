@@ -19,7 +19,7 @@ from qcolour.verify import run_battery
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--groups", default="2,3,4,2x2,f4", help="comma-separated group specs")
+    ap.add_argument("--groups", default="2,3,4,2x2,f4,5", help="comma-separated group specs")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tol", type=float, default=1e-7)
     ap.add_argument("--max-terms", type=float, default=1e8)

@@ -23,6 +23,7 @@ or zero-sum pairings range over q^|E| colourings.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -360,21 +361,28 @@ def halfedge_inner(
 def orthogonal_invariance_check(
     g: Multigraph,
     weights: VertexWeights,
-    U: np.ndarray,
+    Us: Sequence[np.ndarray],
     tol: float = 1e-8,
     max_terms: int = DEFAULT_MAX_TERMS,
     rotation: RotationSystem | None = None,
-) -> bool:
-    """Monochrome pairing is invariant under an orthogonal change of the
-    vertex weights, and U tensor U fixes the monochrome pair indicator."""
-    group = weights.group
-    mono = monochrome_indicator(group, 2)
-    fixed = transform_by(mono, U)
-    if np.max(np.abs(fixed.values - mono.values)) > tol:
-        return False
-    lhs = halfedge_inner(g, weights, mono, rotation=rotation, max_terms=max_terms)
-    rhs = halfedge_inner(
-        g, weights.transformed(U), mono, rotation=rotation, max_terms=max_terms
-    )
-    scale = max(1.0, abs(lhs.value), abs(rhs.value))
-    return abs(lhs.value - rhs.value) <= tol * scale
+) -> tuple[bool, ...]:
+    """For each matrix U: U tensor U fixes the monochrome pair indicator,
+    and the monochrome pairing is invariant under that orthogonal change of
+    the vertex weights.  The pairing of the unchanged weights is computed
+    once, and only if some U passes the first test."""
+    mono = monochrome_indicator(weights.group, 2)
+    lhs = None
+    oks = []
+    for U in Us:
+        fixed = transform_by(mono, U)
+        if np.max(np.abs(fixed.values - mono.values)) > tol:
+            oks.append(False)
+            continue
+        if lhs is None:
+            lhs = halfedge_inner(g, weights, mono, rotation=rotation, max_terms=max_terms)
+        rhs = halfedge_inner(
+            g, weights.transformed(U), mono, rotation=rotation, max_terms=max_terms
+        )
+        scale = max(1.0, abs(lhs.value), abs(rhs.value))
+        oks.append(abs(lhs.value - rhs.value) <= tol * scale)
+    return tuple(oks)

@@ -7,15 +7,26 @@ component label per vertex for 2^(|E|-1) subsets.  Flows and tensions are
 listed explicitly from a BFS spanning forest: a flow is fixed by its values
 on the |E|-|V|+k edges outside the forest (k components), a tension by a
 vertex colouring with each component's root at 0, so the term caps count
-q^(|E|-|V|+k) and q^(|V|-k) candidates, every one of them kept.  Weight
-enumerators are exact sums over the listed sets, one term per colour
-composition: each row's colour counts come from one bincount and fold into
-one integer key, and one 1-D unique groups the keys.  These deliberately
-share no code path with the model evaluators they verify.
+q^(|E|-|V|+k) and q^(|V|-k) candidates, every one of them kept.  The sets
+come in blocks; ``enumerate_flows`` and ``enumerate_tensions`` join and
+sort them for callers that want the rows in order.
+
+Weight enumerators depend on a set only through its colour compositions
+(how many coordinates take each colour).  A ``CompositionHistogram`` holds
+each distinct composition with its multiplicity: each row's colour counts
+come from one bincount and fold into one integer key, and one 1-D unique
+groups the keys.  ``flow_compositions`` and ``tension_compositions`` group
+block by block as the set is listed and merge the small per-block
+histograms, so the set is never joined or sorted; every enumerator is then
+an evaluation of the histogram.  ``monochrome_polynomial`` likewise
+evaluates one histogram of monochromatic-edge counts over all vertex
+colourings.  These deliberately share no code path with the model
+evaluators they verify.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,9 +52,14 @@ __all__ = [
     "chromatic",
     "enumerate_flows",
     "enumerate_tensions",
+    "CompositionHistogram",
+    "flow_compositions",
+    "tension_compositions",
+    "count_polynomial",
     "hamming_weight_enum",
     "hwe_coefficients",
     "complete_weight_enum",
+    "monochrome_histogram",
     "monochrome_polynomial",
 ]
 
@@ -174,6 +190,19 @@ def _flow_blocks(g: Multigraph, group: Group, orient: Orientation, max_terms: in
         yield Y
 
 
+def _tension_blocks(g: Multigraph, group: Group, orient: Orientation, max_terms: int):
+    """Yield (C, |E|) blocks of tensions: the coboundaries of the vertex
+    colourings with each component's root at 0, which are pairwise distinct
+    and give every tension once."""
+    roots, _order = _spanning_forest(g)
+    free = sorted(set(range(g.num_vertices)) - set(roots))
+    count_terms(group.q, len(free), max_terms)
+    for chunk in index_blocks(group.q, len(free)):
+        X = np.zeros((chunk.shape[0], g.num_vertices), dtype=np.int64)
+        X[:, free] = chunk
+        yield coboundary_chunk(g, orient, group, X)
+
+
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     """Rows in lexicographic order, first coordinate most significant."""
     if rows.shape[1] == 0:
@@ -200,20 +229,175 @@ def enumerate_tensions(
     orient: Orientation | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> np.ndarray:
-    """All coboundaries of vertex colourings, in lexicographic order.
-
-    Fixing one root per component at 0 leaves q^(|V|-k) vertex colourings
-    with pairwise distinct coboundaries, one for each tension."""
+    """All coboundaries of vertex colourings, in lexicographic order;
+    q^(|V|-k) rows for k components."""
     orient = orient or default_orientation(g)
-    roots, _order = _spanning_forest(g)
-    free = sorted(set(range(g.num_vertices)) - set(roots))
-    count_terms(group.q, len(free), max_terms)
-    pieces = []
-    for chunk in index_blocks(group.q, len(free)):
-        X = np.zeros((chunk.shape[0], g.num_vertices), dtype=np.int64)
-        X[:, free] = chunk
-        pieces.append(coboundary_chunk(g, orient, group, X))
-    return _sorted_rows(np.concatenate(pieces, axis=0))
+    blocks = list(_tension_blocks(g, group, orient, max_terms))
+    return _sorted_rows(np.concatenate(blocks, axis=0))
+
+
+def _group_compositions(counts: np.ndarray, length: int, mults=None):
+    """The distinct rows of ``counts`` in lexicographic order (colour 0 most
+    significant), each with its number of occurrences, or with the sum of
+    its ``mults`` entries when given.
+
+    Each row folds into one integer key, colour 0 most significant, so key
+    order is composition order; a key that could pass 2^63 is first
+    replaced by its rank among the keys, which keeps that order."""
+    key, span = np.zeros(counts.shape[0], dtype=np.int64), 1
+    for c in range(counts.shape[1]):
+        if span * (length + 1) > 2**63:
+            uniq, key = np.unique(key, return_inverse=True)
+            span = len(uniq)
+        key = key * (length + 1) + counts[:, c]
+        span *= length + 1
+    _, starts, inverse = np.unique(key, return_index=True, return_inverse=True)
+    total = np.zeros(len(starts), dtype=np.int64)
+    np.add.at(total, inverse, 1 if mults is None else mults)
+    return counts[starts], total
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class CompositionHistogram:
+    """The colour compositions of a set of rows with their multiplicities.
+
+    ``comps[i, c]`` is how many coordinates take colour c in the i-th
+    distinct composition, ``mults[i]`` how many rows have it; compositions
+    are in lexicographic order, colour 0 most significant.  ``length`` is
+    the row length and ``rows`` the number of rows.  Both arrays are
+    read-only.  Every weight enumerator of the set is a function of this
+    histogram alone."""
+
+    comps: np.ndarray
+    mults: np.ndarray
+    length: int
+    rows: int
+
+    @classmethod
+    def of_rows(cls, vectors, q: int) -> "CompositionHistogram":
+        """Group rows with values in range(q); any other value raises
+        ValueError."""
+        rows = np.asarray(vectors, dtype=np.int64)
+        if rows.size == 0 and rows.ndim < 2:
+            rows = rows.reshape(0, 0)
+        num_rows, length = rows.shape
+        if rows.size and (rows.min() < 0 or rows.max() >= q):
+            raise ValueError(f"row values must lie in range({q})")
+        # counts[i, c]: how many coordinates of row i take colour c
+        counts = np.bincount(
+            (rows + q * np.arange(num_rows)[:, None]).ravel(), minlength=num_rows * q
+        ).reshape(num_rows, q)
+        comps, mults = _group_compositions(counts, length)
+        return cls(_read_only(comps), _read_only(mults), length, num_rows)
+
+    @classmethod
+    def merged(cls, parts) -> "CompositionHistogram":
+        """One histogram of the union of the parts' row sets, which must
+        share their row length and number of colours; as grouping the
+        concatenated rows, without concatenating them."""
+        parts = list(parts)
+        length = parts[0].length
+        comps, mults = _group_compositions(
+            np.concatenate([p.comps for p in parts]),
+            length,
+            np.concatenate([p.mults for p in parts]),
+        )
+        rows = sum(p.rows for p in parts)
+        return cls(_read_only(comps), _read_only(mults), length, rows)
+
+    @functools.cached_property
+    def _terms(self) -> list[tuple[int, list[tuple[int, int]]]]:
+        """Each composition as its multiplicity and its nonzero (colour,
+        count) pairs, as Python ints for exact products."""
+        return [
+            (m, [(c, n) for c, n in enumerate(comp) if n])
+            for comp, m in zip(self.comps.tolist(), self.mults.tolist())
+        ]
+
+    @functools.cached_property
+    def _tops(self) -> list[int]:
+        """Each colour's largest count over the compositions."""
+        return self.comps.max(axis=0).tolist()
+
+    def hwe_coefficients(self) -> list[int]:
+        """Entry w counts the rows with exactly w coordinates at colour 0."""
+        coeffs = [0] * (self.length + 1)
+        for zeros, m in zip(self.comps[:, 0].tolist(), self.mults.tolist()):
+            coeffs[zeros] += m
+        return coeffs
+
+    def hamming_weight_enum(self, s):
+        """As the module's ``hamming_weight_enum`` of the rows."""
+        return count_polynomial(self.hwe_coefficients(), s)
+
+    def complete_weight_enum(self, weights):
+        """As the module's ``complete_weight_enum`` of the rows; ``weights``
+        has one entry per colour."""
+        if len(weights) != self.comps.shape[1]:
+            raise ValueError(
+                f"{len(weights)} weights for {self.comps.shape[1]} colours"
+            )
+        if self.rows == 0:
+            return 0
+        terms = self._terms
+        if all(isinstance(w, (int, np.integer, Fraction)) for w in weights):
+            ws = [w if isinstance(w, Fraction) else int(w) for w in weights]
+            return sum(m * math.prod(ws[c] ** n for c, n in comp) for m, comp in terms)
+        zs = [complex(w) for w in weights]
+        is_complex = any(isinstance(w, (complex, np.complexfloating)) for w in weights)
+        if not np.isfinite(zs).all():
+            total = sum(m * math.prod(zs[c] ** n for c, n in comp) for m, comp in terms)
+            return total if is_complex else total.real
+        ratios = [x.as_integer_ratio() for z in zs for x in (z.real, z.imag)]
+        den = max(d for _n, d in ratios)
+        parts = [n * (den // d) for n, d in ratios]
+        # each colour's powers up to its largest count in the histogram
+        powers = [[(1, 0)] for _ in zs]
+        for c, (base, top) in enumerate(zip(zip(parts[::2], parts[1::2]), self._tops)):
+            for _ in range(top):
+                powers[c].append(_gauss_mul(powers[c][-1], base))
+        re = im = 0
+        for m, comp in terms:
+            term = (m, 0)
+            for c, n in comp:
+                term = _gauss_mul(term, powers[c][n])
+            re, im = re + term[0], im + term[1]
+        scale = den**self.length
+        return complex(re / scale, im / scale) if is_complex else re / scale
+
+
+def flow_compositions(
+    g: Multigraph,
+    group: Group,
+    orient: Orientation | None = None,
+    max_terms: int = DEFAULT_MAX_TERMS,
+) -> CompositionHistogram:
+    """The composition histogram of the flows, grouped block by block as
+    they are listed, never concatenated or sorted."""
+    orient = orient or default_orientation(g)
+    return CompositionHistogram.merged(
+        CompositionHistogram.of_rows(Y, group.q)
+        for Y in _flow_blocks(g, group, orient, max_terms)
+    )
+
+
+def tension_compositions(
+    g: Multigraph,
+    group: Group,
+    orient: Orientation | None = None,
+    max_terms: int = DEFAULT_MAX_TERMS,
+) -> CompositionHistogram:
+    """The composition histogram of the tensions, as ``flow_compositions``."""
+    orient = orient or default_orientation(g)
+    return CompositionHistogram.merged(
+        CompositionHistogram.of_rows(Y, group.q)
+        for Y in _tension_blocks(g, group, orient, max_terms)
+    )
 
 
 def flow_count(
@@ -270,9 +454,15 @@ def chromatic(
     return value
 
 
+def count_polynomial(counts, t):
+    """sum over i of counts[i] * t^i, skipping empty bins; exact for int
+    and Fraction t, and 0^0 is 1."""
+    return sum(c * t**i for i, c in enumerate(counts) if c)
+
+
 def hamming_weight_enum(vectors, s, length: int):
     """sum over the set of s^(length - hamming weight); exact for int s."""
-    return sum(c * s**z for z, c in enumerate(hwe_coefficients(vectors, length)) if c)
+    return count_polynomial(hwe_coefficients(vectors, length), s)
 
 
 def hwe_coefficients(vectors, length: int) -> list[int]:
@@ -304,69 +494,29 @@ def complete_weight_enum(vectors, weights):
     so the sum is taken in Gaussian integers over D^length and rounded once:
     a float for real weights, a complex for complex ones.
     """
-    rows = np.asarray(vectors, dtype=np.int64)
-    if len(rows) == 0:
-        return 0
-    num_rows, length = rows.shape
-    q = len(weights)
-    if rows.size and (rows.min() < 0 or rows.max() >= q):
-        raise ValueError(f"row values must lie in range({q})")
-    # counts[i, c]: how many coordinates of row i take colour c
-    counts = np.bincount(
-        (rows + q * np.arange(num_rows)[:, None]).ravel(), minlength=num_rows * q
-    ).reshape(num_rows, q)
-    # one key per composition, colour 0 most significant, so key order is
-    # composition order; a key that could pass 2^63 is first replaced by
-    # its rank among the keys, which keeps that order
-    key, span = np.zeros(num_rows, dtype=np.int64), 1
-    for c in range(q):
-        if span * (length + 1) > 2**63:
-            uniq, key = np.unique(key, return_inverse=True)
-            span = len(uniq)
-        key = key * (length + 1) + counts[:, c]
-        span *= length + 1
-    _, starts, mults = np.unique(key, return_index=True, return_counts=True)
-    comps = counts[starts]
-    terms = [
-        (m, [(c, n) for c, n in enumerate(comp) if n])
-        for comp, m in zip(comps.tolist(), mults.tolist())
-    ]
-    if all(isinstance(w, (int, np.integer, Fraction)) for w in weights):
-        ws = [w if isinstance(w, Fraction) else int(w) for w in weights]
-        return sum(m * math.prod(ws[c] ** n for c, n in comp) for m, comp in terms)
-    zs = [complex(w) for w in weights]
-    is_complex = any(isinstance(w, (complex, np.complexfloating)) for w in weights)
-    if not np.isfinite(zs).all():
-        total = sum(m * math.prod(zs[c] ** n for c, n in comp) for m, comp in terms)
-        return total if is_complex else total.real
-    ratios = [x.as_integer_ratio() for z in zs for x in (z.real, z.imag)]
-    den = max(d for _n, d in ratios)
-    parts = [n * (den // d) for n, d in ratios]
-    powers = [[(1, 0)] for _ in zs]
-    for c, base in enumerate(zip(parts[::2], parts[1::2])):
-        for _ in range(length):
-            powers[c].append(_gauss_mul(powers[c][-1], base))
-    re = im = 0
-    for m, comp in terms:
-        term = (m, 0)
-        for c, n in comp:
-            term = _gauss_mul(term, powers[c][n])
-        re, im = re + term[0], im + term[1]
-    scale = den**length
-    return complex(re / scale, im / scale) if is_complex else re / scale
+    hist = CompositionHistogram.of_rows(vectors, len(weights))
+    return hist.complete_weight_enum(weights)
+
+
+def monochrome_histogram(
+    g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS
+) -> tuple[int, ...]:
+    """Entry i counts the vertex q-colourings with exactly i monochromatic
+    edges, from one walk over all q^|V| of them."""
+    count_terms(q, g.num_vertices, max_terms)
+    hist = np.zeros(g.num_edges + 1, dtype=np.int64)
+    for chunk in index_blocks(q, g.num_vertices):
+        # one contiguous row per vertex, in the narrowest dtypes that fit
+        colours = chunk.T.astype(np.min_scalar_type(max(q - 1, 0)))
+        mono = np.zeros(chunk.shape[0], dtype=np.min_scalar_type(g.num_edges))
+        for u, v in g.edges:
+            mono += colours[u] == colours[v]
+        hist += np.bincount(mono, minlength=g.num_edges + 1)
+    return tuple(hist.tolist())
 
 
 def monochrome_polynomial(
     g: Multigraph, q: int, t, max_terms: int = DEFAULT_MAX_TERMS
 ):
     """sum over vertex q-colourings of t^(number of monochromatic edges)."""
-    count_terms(q, g.num_vertices, max_terms)
-    hist = [0] * (g.num_edges + 1)
-    for chunk in index_blocks(q, g.num_vertices):
-        mono = np.zeros(chunk.shape[0], dtype=np.int64)
-        for u, v in g.edges:
-            mono += chunk[:, u] == chunk[:, v]
-        counts = np.bincount(mono, minlength=g.num_edges + 1)
-        for i, c in enumerate(counts):
-            hist[i] += int(c)
-    return sum(c * t**i for i, c in enumerate(hist) if c)
+    return count_polynomial(monochrome_histogram(g, q, max_terms), t)

@@ -87,13 +87,25 @@ def _record(name, anchor, lhs, rhs, tol) -> CheckRecord:
     return CheckRecord(name, anchor, _fmt(lhs), _fmt(rhs), resid, resid <= tol)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _rng(seed: int, salt: int):
+    return np.random.default_rng(seed * 1000003 + salt)
 
 
 @dataclass
 class VerifyContext:
+    """One battery call's inputs, and the oracle quantities that several
+    checks read, each built at most once per call on first use.
+
+    The context holds the graph's Tutte polynomial, one composition
+    histogram of its flows and one of its tensions, and one histogram of
+    monochromatic-edge counts over its vertex colourings.  The flows and
+    tensions enter the checks only through their colour compositions, so
+    each set is grouped block by block as it is listed, never joined or
+    sorted.  A builder over its term cap raises again for each check that
+    asks, so each such check skips on its own.  Quantities that do not
+    depend on the graph are shared between calls instead (``_shared_by``,
+    ``_orthogonal_draws``, ``_spectral_draws``)."""
+
     doc: GraphDocument
     group: Group
     tol: float
@@ -105,30 +117,62 @@ class VerifyContext:
         return self.doc.graph
 
     @functools.cached_property
-    def flows(self) -> np.ndarray:
-        """The graph's flows over the group, listed once per battery call
-        and shared, read-only, by every check that reads them."""
-        return _read_only(
-            oracles.enumerate_flows(self.graph, self.group, max_terms=self.max_terms)
+    def tutte(self) -> oracles.TuttePolynomial:
+        return oracles.tutte(self.graph)
+
+    @functools.cached_property
+    def flow_compositions(self) -> oracles.CompositionHistogram:
+        return oracles.flow_compositions(self.graph, self.group, max_terms=self.max_terms)
+
+    @functools.cached_property
+    def tension_compositions(self) -> oracles.CompositionHistogram:
+        return oracles.tension_compositions(
+            self.graph, self.group, max_terms=self.max_terms
         )
 
     @functools.cached_property
-    def tensions(self) -> np.ndarray:
-        """The graph's tensions over the group, as ``flows``."""
-        return _read_only(
-            oracles.enumerate_tensions(self.graph, self.group, max_terms=self.max_terms)
-        )
+    def monochrome_histogram(self) -> tuple[int, ...]:
+        return oracles.monochrome_histogram(self.graph, self.group.q, self.max_terms)
 
     def rng(self, salt: int = 0):
-        return np.random.default_rng(self.seed * 1000003 + salt)
+        return _rng(self.seed, salt)
 
     def cvec(self, rng, n: int) -> np.ndarray:
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def _shared_by(key):
+    """Share a check's records between battery calls that agree on
+    ``key(ctx)``, for a check that reads nothing else of the context: the
+    check runs once per process for each key."""
+
+    def wrap(check):
+        cache: dict = {}
+
+        @functools.wraps(check)
+        def shared(ctx: VerifyContext):
+            k = key(ctx)
+            if k not in cache:
+                cache[k] = tuple(check(ctx))
+            return list(cache[k])
+
+        return shared
+
+    return wrap
+
+
+def _group_seed_tol(ctx: VerifyContext):
+    """Everything of the context that a graph-free check reads: the
+    group's tables, the seed and the tolerance."""
+    G = ctx.group
+    tables = tuple(a.tobytes() for a in (G.add, G.neg, G.mul, G.chi))
+    return G.name, G.flavour, G.factors, tables, ctx.seed, ctx.tol
+
+
 # ---------------------------------------------------------------- fourier
 
 
+@_shared_by(_group_seed_tol)
 def _check_unitarity(ctx: VerifyContext):
     out = []
     rng = ctx.rng(1)
@@ -142,6 +186,7 @@ def _check_unitarity(ctx: VerifyContext):
     return out
 
 
+@_shared_by(_group_seed_tol)
 def _check_involution(ctx: VerifyContext):
     out = []
     rng = ctx.rng(2)
@@ -170,6 +215,7 @@ def _check_involution(ctx: VerifyContext):
     return out
 
 
+@_shared_by(_group_seed_tol)
 def _check_convolution(ctx: VerifyContext):
     rng = ctx.rng(3)
     G = ctx.group
@@ -188,6 +234,7 @@ def _check_convolution(ctx: VerifyContext):
     ]
 
 
+@_shared_by(_group_seed_tol)
 def _check_subgroup_transform(ctx: VerifyContext):
     out = []
     G = ctx.group
@@ -237,6 +284,7 @@ def _check_subgroup_transform(ctx: VerifyContext):
     return out
 
 
+@_shared_by(_group_seed_tol)
 def _check_character_bijection(ctx: VerifyContext):
     G = ctx.group
     rows = {tuple(np.round(G.chi[G.mul[a]], 9)) for a in range(G.q)}
@@ -252,7 +300,6 @@ def _check_character_bijection(ctx: VerifyContext):
 
 
 def _check_orthogonal_invariance(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     G = ctx.group
     rng = ctx.rng(4)
@@ -262,21 +309,29 @@ def _check_orthogonal_invariance(ctx: VerifyContext):
     # freeze the random family so both sides see identical tables
     for v in range(g.num_vertices):
         weights.table(g.degree(v))
-    for i in range(5):
-        U = random_orthogonal(G.q, ctx.seed * 17 + i)
-        ok = orthogonal_invariance_check(
-            g, weights, U, tol=max(ctx.tol, 1e-8), max_terms=ctx.max_terms
+    Us = _orthogonal_draws(G.q, ctx.seed)
+    oks = orthogonal_invariance_check(
+        g, weights, Us, tol=max(ctx.tol, 1e-8), max_terms=ctx.max_terms
+    )
+    return [
+        _record(
+            f"models.orthogonal-invariance.u{i}",
+            "models.orthogonal-invariance",
+            1.0 if ok else 0.0,
+            1.0,
+            0,
         )
-        out.append(
-            _record(
-                f"models.orthogonal-invariance.u{i}",
-                "models.orthogonal-invariance",
-                1.0 if ok else 0.0,
-                1.0,
-                0,
-            )
-        )
-    return out
+        for i, ok in enumerate(oks)
+    ]
+
+
+@functools.cache  # independent of graph and group flavour: once per (q, seed)
+def _orthogonal_draws(q: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The five orthogonal matrices of the invariance check, read-only."""
+    Us = tuple(random_orthogonal(q, seed * 17 + i) for i in range(5))
+    for U in Us:
+        U.flags.writeable = False
+    return Us
 
 
 FOURIER_CHECKS = [
@@ -296,10 +351,10 @@ def _check_hwe_tutte(ctx: VerifyContext):
     out = []
     g = ctx.graph
     q = ctx.group.q
-    flows = ctx.flows
-    T = oracles.tutte(g)
+    flows = ctx.flow_compositions
+    T = ctx.tutte
     for s in (2, 3):
-        lhs = oracles.hamming_weight_enum(flows, s, g.num_edges)
+        lhs = flows.hamming_weight_enum(s)
         rhs = (s - 1) ** (g.num_edges - T.full_rank) * T(
             Fraction(s), Fraction(s - 1 + q, s - 1)
         )
@@ -313,11 +368,12 @@ def _check_monochrome(ctx: VerifyContext):
     out = []
     g = ctx.graph
     q = ctx.group.q
-    tensions = ctx.tensions
+    tensions = ctx.tension_compositions
+    mono = ctx.monochrome_histogram
     kG = components(g)
     for t in (0, 2, 3):
-        lhs = q**kG * oracles.hamming_weight_enum(tensions, t, g.num_edges)
-        rhs = oracles.monochrome_polynomial(g, q, t, max_terms=ctx.max_terms)
+        lhs = q**kG * tensions.hamming_weight_enum(t)
+        rhs = oracles.count_polynomial(mono, t)
         out.append(
             _record(
                 f"tensions.monochrome-polynomial.t{t}",
@@ -334,17 +390,17 @@ def _check_macwilliams(ctx: VerifyContext):
     out = []
     g = ctx.graph
     G = ctx.group
-    flows = ctx.flows
-    tensions = ctx.tensions
+    flows = ctx.flow_compositions
+    tensions = ctx.tension_compositions
     rng = ctx.rng(5)
     F = G.fourier_matrix()
     for i in range(5):
         h = ctx.cvec(rng, G.q)
-        lhs = oracles.complete_weight_enum(flows, h)
+        lhs = flows.complete_weight_enum(h)
         rhs = (
             G.q ** (-g.num_edges / 2)
-            * len(flows)
-            * oracles.complete_weight_enum(tensions, F @ h)
+            * flows.rows
+            * tensions.complete_weight_enum(F @ h)
         )
         out.append(
             _record(f"macwilliams.cwe-dual.draw{i}", "macwilliams.poisson", lhs, rhs, 1e-8)
@@ -372,12 +428,12 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
     out = []
     g = ctx.graph
     G = ctx.group
-    flows = ctx.flows
-    tensions = ctx.tensions
+    flows = ctx.flow_compositions
+    tensions = ctx.tension_compositions
     rng = ctx.rng(7)
     for i in range(5):
         gv = ctx.cvec(rng, G.q)
-        oracle = oracles.complete_weight_enum(flows, gv * gv[G.neg])
+        oracle = flows.complete_weight_enum(gv * gv[G.neg])
         v1 = duality.flow_cwe_vertex_model(g, G, gv, max_terms=ctx.max_terms).value
         v2 = duality.flow_cwe_edge_model(g, G, gv, max_terms=ctx.max_terms).value
         out.append(
@@ -388,7 +444,7 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
         )
         fq = QFunction(G, 1, gv)
         conv = convolve(fq, negate(fq)).values
-        toracle = oracles.complete_weight_enum(tensions, conv)
+        toracle = tensions.complete_weight_enum(conv)
         v3 = duality.tension_cwe_expectation(g, G, gv, max_terms=ctx.max_terms).value
         out.append(
             _record(
@@ -406,7 +462,7 @@ def _check_tutte_edge_model(ctx: VerifyContext):
     out = []
     g = ctx.graph
     q = ctx.group.q
-    T = oracles.tutte(g)
+    T = ctx.tutte
     for s in (2, 3):
         got = duality.tutte_edge_model(g, q, s, max_terms=ctx.max_terms).value
         s2 = Fraction(s) ** 2
@@ -443,10 +499,28 @@ def _check_gf4_identity(ctx: VerifyContext):
 
 
 def _check_spectral(ctx: VerifyContext):
-    out = []
     g = ctx.graph
-    q = ctx.group.q
-    rng = ctx.rng(8)
+    G = ctx.group
+    records, gm, fv = _spectral_draws(G.q, ctx.seed)
+    vm = VertexModel(
+        G,
+        QFunction(G, 1, fv.astype(complex)),
+        QFunction(G, 2, gm.reshape(-1).astype(complex)),
+    )
+    lhs = vertex_partition(g, vm, max_terms=ctx.max_terms).value
+    rhs = duality.spectral_edge_model(g, G.q, fv, gm, max_terms=ctx.max_terms).value
+    return [
+        *records,
+        _record("spectral.partition-equality", "spectral.edge-model", lhs, rhs, ctx.tol),
+    ]
+
+
+@functools.cache  # independent of graph and group flavour: once per (q, seed)
+def _spectral_draws(q: int, seed: int):
+    """The split records of ten random symmetric q x q matrices, then the
+    symmetric g and the vertex weight f that the partition check reads,
+    drawn in that order from the check's stream; g and f are read-only."""
+    rng = _rng(seed, 8)
     worst_recon = 0.0
     rank_ok = True
     for i in range(10):
@@ -457,33 +531,22 @@ def _check_spectral(ctx: VerifyContext):
         nz = sum(1 for c in range(q) if np.abs(h[:, c]).max() > 0)
         num_rank = np.linalg.matrix_rank(gm, tol=1e-9 * np.linalg.norm(gm, 2))
         rank_ok = rank_ok and (nz == num_rank)
-    out.append(
-        _record("spectral.reconstruction", "spectral.split", worst_recon, 0.0, 1e-9)
-    )
-    out.append(
+    records = (
+        _record("spectral.reconstruction", "spectral.split", worst_recon, 0.0, 1e-9),
         _record(
             "spectral.rank-columns",
             "spectral.split",
             1.0 if rank_ok else 0.0,
             1.0,
             0,
-        )
+        ),
     )
     A = rng.standard_normal((q, q))
     gm = (A + A.T) / 2
     fv = rng.standard_normal(q)
-    G = ctx.group
-    vm = VertexModel(
-        G,
-        QFunction(G, 1, fv.astype(complex)),
-        QFunction(G, 2, gm.reshape(-1).astype(complex)),
-    )
-    lhs = vertex_partition(g, vm, max_terms=ctx.max_terms).value
-    rhs = duality.spectral_edge_model(g, q, fv, gm, max_terms=ctx.max_terms).value
-    out.append(
-        _record("spectral.partition-equality", "spectral.edge-model", lhs, rhs, ctx.tol)
-    )
-    return out
+    gm.flags.writeable = False
+    fv.flags.writeable = False
+    return records, gm, fv
 
 
 def _check_xq(ctx: VerifyContext):
@@ -540,6 +603,7 @@ DUALITY_CHECKS = [
 # ---------------------------------------------------------------- signed
 
 
+@_shared_by(lambda ctx: ())  # reads nothing of the context
 def _check_character_det(ctx: VerifyContext):
     out = []
     worst = 0.0
@@ -552,12 +616,8 @@ def _check_character_det(ctx: VerifyContext):
     return out
 
 
+@_shared_by(lambda ctx: ())  # reads nothing of the context
 def _check_parity_transforms(ctx: VerifyContext):
-    return list(_parity_transform_records())
-
-
-@functools.cache  # independent of graph, group and context: once per process
-def _parity_transform_records() -> tuple[CheckRecord, ...]:
     out = []
     for k, q in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5)):
         G = cyclic_group(q)
@@ -589,7 +649,7 @@ def _parity_transform_records() -> tuple[CheckRecord, ...]:
                 1e-9,
             )
         )
-    return tuple(out)
+    return out
 
 
 def _signed_ctx_degree(ctx: VerifyContext) -> int | None:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qcolour.cli import main
@@ -10,7 +11,7 @@ from qcolour.graphio import (
     parse_graph,
     serialize_graph,
 )
-from qcolour.groups import cyclic_group
+from qcolour.groups import cyclic_group, group_from_name
 from qcolour.verify import SUITES, run_battery
 
 
@@ -175,14 +176,18 @@ def test_verify_suite_counts_guard():
 
 
 def test_verify_detects_failure(monkeypatch, corpus_files, capsys):
-    # sabotage one oracle so the battery must report a failure and exit nonzero
+    # sabotage one oracle so the battery must report a failure and exit
+    # nonzero: one more colouring with no monochromatic edge
     import qcolour.verify as verify_mod
 
     path, _ = corpus_files["triangle"]
-    real = verify_mod.oracles.monochrome_polynomial
-    monkeypatch.setattr(
-        verify_mod.oracles, "monochrome_polynomial", lambda *a, **k: real(*a, **k) + 1
-    )
+    real = verify_mod.oracles.monochrome_histogram
+
+    def sabotaged(*args, **kwargs):
+        first, *rest = real(*args, **kwargs)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(verify_mod.oracles, "monochrome_histogram", sabotaged)
     code = main(["verify", "--graph", path, "--q", "2", "--suite", "duality"])
     out = capsys.readouterr()
     assert code == 1
@@ -202,7 +207,8 @@ def test_verify_petersen_runs_every_check():
 def test_battery_lists_flows_and_tensions_once(monkeypatch):
     import qcolour.verify as verify_mod
 
-    calls = {"enumerate_flows": 0, "enumerate_tensions": 0}
+    # each histogram is built once per call, from one listing of its set
+    calls = {"flow_compositions": 0, "tension_compositions": 0, "monochrome_histogram": 0}
     for fname in calls:
         real = getattr(verify_mod.oracles, fname)
 
@@ -214,7 +220,11 @@ def test_battery_lists_flows_and_tensions_once(monkeypatch):
     fx = CORPUS["prism"]
     doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
     records = run_battery(doc, cyclic_group(3), seed=0)
-    assert calls == {"enumerate_flows": 1, "enumerate_tensions": 1}
+    assert calls == {
+        "flow_compositions": 1,
+        "tension_compositions": 1,
+        "monochrome_histogram": 1,
+    }
     assert all(rec.passed is True for rec in records)
     # over the cap, every check that reads them still skips on its own
     records = run_battery(doc, cyclic_group(4), max_terms=100, seed=0)
@@ -226,10 +236,43 @@ def test_battery_lists_flows_and_tensions_once(monkeypatch):
         "skip.flow_cwe_routes",
     } <= skipped
     ctx = verify_mod.VerifyContext(doc, cyclic_group(3), 1e-7, 10**8, 0)
+    # the histograms are shared by the checks, so none can alter them
+    for hist in (ctx.flow_compositions, ctx.tension_compositions):
+        with pytest.raises(ValueError):
+            hist.comps[0, 0] = 1
+        with pytest.raises(ValueError):
+            hist.mults[0] = 1
+    assert isinstance(ctx.monochrome_histogram, tuple)
+
+
+def test_spectral_split_records_depend_on_q_and_seed_alone():
+    import qcolour.verify as verify_mod
+
+    fx = CORPUS["theta"]
+    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+
+    def spectral(spec):
+        records = run_battery(doc, group_from_name(spec), ("duality",), seed=3)
+        return [rec for rec in records if rec.name.startswith("spectral.")]
+
+    first = spectral("4")
+    # groups of one order, and a second call, share the split draws
+    assert [spectral(spec) for spec in ("4", "2x2", "f4")] == [first] * 3
+    assert [rec.name for rec in first] == [
+        "spectral.reconstruction",
+        "spectral.rank-columns",
+        "spectral.partition-equality",
+    ]
+    assert all(rec.passed is True for rec in first)
+    # the cached draws equal fresh ones and cannot be altered
+    records, gm, fv = verify_mod._spectral_draws(4, 3)
+    fresh_records, fresh_gm, fresh_fv = verify_mod._spectral_draws.__wrapped__(4, 3)
+    assert isinstance(records, tuple) and records == fresh_records == tuple(first[:2])
+    assert np.array_equal(gm, fresh_gm) and np.array_equal(fv, fresh_fv)
     with pytest.raises(ValueError):
-        ctx.flows[0, 0] = 1
+        gm[0, 0] = 1.0
     with pytest.raises(ValueError):
-        ctx.tensions[0, 0] = 1
+        fv[0] = 1.0
 
 
 def test_cli_verify_reports_cap_skips(corpus_files, capsys):

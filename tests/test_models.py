@@ -173,9 +173,8 @@ def test_orthogonal_invariance_identity_and_signed_permutation():
     )
     for v in range(g.num_vertices):
         w.table(g.degree(v))
-    assert orthogonal_invariance_check(g, w, np.eye(3))
     signed_perm = np.array([[0, -1, 0], [1, 0, 0], [0, 0, -1]], dtype=float)
-    assert orthogonal_invariance_check(g, w, signed_perm)
+    assert orthogonal_invariance_check(g, w, [np.eye(3), signed_perm]) == (True, True)
 
 
 @pytest.mark.parametrize("q,seed", [(2, 0), (2, 3), (3, 1)])
@@ -189,7 +188,7 @@ def test_orthogonal_invariance_random(q, seed):
     for v in range(g.num_vertices):
         w.table(g.degree(v))
     U = random_orthogonal(q, seed)
-    assert orthogonal_invariance_check(g, w, U, tol=1e-8)
+    assert orthogonal_invariance_check(g, w, [U], tol=1e-8) == (True,)
 
 
 def test_orthogonal_invariance_rejects_non_orthogonal():
@@ -197,4 +196,35 @@ def test_orthogonal_invariance_rejects_non_orthogonal():
     G = cyclic_group(2)
     w = VertexWeights.uniform(G)
     not_orth = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert not orthogonal_invariance_check(g, w, not_orth)
+    assert orthogonal_invariance_check(g, w, [not_orth]) == (False,)
+    assert orthogonal_invariance_check(g, w, [not_orth, np.eye(2)]) == (False, True)
+
+
+def test_orthogonal_invariance_pairs_the_unchanged_weights_once(monkeypatch):
+    import qcolour.models as models_mod
+
+    g = graph_of("k4")
+    G = cyclic_group(3)
+    rng = np.random.default_rng(7)
+    w = VertexWeights.from_tuple_function(
+        G, lambda t: complex(rng.standard_normal(), rng.standard_normal())
+    )
+    for v in range(g.num_vertices):
+        w.table(g.degree(v))
+    calls = []
+    real = models_mod.halfedge_inner
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models_mod, "halfedge_inner", counted)
+    Us = [random_orthogonal(3, i) for i in range(5)]
+    assert orthogonal_invariance_check(g, w, Us) == (True,) * 5
+    # one pairing of the unchanged weights, then one per transformed family
+    assert len(calls) == 6 and calls[0] is w
+    assert all(c is not w for c in calls[1:])
+    # none at all when no U fixes the monochrome indicator
+    calls.clear()
+    assert orthogonal_invariance_check(g, w, [2 * np.eye(3)]) == (False,)
+    assert calls == []

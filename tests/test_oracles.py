@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -29,15 +31,20 @@ from qcolour.groups import (
     negate,
 )
 from qcolour.oracles import (
+    CompositionHistogram,
     chromatic,
     complete_weight_enum,
+    count_polynomial,
     enumerate_flows,
     enumerate_tensions,
+    flow_compositions,
     flow_count,
     flow_polynomial,
     hamming_weight_enum,
     hwe_coefficients,
+    monochrome_histogram,
     monochrome_polynomial,
+    tension_compositions,
     tutte,
 )
 
@@ -395,3 +402,160 @@ def test_weight_enums_exact_types_and_edge_cases():
     assert hamming_weight_enum(S, 0, 3) == 1
     assert hamming_weight_enum([(0, 0, 0), (1, 0, 0)], 0, 3) == 0
     assert hamming_weight_enum(S, Fraction(1, 2), 3) == Fraction(3, 4) + 1
+
+
+# Composition histograms: the battery's route to the weight enumerators.
+# Each is held to the sorted enumerators and to a per-row reference.
+
+
+@contextlib.contextmanager
+def _small_blocks(block):
+    """List the oracles' sets in blocks of at most ``block`` free colourings,
+    so that every histogram is merged from several blocks."""
+    import qcolour.oracles as oracles_mod
+
+    real = oracles_mod.index_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles_mod, "index_blocks", lambda radix, length: real(radix, length, block))
+        yield
+
+
+def _weight_families(rng, q):
+    ints = [int(w) for w in rng.integers(-3, 4, size=q)]
+    nums, dens = rng.integers(-5, 6, size=q), rng.integers(1, 5, size=q)
+    fracs = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+    return ints, fracs, rng.standard_normal(q), complex_vec(rng, q)
+
+
+def _row_cwe(rows, weights):
+    """Per-row reference: exact for int and Fraction weights, correctly
+    rounded for float and complex ones."""
+    if isinstance(weights, list):
+        return sum(math.prod(weights[c] for c in row) for row in rows.tolist())
+    re, im = _gauss_exact(rows, weights)
+    if np.iscomplexobj(weights):
+        return complex(float(re), float(im))
+    return float(re)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    multigraphs(),
+    st.sampled_from(("2", "3", "4", "2x2", "f4")),
+    st.integers(0, 2**32 - 1),
+)
+@example(Multigraph(0, ()), "3", 0)
+@example(Multigraph(3, ()), "2x2", 1)
+@example(Multigraph(4, ((0, 1), (1, 0), (0, 0), (2, 2), (1, 2))), "f4", 2)
+def test_composition_histograms_evaluate_as_sorted_sets(g, spec, seed):
+    G = group_from_name(spec)
+    rng = np.random.default_rng(seed)
+    with _small_blocks(3):
+        streamed = (flow_compositions(g, G), tension_compositions(g, G))
+    for rows, hist in zip((enumerate_flows(g, G), enumerate_tensions(g, G)), streamed):
+        whole = CompositionHistogram.of_rows(rows, G.q)
+        assert np.array_equal(hist.comps, whole.comps)
+        assert np.array_equal(hist.mults, whole.mults)
+        assert (hist.length, hist.rows) == (g.num_edges, len(rows))
+        assert hist.hwe_coefficients() == hwe_coefficients(rows, g.num_edges)
+        for s in (0, 2, Fraction(1, 3)):
+            assert hist.hamming_weight_enum(s) == hamming_weight_enum(rows, s, g.num_edges)
+        for weights in _weight_families(rng, G.q):
+            got = hist.complete_weight_enum(weights)
+            assert got == complete_weight_enum(rows, weights) == _row_cwe(rows, weights)
+            assert type(got) is type(complete_weight_enum(rows, weights))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 25),
+    st.integers(0, 6),
+    st.integers(0, 60),
+    st.integers(1, 7),
+    st.integers(0, 2**32 - 1),
+)
+@example(23, 6, 50, 4, 0)  # (6+1)^23 > 2^63: keys re-ranked, in each part too
+def test_merged_histograms_equal_whole_set_grouping(q, length, n, block, seed):
+    rng = np.random.default_rng(seed)
+    # about half the coordinates at colour 0, whose count weighs most in a key
+    rows = rng.integers(0, q, size=(n, length)) * rng.integers(0, 2, size=(n, length))
+    whole = CompositionHistogram.of_rows(rows, q)
+    parts = [
+        CompositionHistogram.of_rows(rows[i : i + block], q)
+        for i in range(0, max(n, 1), block)
+    ]
+    merged = CompositionHistogram.merged(parts)
+    assert np.array_equal(merged.comps, whole.comps)
+    assert np.array_equal(merged.mults, whole.mults)
+    assert (merged.length, merged.rows) == (whole.length, whole.rows) == (length, n)
+    # lexicographic composition order, colour 0 most significant
+    keys = [tuple(c) for c in whole.comps.tolist()]
+    assert keys == sorted(set(keys))
+    assert int(whole.mults.sum()) == n
+
+
+def test_histogram_groups_compositions_past_int64_keys():
+    # the streamed route of test_cwe_groups_compositions_past_int64_keys:
+    # K4 tensions over Z23, (|E|+1)^q > 2^63, in blocks of 23^2 rows
+    g = graph_of("k4")
+    rows = enumerate_tensions(g, cyclic_group(23))
+    with _small_blocks(23**2):
+        hist = tension_compositions(g, cyclic_group(23))
+    whole = CompositionHistogram.of_rows(rows, 23)
+    assert (g.num_edges + 1) ** 23 > 2**63
+    assert hist.rows == len(rows) == 23**3
+    assert np.array_equal(hist.comps, whole.comps)
+    assert np.array_equal(hist.mults, whole.mults)
+    # the zero tension's key, 6 * 7^22, is past 2^63: it must still sort last
+    keys = [tuple(c) for c in hist.comps.tolist()]
+    assert keys == sorted(keys) and keys[-1] == (6,) + (0,) * 22
+    rng = np.random.default_rng(23)
+    for weights in ([int(w) for w in rng.integers(-9, 10, size=23)], complex_vec(rng, 23)):
+        assert hist.complete_weight_enum(weights) == complete_weight_enum(rows, weights)
+
+
+def test_histogram_edge_cases():
+    empty = CompositionHistogram.of_rows([], 3)
+    assert (empty.rows, empty.length, empty.comps.shape) == (0, 0, (0, 3))
+    assert empty.complete_weight_enum([1.5, 2.5, 1]) == 0
+    assert empty.hwe_coefficients() == [0] and empty.hamming_weight_enum(2) == 0
+    # width-0 rows: an edgeless graph has one flow and one tension, both empty
+    g = Multigraph(3, ())
+    for hist in (flow_compositions(g, gf4()), tension_compositions(g, gf4())):
+        assert (hist.rows, hist.length) == (1, 0)
+        assert hist.complete_weight_enum([0.5, 2, 3, 4]) == 1.0
+        assert hist.complete_weight_enum([0, 2, 3, 4]) == 1
+        assert hist.hamming_weight_enum(0) == 1
+    wide = CompositionHistogram.of_rows(np.zeros((4, 0), dtype=np.int64), 1)
+    assert wide.complete_weight_enum([1.5]) == complete_weight_enum(
+        np.zeros((4, 0), dtype=np.int64), [1.5]
+    ) == 4
+    with pytest.raises(ValueError):
+        CompositionHistogram.of_rows([[0, 3]], 3)
+    with pytest.raises(ValueError):
+        CompositionHistogram.of_rows([[0, -1]], 3)
+    with pytest.raises(ValueError):
+        CompositionHistogram.of_rows([[0, 1]], 2).complete_weight_enum([1, 2, 3])
+
+
+def _monochrome_walk(g, q, t):
+    """Per-t reference: every vertex colouring, one term each, as
+    ``monochrome_polynomial`` walked them before it kept a histogram."""
+    total = 0
+    for colours in itertools.product(range(q), repeat=g.num_vertices):
+        total += t ** sum(colours[u] == colours[v] for u, v in g.edges)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), st.integers(1, 4))
+@example(Multigraph(0, ()), 3)
+@example(Multigraph(2, ((0, 0), (0, 1), (1, 0))), 2)
+def test_monochrome_histogram_evaluates_as_the_walk(g, q):
+    hist = monochrome_histogram(g, q)
+    assert len(hist) == g.num_edges + 1 and sum(hist) == q**g.num_vertices
+    with _small_blocks(5):
+        assert monochrome_histogram(g, q) == hist
+    for t in (0, 1, 2, 3, Fraction(2, 3)):
+        want = _monochrome_walk(g, q, t)
+        assert count_polynomial(hist, t) == monochrome_polynomial(g, q, t) == want
