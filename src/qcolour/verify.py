@@ -144,18 +144,20 @@ class VerifyContext:
 def _shared_by(key):
     """Share a check's records between battery calls that agree on
     ``key(ctx)``, for a check that reads nothing else of the context: the
-    check runs once per process for each key."""
+    check runs once per process for each key.  The shared check keeps the
+    check's name, and ``uncached`` is the check itself."""
 
     def wrap(check):
         cache: dict = {}
 
-        @functools.wraps(check)
         def shared(ctx: VerifyContext):
             k = key(ctx)
             if k not in cache:
                 cache[k] = tuple(check(ctx))
             return list(cache[k])
 
+        shared.__name__ = shared.__qualname__ = check.__name__
+        shared.uncached = check
         return shared
 
     return wrap

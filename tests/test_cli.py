@@ -275,6 +275,32 @@ def test_spectral_split_records_depend_on_q_and_seed_alone():
         fv[0] = 1.0
 
 
+def test_graph_free_records_are_shared_and_equal_fresh_ones():
+    import qcolour.verify as verify_mod
+
+    shared = [
+        verify_mod._check_unitarity,
+        verify_mod._check_involution,
+        verify_mod._check_convolution,
+        verify_mod._check_subgroup_transform,
+        verify_mod._check_character_bijection,
+        verify_mod._check_character_det,
+        verify_mod._check_parity_transforms,
+    ]
+    for name in ("theta", "k4"):
+        fx = CORPUS[name]
+        doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+        for spec in ("3", "2x2", "f4"):
+            # tol 0 fails the float residuals, so a key without tol would show
+            for tol in (1e-7, 0.0):
+                ctx = verify_mod.VerifyContext(doc, group_from_name(spec), tol, 10**8, 2)
+                for check in shared:
+                    records = check(ctx)
+                    assert records and records == check.uncached(ctx)
+                    records.clear()  # a caller's list is its own
+                    assert check(ctx)
+
+
 def test_cli_verify_reports_cap_skips(corpus_files, capsys):
     path, _ = corpus_files["prism"]
     code = main(
