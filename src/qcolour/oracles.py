@@ -311,18 +311,10 @@ class CompositionHistogram:
         return cls(_read_only(comps), _read_only(mults), length, rows)
 
     @functools.cached_property
-    def _terms(self) -> list[tuple[int, list[tuple[int, int]]]]:
-        """Each composition as its multiplicity and its nonzero (colour,
-        count) pairs, as Python ints for exact products."""
-        return [
-            (m, [(c, n) for c, n in enumerate(comp) if n])
-            for comp, m in zip(self.comps.tolist(), self.mults.tolist())
-        ]
-
-    @functools.cached_property
-    def _tops(self) -> list[int]:
-        """Each colour's largest count over the compositions."""
-        return self.comps.max(axis=0).tolist()
+    def _lists(self) -> tuple[list[list[int]], list[int]]:
+        """The compositions and multiplicities as Python ints, for exact
+        products."""
+        return self.comps.tolist(), self.mults.tolist()
 
     def hwe_coefficients(self) -> list[int]:
         """Entry w counts the rows with exactly w coordinates at colour 0."""
@@ -344,29 +336,46 @@ class CompositionHistogram:
             )
         if self.rows == 0:
             return 0
-        terms = self._terms
+        comps, mults = self._lists
+
+        def direct(ws):
+            return sum(
+                m * math.prod(ws[c] ** n for c, n in enumerate(comp) if n)
+                for comp, m in zip(comps, mults)
+            )
+
         if all(isinstance(w, (int, np.integer, Fraction)) for w in weights):
-            ws = [w if isinstance(w, Fraction) else int(w) for w in weights]
-            return sum(m * math.prod(ws[c] ** n for c, n in comp) for m, comp in terms)
+            return direct([w if isinstance(w, Fraction) else int(w) for w in weights])
         zs = [complex(w) for w in weights]
         is_complex = any(isinstance(w, (complex, np.complexfloating)) for w in weights)
         if not np.isfinite(zs).all():
-            total = sum(m * math.prod(zs[c] ** n for c, n in comp) for m, comp in terms)
+            total = direct(zs)
             return total if is_complex else total.real
         ratios = [x.as_integer_ratio() for z in zs for x in (z.real, z.imag)]
         den = max(d for _n, d in ratios)
         parts = [n * (den // d) for n, d in ratios]
         # each colour's powers up to its largest count in the histogram
         powers = [[(1, 0)] for _ in zs]
-        for c, (base, top) in enumerate(zip(zip(parts[::2], parts[1::2]), self._tops)):
+        tops = np.max(self.comps, axis=0).tolist()
+        for c, (base, top) in enumerate(zip(zip(parts[::2], parts[1::2]), tops)):
             for _ in range(top):
                 powers[c].append(_gauss_mul(powers[c][-1], base))
+        # prefix[c] is the product of the powers of colours 0..c-1; in
+        # lexicographic order a composition shares it with the one before
+        # up to the first colour whose count differs
+        q = len(zs)
+        prefix = [(1, 0)] * (q + 1)
+        prev = [-1] * q
         re = im = 0
-        for m, comp in terms:
-            term = (m, 0)
-            for c, n in comp:
-                term = _gauss_mul(term, powers[c][n])
-            re, im = re + term[0], im + term[1]
+        for comp, m in zip(comps, mults):
+            j = 0
+            while comp[j] == prev[j]:
+                j += 1
+            for c in range(j, q):
+                n = comp[c]
+                prefix[c + 1] = _gauss_mul(prefix[c], powers[c][n]) if n else prefix[c]
+            re, im = re + m * prefix[q][0], im + m * prefix[q][1]
+            prev = comp
         scale = den**self.length
         return complex(re / scale, im / scale) if is_complex else re / scale
 
