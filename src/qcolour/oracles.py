@@ -17,11 +17,13 @@ each distinct composition with its multiplicity: each row's colour counts
 come from one bincount and fold into one integer key, and one 1-D unique
 groups the keys.  ``flow_compositions`` and ``tension_compositions`` group
 block by block as the set is listed and merge the small per-block
-histograms, so the set is never joined or sorted; every enumerator is then
-an evaluation of the histogram.  ``monochrome_polynomial`` likewise
-evaluates one histogram of monochromatic-edge counts over all vertex
-colourings.  These deliberately share no code path with the model
-evaluators they verify.
+histograms, so the set is never joined or sorted, and each enumerator the
+battery reads is an evaluation of a histogram.  ``complete_weight_enum``
+groups the rows it is given the same way; ``hamming_weight_enum`` counts
+zeros row by row, which is cheaper than grouping.
+``monochrome_polynomial`` likewise evaluates one histogram of
+monochromatic-edge counts over all vertex colourings.  These deliberately
+share no code path with the model evaluators they verify.
 """
 
 from __future__ import annotations

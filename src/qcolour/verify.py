@@ -101,7 +101,7 @@ class VerifyContext:
     monochromatic-edge counts over its vertex colourings.  The flows and
     tensions enter the checks only through their colour compositions, so
     each set is grouped block by block as it is listed, never joined or
-    sorted.  A builder over its term cap raises again for each check that
+    sorted.  A quantity over its term cap raises again for each check that
     asks, so each such check skips on its own.  Quantities that do not
     depend on the graph are shared between calls instead (``_shared_by``,
     ``_orthogonal_draws``, ``_spectral_draws``)."""
