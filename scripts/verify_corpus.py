@@ -5,6 +5,10 @@ Exits nonzero if any check fails anywhere; prints one summary line per
 (graph, group) pair with its failed and skipped counts and the seconds its
 battery took, every failing record in full, and the total seconds.  A
 skipped check (over its term cap) is not a failure.
+
+Checks that read nothing of the group share their records between the
+groups of one graph, so a graph's first group carries their time and its
+later groups' seconds are lower; the records are the same.
 """
 
 import argparse

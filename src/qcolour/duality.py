@@ -13,11 +13,16 @@ sum_a f(a) prod over half-edges of h(a, y_e).  ``_split_vertex_sum`` is its
 vertex side (f uniform) and ``_split_edge_sum`` its edge side; the flow and
 tension weight-enumerator routes, the Tutte, spectral and X_Q edge models
 only choose f, h and a prefactor.
+
+The sums take stacked weights: a weight vector or matrix with one leading
+axis more than it needs holds one weight per batch entry, and the sum
+comes back with one value per entry from one batched contraction
+(``models.eliminate``).  So a check that draws several weights pays for
+one plan and one pass of Python over the graph, not one per draw.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -61,10 +66,18 @@ __all__ = [
 
 
 def _as_weights(group: Group, table) -> np.ndarray:
-    vec = np.asarray(list(table), dtype=np.complex128)
-    if vec.shape != (group.q,):
+    """A weight table as a complex array whose last axis has one entry per
+    group element; any leading axis is a batch."""
+    vec = np.asarray(table, dtype=np.complex128)
+    if vec.shape[-1:] != (group.q,):
         raise ValueError(f"weight table must have {group.q} entries")
     return vec
+
+
+def _transform(F: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """F @ v for each vector v on the last axis of ``vecs``; one
+    matrix-vector product per entry, as for a single vector."""
+    return np.matmul(F, vecs[..., None])[..., 0]
 
 
 def tension_vertex_sum(
@@ -75,11 +88,15 @@ def tension_vertex_sum(
     edge_vecs,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
-    """sum over vertex colourings x of prod_v vv[x_v] * prod_e ev[(dx)_e]."""
+    """sum over vertex colourings x of prod_v vv[x_v] * prod_e ev[(dx)_e].
+    Each vector may carry a leading batch axis (see ``models.eliminate``)."""
     factors = [(vertex_vecs[v], (v,)) for v in range(g.num_vertices)]
     # ev[sub.T] at (x_tail, x_head) is ev[x_head - x_tail]; a loop reads ev[0]
     factors += [
-        (edge_vecs[e][group.sub.T], (orient.tail(g, e), orient.head(g, e)))
+        (
+            np.asarray(edge_vecs[e])[..., group.sub.T],
+            (orient.tail(g, e), orient.head(g, e)),
+        )
         for e in range(g.num_edges)
     ]
     return factor_sum(group.q, g.num_vertices, factors, max_terms)
@@ -93,7 +110,8 @@ def boundary_edge_sum(
     edge_vecs,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
-    """sum over edge colourings y of prod_v vv[(dy)_v] * prod_e ev[y_e]."""
+    """sum over edge colourings y of prod_v vv[(dy)_v] * prod_e ev[y_e].
+    Each vector may carry a leading batch axis (see ``models.eliminate``)."""
     factors = []
     for v in range(g.num_vertices):
         # a loop's two half-edges cancel in the boundary, so only non-loop
@@ -105,7 +123,7 @@ def boundary_edge_sum(
             if orient.sigma(e, end) == -1:
                 col = group.neg[col]
             bnd = group.add[bnd, col]
-        factors.append((vertex_vecs[v][bnd], [e for e, _end in hs]))
+        factors.append((np.asarray(vertex_vecs[v])[..., bnd], [e for e, _end in hs]))
     factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
     return factor_sum(group.q, g.num_edges, factors, max_terms)
 
@@ -122,6 +140,7 @@ def general_duality_sides(
 
     Left: q^(-|V|/2) sum_x prod f_v(x_v) prod conj(g_e)((dx)_e).
     Right: q^(-|E|/2) sum_y prod (Ff_v)((dy)_v) prod conj((Fg_e))(y_e).
+    Weights with a leading batch axis give both sides per entry.
     """
     q = group.q
     f_vecs = [_as_weights(group, f) for f in f_vecs]
@@ -130,8 +149,8 @@ def general_duality_sides(
         g, group, orient, f_vecs, [h.conj() for h in g_vecs], max_terms
     )
     F = group.fourier_matrix()
-    fF = [F @ f for f in f_vecs]
-    gF = [(F @ h).conj() for h in g_vecs]
+    fF = [_transform(F, f) for f in f_vecs]
+    gF = [_transform(F, h).conj() for h in g_vecs]
     rhs = boundary_edge_sum(g, group, orient, fF, gF, max_terms)
     return (
         q ** (-g.num_vertices / 2) * lhs.value,
@@ -156,25 +175,36 @@ def _split_vertex_sum(
     g: Multigraph, q: int, h: np.ndarray, max_terms: int
 ) -> ModelValue:
     """Vertex side of the split: sum_x prod_e sum_b h[x_tail, b] h[x_head, b],
-    the vertex model with edge interaction h h^T and unit vertex weights."""
-    return vertex_table_sum(g, q, [h @ h.T] * g.num_edges, max_terms=max_terms)
+    the vertex model with edge interaction h h^T and unit vertex weights.
+    A stack of matrices h gives one sum per matrix; with no edges each is
+    q^|V|."""
+    # on a contiguous stack, each entry takes the product a single h takes
+    h = np.ascontiguousarray(h)
+    hhT = h @ np.swapaxes(h, -1, -2)
+    mv = vertex_table_sum(g, q, [hhT] * g.num_edges, max_terms=max_terms)
+    return mv.broadcast(h.shape[:-2])
 
 
 def _split_edge_sum(
     g: Multigraph, q: int, f: np.ndarray, h: np.ndarray, max_terms: int
 ) -> ModelValue:
     """Edge side of the split: sum_y prod_v sum_a f[a] prod over half-edges
-    at v of h[a, y_e], with one vertex table per distinct degree."""
+    at v of h[a, y_e], with one vertex table per distinct degree.  f and h
+    may carry leading batch axes, which broadcast; with no vertices each
+    sum is 1."""
+    batch = np.broadcast_shapes(f.shape[:-1], h.shape[:-2])
     tables = {}
     for d in set(g.degrees()):
-        # acc[a, c_1, ..., c_d] = f[a] prod_i h[a, c_i], then summed over a
-        acc = f.reshape((q,) + (1,) * d).astype(np.complex128)
-        acc = np.broadcast_to(acc, (q,) * (d + 1)).copy()
+        # acc[..., a, c_1, ..., c_d] = f[..., a] prod_i h[..., a, c_i],
+        # then summed over a
+        acc = f.reshape(f.shape + (1,) * d).astype(np.complex128)
+        acc = np.broadcast_to(acc, batch + (q,) * (d + 1)).copy()
         for i in range(d):
-            acc *= h.reshape([q if j in (0, i + 1) else 1 for j in range(d + 1)])
-        tables[d] = acc.sum(axis=0)
+            shape = [q if j in (0, i + 1) else 1 for j in range(d + 1)]
+            acc *= h.reshape(h.shape[:-2] + tuple(shape))
+        tables[d] = acc.sum(axis=len(batch))
     vertex_tables = [tables[g.degree(v)] for v in range(g.num_vertices)]
-    return edge_table_sum(g, q, vertex_tables, max_terms=max_terms)
+    return edge_table_sum(g, q, vertex_tables, max_terms=max_terms).broadcast(batch)
 
 
 def flow_cwe_vertex_model(
@@ -182,10 +212,11 @@ def flow_cwe_vertex_model(
 ) -> ModelValue:
     """Vertex-colouring route to the complete weight enumerator of flows
     evaluated at g * g^N: q^(-|V|) sum_x prod_e sum_b prod over the edge's
-    half-edges of (Fg)(x_v - b).  A loop's factor appears squared."""
-    gF = group.fourier_matrix() @ _as_weights(group, gtable)
+    half-edges of (Fg)(x_v - b).  A loop's factor appears squared.  A
+    stack of tables g gives one value per table."""
+    gF = _transform(group.fourier_matrix(), _as_weights(group, gtable))
     # h[x, b] = gF(x - b)
-    mv = _split_vertex_sum(g, group.q, gF[group.sub], max_terms)
+    mv = _split_vertex_sum(g, group.q, gF[..., group.sub], max_terms)
     return ModelValue.of(group.q ** (-g.num_vertices) * mv.value, mv.terms)
 
 
@@ -193,9 +224,9 @@ def flow_cwe_edge_model(
     g: Multigraph, group: Group, gtable, max_terms: int = DEFAULT_MAX_TERMS
 ) -> ModelValue:
     """Edge-colouring route to the same enumerator: q^(-|V|) sum_y prod_v
-    sum_a prod over half-edges at v of (Fg)(a - y_e)."""
-    gF = group.fourier_matrix() @ _as_weights(group, gtable)
-    mv = _split_edge_sum(g, group.q, np.ones(group.q), gF[group.sub], max_terms)
+    sum_a prod over half-edges at v of (Fg)(a - y_e), per table of a stack."""
+    gF = _transform(group.fourier_matrix(), _as_weights(group, gtable))
+    mv = _split_edge_sum(g, group.q, np.ones(group.q), gF[..., group.sub], max_terms)
     return ModelValue.of(group.q ** (-g.num_vertices) * mv.value, mv.terms)
 
 
@@ -203,9 +234,10 @@ def tension_cwe_expectation(
     g: Multigraph, group: Group, ftable, max_terms: int = DEFAULT_MAX_TERMS
 ) -> ModelValue:
     """Half-edge expectation route to the complete weight enumerator of
-    tensions at f * f^N: q^(r(E)-|V|) sum_x prod_e sum_b prod f(x_v - b)."""
+    tensions at f * f^N: q^(r(E)-|V|) sum_x prod_e sum_b prod f(x_v - b),
+    per table of a stack."""
     fvec = _as_weights(group, ftable)
-    mv = _split_vertex_sum(g, group.q, fvec[group.sub], max_terms)
+    mv = _split_vertex_sum(g, group.q, fvec[..., group.sub], max_terms)
     return ModelValue.of(group.q ** (rank(g) - g.num_vertices) * mv.value, mv.terms)
 
 
@@ -217,15 +249,17 @@ def tutte_edge_model(
 
     q^(-|E|-|V|) (s-1)^(2|E|) sum_y prod_v sum_a t^(half-edges at v coloured a)
     with t = (s-1+q)/(s-1); a loop counts its colour twice at its vertex.
+    An array of s gives one value per entry.
     """
-    if s == 1:
+    s = np.asarray(s)
+    if np.any(s == 1):
         raise ValueError("s = 1 is a pole of the edge-model weights")
     t = (s - 1 + q) / (s - 1)
     # with t on h's diagonal and 1 elsewhere, sum_a prod_i h[a, c_i] is
     # sum_a t^(number of c_i equal to a)
-    h = np.where(np.eye(q, dtype=bool), t, 1.0)
+    h = np.where(np.eye(q, dtype=bool), t[..., None, None], 1.0)
     mv = _split_edge_sum(g, q, np.ones(q), h, max_terms)
-    pref = q ** (-g.num_edges - g.num_vertices) * (s - 1) ** (2 * g.num_edges)
+    pref = q ** (-g.num_edges - g.num_vertices) * (s - 1.0) ** (2 * g.num_edges)
     return ModelValue.of(pref * mv.value, mv.terms)
 
 
@@ -319,7 +353,8 @@ def xq_evaluate(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> complex:
     """sum over vertex colourings x of prod_a s_a^(vertices coloured a)
-    times prod_b t_b^(edges with coboundary b)."""
+    times prod_b t_b^(edges with coboundary b); stacked tables give one sum
+    per entry."""
     svec = _as_weights(group, s_table)
     tvec = _as_weights(group, t_table)
     mv = tension_vertex_sum(
@@ -345,12 +380,12 @@ def xq_dual(
     vertex weights depending only on the boundary:
     q^(-|E|) sum_y prod_a shat_a^(vertices with boundary a) prod_b
     that_b^(edges coloured b), where shat_a = sum_c conj(chi)(ca) s_c and
-    that_b = sum_c chi(cb) t_c."""
+    that_b = sum_c chi(cb) t_c.  Stacked tables give one sum per entry."""
     svec = _as_weights(group, s_table)
     tvec = _as_weights(group, t_table)
     chimat = group.chi[group.mul]
-    shat = chimat.conj() @ svec
-    that = chimat @ tvec
+    shat = _transform(chimat.conj(), svec)
+    that = _transform(chimat, tvec)
     mv = boundary_edge_sum(
         g, group, orient, [shat] * g.num_vertices, [that] * g.num_edges, max_terms
     )
@@ -371,20 +406,26 @@ def principal_specialization(
 
     Away from s^q = 1 every edge colouring contributes through a vertex
     factor (s^q - 1)/(s exp(2 pi i (dy)_v / q) - 1); at s = exp(-2 pi i c/q)
-    only colourings whose boundary is c at every vertex survive.
+    only colourings whose boundary is c at every vertex survive.  Arrays
+    of s and t give one value per entry, each on its own branch.
     """
     group = cyclic_group(q)
-    evec = np.full(q, t - 1, dtype=np.complex128)
-    evec[0] = t - 1 + q
-    if abs(s**q - 1) < root_tol:
-        c = round(-q * cmath.phase(complex(s)) / (2 * math.pi)) % q
-        vvec = np.zeros(q, dtype=np.complex128)
-        vvec[c] = 1.0
-        pref = q ** (g.num_vertices - g.num_edges)
-    else:
-        roots = np.exp(2j * np.pi * np.arange(q) / q)
-        vvec = (s**q - 1) / (s * roots - 1)
-        pref = q ** (-g.num_edges)
+    s, t = np.asarray(s), np.asarray(t)
+    evec = np.empty(t.shape + (q,), dtype=np.complex128)
+    evec[...] = (t - 1)[..., None]
+    evec[..., 0] = t - 1 + q
+    at_root = np.abs(s**q - 1) < root_tol
+    c = np.round(-q * np.angle(s) / (2 * math.pi)) % q
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vvec = np.where(
+            at_root[..., None],
+            np.arange(q) == c[..., None],
+            (s**q - 1)[..., None] / (s[..., None] * roots - 1),
+        )
+    pref = np.where(
+        at_root, float(q) ** (g.num_vertices - g.num_edges), q ** (-g.num_edges)
+    )
     mv = boundary_edge_sum(
         g, group, orient, [vvec] * g.num_vertices, [evec] * g.num_edges, max_terms
     )

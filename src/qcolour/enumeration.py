@@ -81,11 +81,15 @@ def boundary_chunk(g, orient, group, Y: np.ndarray) -> np.ndarray:
 
 
 def coboundary_chunk(g, orient, group, X: np.ndarray) -> np.ndarray:
-    """Coboundary vectors for a (C, |V|) chunk of vertex colourings: (C, |E|)."""
-    C = X.shape[0]
-    out = np.zeros((C, g.num_edges), dtype=np.int64)
+    """Coboundary vectors for a (C, |V|) chunk of vertex colourings: (C, |E|).
+
+    Each vertex's colours are read from one contiguous row and each edge's
+    values written to one, so the block is built edge-major and returned as
+    its (C, |E|) transpose."""
+    cols = np.ascontiguousarray(X.T)  # row v: the colours of vertex v
+    out = np.zeros((g.num_edges, X.shape[0]), dtype=np.int64)
     for e in range(g.num_edges):
         if g.is_loop(e):
             continue
-        out[:, e] = group.sub[X[:, orient.head(g, e)], X[:, orient.tail(g, e)]]
-    return out
+        out[e] = group.sub[cols[orient.head(g, e)], cols[orient.tail(g, e)]]
+    return out.T

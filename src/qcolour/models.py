@@ -8,7 +8,9 @@ not in the number of labels.  The order is planned from the labels alone
 and compiled into einsum steps over numbered table slots, once per label
 structure (a bounded cache keyed by the factors' label tuples, so a sum
 repeated with other tables or another radix only runs the steps); its cost
-is what the term cap bounds and ``ModelValue.terms`` reports.  The
+is what the term cap bounds and ``ModelValue.terms`` reports.  A table
+may carry one leading batch axis, so several sums that differ only in
+their tables run as one contraction, at the plan and cap of one.  The
 evaluators below only build factor lists.
 A vertex model sums over vertex colourings with a weight per vertex and a
 (q, q) interaction per edge.  An edge model sums over edge colourings with a
@@ -31,7 +33,7 @@ import numpy as np
 
 from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from .graphs import Multigraph, Orientation, RotationSystem, default_orientation
-from .groups import Group, QFunction, monochrome_indicator, transform_by
+from .groups import Group, QFunction, monochrome_indicator
 
 __all__ = [
     "ModelValue",
@@ -51,16 +53,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelValue:
-    """A partition-function value with diagnostics (``terms``: its cost)."""
+    """A partition-function value with diagnostics (``terms``: its cost).
 
-    value: complex
-    imag_residual: float
+    A batched sum (see ``eliminate``) holds one value per batch entry:
+    ``value`` and ``imag_residual`` are then arrays of the batch shape,
+    and ``terms`` is still the cost of one entry."""
+
+    value: complex | np.ndarray
+    imag_residual: float | np.ndarray
     terms: int
 
     @classmethod
-    def of(cls, value: complex, terms: int) -> "ModelValue":
-        value = complex(value)
+    def of(cls, value, terms: int) -> "ModelValue":
+        if isinstance(value, np.ndarray) and value.ndim:
+            value = value.astype(np.complex128, copy=False)
+        else:
+            value = complex(value)
         return cls(value, abs(value.imag), terms)
+
+    def broadcast(self, batch: tuple) -> "ModelValue":
+        """The value for every entry of a batch shape: a sum in which no
+        table carried the batch has one value for all its entries."""
+        if np.shape(self.value) == batch:
+            return self
+        return ModelValue.of(np.broadcast_to(self.value, batch), self.terms)
 
     @property
     def real(self) -> float:
@@ -115,15 +131,6 @@ class VertexWeights:
             group, lambda t: 1.0 if sum(1 for a in t if a == 1) == 1 else 0.0
         )
 
-    def transformed(self, U: np.ndarray) -> "VertexWeights":
-        """The family with U applied tensorially at every arity."""
-
-        def build(d):
-            base = QFunction(self.group, d, self.table(d).reshape(-1))
-            return transform_by(base, U).as_tensor()
-
-        return VertexWeights(self.group, build)
-
 
 @dataclass(frozen=True)
 class VertexModel:
@@ -165,8 +172,10 @@ def factor_sum(
     """Sum over colourings c in range(radix)^length of the product over
     ``factors`` (a list of (table, labels) pairs) of table[c[labels]].  A
     label repeated within one factor reads its colour on several axes, as a
-    loop does at its vertex; a factor with no labels is a constant.  The cap
-    and ``ModelValue.terms`` are the planned cost of the contraction."""
+    loop does at its vertex; a factor with no labels is a constant.  A
+    table with one leading axis more than its labels carries a batch (see
+    ``eliminate``), and the value is then one sum per batch entry.  The cap
+    and ``ModelValue.terms`` are the planned cost of one entry."""
     return ModelValue.of(*eliminate(radix, length, factors, max_terms))
 
 
@@ -176,50 +185,65 @@ _PLAN_CACHE_SIZE = 512
 
 class _Plan(NamedTuple):
     """A contraction compiled from the factors' labels alone.  Slots
-    0..n-1 hold the n factors' tables, and step i writes slot n + i."""
+    0..n-1 hold the n factors' tables, and step i writes slot n + i.  A
+    batched table keeps its batch on its first axis, and so does every
+    step that reads one."""
 
     diagonals: tuple  # (slot, input axes, output axes) of each loop factor
     constants: tuple  # slots of the factors with no labels
     read: int  # distinct labels any factor reads
     scopes: tuple  # labels read at each step
-    steps: tuple  # (operand slots, their subscripts, output subscripts)
+    steps: tuple  # (operand slots, their subscripts, output subscripts, closed)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(label_tuples: tuple) -> _Plan:
+def _plan(label_tuples: tuple, batched: tuple) -> _Plan:
     """Each step sums out the label whose factors together read the fewest
     labels (ties to the smallest label); a factor reading a label several
-    times is first cut to its diagonal, one axis per distinct label."""
+    times is first cut to its diagonal, one axis per distinct label.  The
+    batch is a subscript that no step sums out, so it leaves the order and
+    the scopes as they are; a step closes when it leaves no label."""
     distinct = [tuple(dict.fromkeys(labels)) for labels in label_tuples]
     diagonals = tuple(
-        (i, tuple(ls.index(label) for label in labels), tuple(range(len(ls))))
-        for i, (labels, ls) in enumerate(zip(label_tuples, distinct))
+        (
+            i,
+            (len(ls),) * b + tuple(ls.index(label) for label in labels),
+            (len(ls),) * b + tuple(range(len(ls))),
+        )
+        for i, (labels, ls, b) in enumerate(zip(label_tuples, distinct, batched))
         if len(ls) < len(labels)
     )
     constants = tuple(i for i, ls in enumerate(distinct) if not ls)
-    live = [(i, ls) for i, ls in enumerate(distinct) if ls]  # (slot, labels)
-    read = len({label for _slot, ls in live for label in ls})
+    # (slot, labels, batched) of each table still to be summed
+    live = [(i, ls, b) for i, (ls, b) in enumerate(zip(distinct, batched)) if ls]
+    read = len({label for _slot, ls, _b in live for label in ls})
     scopes, steps = [], []
     while live:
         joint: dict[int, set] = {}
-        for _slot, ls in live:
+        for _slot, ls, _b in live:
             for label in ls:
                 joint.setdefault(label, set()).update(ls)
         label = min(joint, key=lambda lb: (len(joint[lb]), lb))
         scope = sorted(joint[label])
-        # einsum takes at most 52 axis letters, so number the scope locally
+        # einsum takes at most 52 axis letters, so number the scope locally;
+        # the batch takes the number after the scope's
         ids = {lb: i for i, lb in enumerate(scope)}
         out = tuple(lb for lb in scope if lb != label)
         used = [f for f in live if label in f[1]]
         live = [f for f in live if label not in f[1]]
+        out_batched = any(b for _slot, _ls, b in used)
         if out:
-            live.append((len(label_tuples) + len(steps), out))
+            live.append((len(label_tuples) + len(steps), out, out_batched))
         scopes.append(len(scope))
         steps.append(
             (
-                tuple(slot for slot, _ls in used),
-                tuple(tuple(ids[lb] for lb in ls) for _slot, ls in used),
-                tuple(ids[lb] for lb in out),
+                tuple(slot for slot, _ls, _b in used),
+                tuple(
+                    (len(scope),) * b + tuple(ids[lb] for lb in ls)
+                    for _slot, ls, b in used
+                ),
+                (len(scope),) * out_batched + tuple(ids[lb] for lb in out),
+                not out,
             )
         )
     return _Plan(diagonals, constants, read, tuple(scopes), tuple(steps))
@@ -227,21 +251,31 @@ def _plan(label_tuples: tuple) -> _Plan:
 
 def eliminate(
     radix: int, length: int, factors, max_terms: int = DEFAULT_MAX_TERMS
-) -> tuple[complex, int]:
+) -> tuple[complex | np.ndarray, int]:
     """The sum of ``factor_sum`` by variable elimination, and its planned
     cost: the sum over steps of radix^(labels read at that step).  The plan
     is cached per label structure; a cost over ``max_terms`` raises before
-    any table is touched."""
-    factors = list(factors)
-    plan = _plan(tuple(tuple(labels) for _table, labels in factors))
+    any table is converted or summed.
+
+    A table with ``ndim == len(labels) + 1`` carries a leading batch axis
+    of size B, the same for every such table; the other tables are shared
+    by all entries.  The sum is then a (B,) complex array whose entry b is
+    the sum over the b-th tables, and a complex when no table carries a
+    batch.  The plan, the cost and the cap are those of one entry, as
+    ``ModelValue.terms`` is."""
+    tables, label_tuples = [], []
+    for table, labels in factors:
+        tables.append(np.asarray(table))
+        label_tuples.append(tuple(labels))
+    plan = _plan(
+        tuple(label_tuples),
+        tuple(t.ndim > len(labels) for t, labels in zip(tables, label_tuples)),
+    )
     cost = sum(radix**size for size in plan.scopes)
     if cost > max_terms:
         raise TermCapExceeded(cost, max_terms)
-    tables = []
-    for table, _labels in factors:
-        table = np.asarray(table)
-        # integer tables sum in floating point, as products of ints can wrap
-        tables.append(table.astype(np.result_type(table, np.float64), copy=False))
+    # integer tables sum in floating point, as products of ints can wrap
+    tables = [t.astype(np.result_type(t, np.float64), copy=False) for t in tables]
     for slot, axes, out in plan.diagonals:
         tables[slot] = np.einsum(tables[slot], axes, out)
     total = 1.0 + 0.0j
@@ -249,14 +283,14 @@ def eliminate(
         total *= tables[slot][()]
     # every label no factor reads multiplies the sum by radix
     total *= radix ** (length - plan.read)
-    for slots, subscripts, out in plan.steps:
+    for slots, subscripts, out, closed in plan.steps:
         operands = []
         for slot, subs in zip(slots, subscripts):
             operands += [tables[slot], subs]
         tables.append(np.einsum(*operands, out))
-        if not out:
+        if closed:
             total *= tables[-1][()]
-    return complex(total), cost
+    return (total if isinstance(total, np.ndarray) else complex(total)), cost
 
 
 def edge_table_sum(
@@ -335,27 +369,54 @@ def edge_partition(
 
 def halfedge_inner(
     g: Multigraph,
-    weights: VertexWeights,
+    weights: VertexWeights | Sequence[VertexWeights],
     pair_weight: QFunction,
     rotation: RotationSystem | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
     """Real-bilinear pairing of the vertex weight family against an arity-2
     weight applied to each edge's half-edge pair; each edge is coloured by a
-    support pair of that weight."""
+    support pair of that weight.  A sequence of families over one group
+    gives one pairing per family, from one batched contraction."""
     if pair_weight.arity != 2:
         raise ValueError("pair weight must have arity 2")
-    q = weights.group.q
+    if isinstance(weights, VertexWeights):
+        group, table, batch = weights.group, weights.table, ()
+    else:
+        families = list(weights)
+        group, batch = families[0].group, (len(families),)
+
+        def table(d):
+            return np.stack([w.table(d) for w in families])
+
+    q = group.q
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
     ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair
     orders = _vertex_orders(g, rotation)
+    tables = {d: table(d) for d in set(g.degrees())}
     factors = []
     for v in range(g.num_vertices):
         # the vertex table re-indexed from half-edge colours onto support pairs
         axes = np.ix_(*(ends[end] for _e, end in orders[v]))
-        factors.append((weights.table(g.degree(v))[axes], [e for e, _end in orders[v]]))
+        factors.append(
+            (tables[g.degree(v)][(..., *axes)], [e for e, _end in orders[v]])
+        )
     factors += [(pair_weight.values[supp], (e,)) for e in range(g.num_edges)]
-    return factor_sum(supp.size, g.num_edges, factors, max_terms)
+    # with no vertices no table carries the families, and all pair alike
+    return factor_sum(supp.size, g.num_edges, factors, max_terms).broadcast(batch)
+
+
+def _transformed(table: np.ndarray, Us: np.ndarray) -> np.ndarray:
+    """U tensor ... tensor U applied to a table, for each U of a (K, q, q)
+    stack: a (K,) + table.shape array, one einsum per axis of the table."""
+    out = np.broadcast_to(table, Us.shape[:1] + table.shape)
+    axes = list(range(3, 3 + table.ndim))
+    for ax in range(table.ndim):
+        # out[k, .., i, ..] = sum_j U_k[i, j] out[k, .., j, ..] at axis ax
+        src, dst = list(axes), list(axes)
+        src[ax], dst[ax] = 2, 1
+        out = np.einsum(Us, [0, 1, 2], out, [0, *src], [0, *dst])
+    return out
 
 
 def orthogonal_invariance_check(
@@ -368,21 +429,31 @@ def orthogonal_invariance_check(
 ) -> tuple[bool, ...]:
     """For each matrix U: U tensor U fixes the monochrome pair indicator,
     and the monochrome pairing is invariant under that orthogonal change of
-    the vertex weights.  The pairing of the unchanged weights is computed
-    once, and only if some U passes the first test."""
-    mono = monochrome_indicator(weights.group, 2)
-    lhs = None
+    the vertex weights.  Each test applies every U at once; the unchanged
+    weights and those of every U that passes the first test are paired in
+    one batched contraction, and only if some U passes."""
+    group = weights.group
+    mono = monochrome_indicator(group, 2)
+    Us = np.asarray(Us).reshape(-1, group.q, group.q)
+    table = mono.as_tensor()
+    moved = np.abs(_transformed(table, Us) - table).max(axis=(1, 2))
+    fixed = [not dev > tol for dev in moved]
+    if not any(fixed):
+        return tuple(fixed)
+    kept = Us[fixed]
+    stacks = {d: _transformed(weights.table(d), kept) for d in set(g.degrees())}
+    families = [weights] + [
+        VertexWeights.from_tables(group, {d: stack[k] for d, stack in stacks.items()})
+        for k in range(len(kept))
+    ]
+    lhs, *rhs = halfedge_inner(
+        g, families, mono, rotation=rotation, max_terms=max_terms
+    ).value
+    rhs = iter(rhs)
     oks = []
-    for U in Us:
-        fixed = transform_by(mono, U)
-        if np.max(np.abs(fixed.values - mono.values)) > tol:
-            oks.append(False)
-            continue
-        if lhs is None:
-            lhs = halfedge_inner(g, weights, mono, rotation=rotation, max_terms=max_terms)
-        rhs = halfedge_inner(
-            g, weights.transformed(U), mono, rotation=rotation, max_terms=max_terms
-        )
-        scale = max(1.0, abs(lhs.value), abs(rhs.value))
-        oks.append(abs(lhs.value - rhs.value) <= tol * scale)
+    for ok in fixed:
+        if ok:
+            r = next(rhs)
+            ok = bool(abs(lhs - r) <= tol * max(1.0, abs(lhs), abs(r)))
+        oks.append(ok)
     return tuple(oks)

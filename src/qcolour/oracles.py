@@ -351,8 +351,13 @@ class CompositionHistogram:
         zs = [complex(w) for w in weights]
         is_complex = any(isinstance(w, (complex, np.complexfloating)) for w in weights)
         if not np.isfinite(zs).all():
-            total = direct(zs)
-            return total if is_complex else total.real
+            # inf ** n overflows in Python, so each power is multiplied out
+            # in the weights' own type, as a row's product would be
+            ws = zs if is_complex else [z.real for z in zs]
+            return sum(
+                m * math.prod(ws[c] for c, n in enumerate(comp) for _ in range(n))
+                for comp, m in zip(comps, mults)
+            )
         ratios = [x.as_integer_ratio() for z in zs for x in (z.real, z.imag)]
         den = max(d for _n, d in ratios)
         parts = [n * (den // d) for n, d in ratios]

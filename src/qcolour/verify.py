@@ -7,6 +7,12 @@ three suites.  A graph-dependent check runs when the structural
 preconditions of its identity hold (regularity, Pfaffian assertion, cyclic
 group); the only cost gate is the term cap of each sum or oracle it calls,
 and a check over that cap leaves a skip record rather than nothing.
+
+A check that draws several random weights passes them to each model as one
+stack, so every model is contracted once per check, not once per draw.  A
+check that reads nothing of the group (the signed and GF(4) checks, and
+those that read only its order) shares its records between the battery
+calls on one graph, so a graph's first group carries them.
 """
 
 from __future__ import annotations
@@ -91,6 +97,12 @@ def _rng(seed: int, salt: int):
     return np.random.default_rng(seed * 1000003 + salt)
 
 
+def _entries(values, n: int) -> np.ndarray:
+    """The n entries of a batched sum; a sum in which no table carried the
+    batch (a graph with no vertices) has one value for all of them."""
+    return np.broadcast_to(values, (n,))
+
+
 @dataclass
 class VerifyContext:
     """One battery call's inputs, and the oracle quantities that several
@@ -104,7 +116,8 @@ class VerifyContext:
     sorted.  A quantity over its term cap raises again for each check that
     asks, so each such check skips on its own.  Quantities that do not
     depend on the graph are shared between calls instead (``_shared_by``,
-    ``_orthogonal_draws``, ``_spectral_draws``)."""
+    ``_orthogonal_draws``, ``_spectral_draws``), and so are the records of
+    checks that do not read the group (``_shared_by`` with a graph key)."""
 
     doc: GraphDocument
     group: Group
@@ -141,20 +154,31 @@ class VerifyContext:
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+# records kept per shared check: one entry per graph and setting, and a
+# corpus pass reads a few dozen
+_SHARED_CACHE_SIZE = 256
+
+
 def _shared_by(key):
     """Share a check's records between battery calls that agree on
     ``key(ctx)``, for a check that reads nothing else of the context: the
-    check runs once per process for each key.  The shared check keeps the
-    check's name, and ``uncached`` is the check itself."""
+    check runs once per process for each key, while the key is among the
+    last ``_SHARED_CACHE_SIZE`` used.  A check that raises (over a term
+    cap) keeps nothing, so it raises again on the next call.  The shared
+    check keeps the check's name, and ``uncached`` is the check itself."""
 
     def wrap(check):
-        cache: dict = {}
+        cache: dict = {}  # in order of last use
 
         def shared(ctx: VerifyContext):
             k = key(ctx)
-            if k not in cache:
-                cache[k] = tuple(check(ctx))
-            return list(cache[k])
+            records = cache.pop(k, None)
+            if records is None:
+                records = tuple(check(ctx))
+                if len(cache) >= _SHARED_CACHE_SIZE:
+                    del cache[next(iter(cache))]
+            cache[k] = records
+            return list(records)
 
         shared.__name__ = shared.__qualname__ = check.__name__
         shared.uncached = check
@@ -169,6 +193,23 @@ def _group_seed_tol(ctx: VerifyContext):
     G = ctx.group
     tables = tuple(a.tobytes() for a in (G.add, G.neg, G.mul, G.chi))
     return G.name, G.flavour, G.factors, tables, ctx.seed, ctx.tol
+
+
+def _graph_tol_cap(ctx: VerifyContext):
+    """Everything of the context that a group-free check reads: the graph
+    with its rotation, orientation and Pfaffian flag, the tolerance and the
+    term cap.  Such a check runs once per graph, not once per group."""
+    return ctx.doc, ctx.tol, ctx.max_terms
+
+
+def _graph_order(ctx: VerifyContext):
+    """As ``_graph_tol_cap``, for a check that also reads the group's order."""
+    return _graph_tol_cap(ctx) + (ctx.group.q,)
+
+
+def _graph_order_seed(ctx: VerifyContext):
+    """As ``_graph_order``, for a check that also draws from the seed."""
+    return _graph_order(ctx) + (ctx.seed,)
 
 
 # ---------------------------------------------------------------- fourier
@@ -416,13 +457,21 @@ def _check_general_duality(ctx: VerifyContext):
     G = ctx.group
     rng = ctx.rng(6)
     orient = ctx.doc.orientation_or_default()
-    for i in range(5):
-        fs = [ctx.cvec(rng, G.q) for _ in range(g.num_vertices)]
-        gs = [ctx.cvec(rng, G.q) for _ in range(g.num_edges)]
-        lhs, rhs = duality.general_duality_sides(
-            g, G, orient, fs, gs, max_terms=ctx.max_terms
-        )
-        out.append(_record(f"duality.poisson.draw{i}", "duality.poisson", lhs, rhs, 1e-8))
+    fs, gs = [], []
+    for _ in range(5):
+        fs.append([ctx.cvec(rng, G.q) for _ in range(g.num_vertices)])
+        gs.append([ctx.cvec(rng, G.q) for _ in range(g.num_edges)])
+    # one weight per vertex and edge, each stacked over the draws
+    lhs, rhs = duality.general_duality_sides(
+        g,
+        G,
+        orient,
+        list(np.reshape(fs, (5, g.num_vertices, G.q)).swapaxes(0, 1)),
+        list(np.reshape(gs, (5, g.num_edges, G.q)).swapaxes(0, 1)),
+        max_terms=ctx.max_terms,
+    )
+    for i, (a, b) in enumerate(zip(_entries(lhs, 5), _entries(rhs, 5))):
+        out.append(_record(f"duality.poisson.draw{i}", "duality.poisson", a, b, 1e-8))
     return out
 
 
@@ -433,11 +482,12 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
     flows = ctx.flow_compositions
     tensions = ctx.tension_compositions
     rng = ctx.rng(7)
-    for i in range(5):
-        gv = ctx.cvec(rng, G.q)
+    gvs = np.array([ctx.cvec(rng, G.q) for _ in range(5)])
+    v1s = duality.flow_cwe_vertex_model(g, G, gvs, max_terms=ctx.max_terms).value
+    v2s = duality.flow_cwe_edge_model(g, G, gvs, max_terms=ctx.max_terms).value
+    v3s = duality.tension_cwe_expectation(g, G, gvs, max_terms=ctx.max_terms).value
+    for i, (gv, v1, v2, v3) in enumerate(zip(gvs, v1s, v2s, v3s)):
         oracle = flows.complete_weight_enum(gv * gv[G.neg])
-        v1 = duality.flow_cwe_vertex_model(g, G, gv, max_terms=ctx.max_terms).value
-        v2 = duality.flow_cwe_edge_model(g, G, gv, max_terms=ctx.max_terms).value
         out.append(
             _record(f"flow-cwe.vertex-route.draw{i}", "flow-cwe.vertex", v1, oracle, ctx.tol)
         )
@@ -447,7 +497,6 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
         fq = QFunction(G, 1, gv)
         conv = convolve(fq, negate(fq)).values
         toracle = tensions.complete_weight_enum(conv)
-        v3 = duality.tension_cwe_expectation(g, G, gv, max_terms=ctx.max_terms).value
         out.append(
             _record(
                 f"tension-cwe.expectation-route.draw{i}",
@@ -460,13 +509,15 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
     return out
 
 
+@_shared_by(_graph_order)
 def _check_tutte_edge_model(ctx: VerifyContext):
     out = []
     g = ctx.graph
     q = ctx.group.q
     T = ctx.tutte
-    for s in (2, 3):
-        got = duality.tutte_edge_model(g, q, s, max_terms=ctx.max_terms).value
+    ss = (2, 3)
+    gots = duality.tutte_edge_model(g, q, np.array(ss), max_terms=ctx.max_terms).value
+    for s, got in zip(ss, gots):
         s2 = Fraction(s) ** 2
         want = float((s2 - 1) ** (g.num_edges - T.full_rank) * T(s2, (s2 - 1 + q) / (s2 - 1)))
         out.append(
@@ -475,6 +526,7 @@ def _check_tutte_edge_model(ctx: VerifyContext):
     return out
 
 
+@_shared_by(_graph_order)
 def _check_cubic_flow_model(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -487,6 +539,7 @@ def _check_cubic_flow_model(ctx: VerifyContext):
     return out
 
 
+@_shared_by(_graph_tol_cap)
 def _check_gf4_identity(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -500,6 +553,7 @@ def _check_gf4_identity(ctx: VerifyContext):
     return out
 
 
+@_shared_by(_graph_order_seed)
 def _check_spectral(ctx: VerifyContext):
     g = ctx.graph
     G = ctx.group
@@ -559,29 +613,37 @@ def _check_xq(ctx: VerifyContext):
     rng = ctx.rng(9)
     s = ctx.cvec(rng, G.q)
     t = ctx.cvec(rng, G.q)
-    a = duality.xq_evaluate(g, G, orient, s, t, max_terms=ctx.max_terms)
-    b = duality.xq_dual(g, G, orient, s, t, max_terms=ctx.max_terms)
-    out.append(_record("xq.dual-expansion", "xq.boundary-dual", a, b, ctx.tol))
     tsym = t + t[G.neg]
-    a = duality.xq_evaluate(g, G, orient, s, tsym, max_terms=ctx.max_terms)
+    # every vertex-colouring side in one batch: the dual expansion's, the
+    # symmetric edge model's, then each principal specialization's
+    svecs, tvecs = [s, s], [t, tsym]
+    principal = G.flavour == "cyclic" and len(G.factors) == 1
+    specs = ((3.0, 2.0), (1.0, 3.0)) if principal else ()
+    for s0, t0 in specs:
+        svecs.append(np.array([s0**a for a in range(G.q)], dtype=complex))
+        tvec = np.ones(G.q, dtype=complex)
+        tvec[0] = t0
+        tvecs.append(tvec)
+    sides = _entries(
+        duality.xq_evaluate(g, G, orient, svecs, tvecs, max_terms=ctx.max_terms),
+        len(svecs),
+    )
+    b = duality.xq_dual(g, G, orient, s, t, max_terms=ctx.max_terms)
+    out.append(_record("xq.dual-expansion", "xq.boundary-dual", sides[0], b, ctx.tol))
     b = duality.xq_edge_model(g, G, s, tsym, max_terms=ctx.max_terms).value
-    out.append(_record("xq.symmetric-edge-model", "xq.edge-model", a, b, ctx.tol))
-    if G.flavour == "cyclic" and len(G.factors) == 1:
-        q = G.q
-        for s0, t0 in ((3.0, 2.0), (1.0, 3.0)):
-            lhs = duality.principal_specialization(
-                g, orient, q, s0, t0, max_terms=ctx.max_terms
-            )
-            svec = np.array([s0**a for a in range(q)], dtype=complex)
-            tvec = np.ones(q, dtype=complex)
-            tvec[0] = t0
-            rhs = duality.xq_evaluate(g, G, orient, svec, tvec, max_terms=ctx.max_terms)
+    out.append(_record("xq.symmetric-edge-model", "xq.edge-model", sides[1], b, ctx.tol))
+    if specs:
+        s0s, t0s = zip(*specs)
+        lhs = duality.principal_specialization(
+            g, orient, G.q, np.array(s0s), np.array(t0s), max_terms=ctx.max_terms
+        )
+        for s0, a, b in zip(s0s, _entries(lhs, len(specs)), sides[2:]):
             out.append(
                 _record(
                     f"xq.principal-specialization.s{s0:g}",
                     "xq.principal-specialization",
-                    lhs,
-                    rhs,
+                    a,
+                    b,
                     ctx.tol,
                 )
             )
@@ -662,6 +724,7 @@ def _signed_ctx_degree(ctx: VerifyContext) -> int | None:
     return k if k >= 1 else None
 
 
+@_shared_by(_graph_tol_cap)
 def _check_zero_sum_chain(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -709,6 +772,7 @@ def _check_zero_sum_chain(ctx: VerifyContext):
     return out
 
 
+@_shared_by(_graph_tol_cap)
 def _check_sine_and_kplus1(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -742,6 +806,7 @@ def _check_sine_and_kplus1(ctx: VerifyContext):
     return out
 
 
+@_shared_by(_graph_tol_cap)
 def _check_even_odd_proper4(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -758,6 +823,7 @@ def _check_even_odd_proper4(ctx: VerifyContext):
     return out
 
 
+@_shared_by(_graph_tol_cap)
 def _check_rotation_covariance(ctx: VerifyContext):
     out = []
     g = ctx.graph

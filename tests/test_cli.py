@@ -321,3 +321,89 @@ def test_cli_verify_reports_cap_skips(corpus_files, capsys):
             assert rec["pass"] is True
     n, s = len(records), len(skips)
     assert f"{n} checks: {n - s} passed, 0 failed, {s} skipped" in out.err
+
+
+GROUP_FREE_CHECKS = (
+    "_check_zero_sum_chain",
+    "_check_sine_and_kplus1",
+    "_check_even_odd_proper4",
+    "_check_rotation_covariance",
+    "_check_gf4_identity",
+    "_check_cubic_flow_model",
+    "_check_tutte_edge_model",
+    "_check_spectral",
+)
+
+
+def test_group_free_records_are_shared_and_equal_fresh_ones():
+    import qcolour.verify as verify_mod
+
+    checks = [getattr(verify_mod, name) for name in GROUP_FREE_CHECKS]
+    for name, fx in CORPUS.items():
+        doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+        for spec in ("2", "3", "4", "2x2", "f4"):
+            ctx = verify_mod.VerifyContext(doc, group_from_name(spec), 1e-7, 10**8, 1)
+            for check in checks:
+                records = check(ctx)
+                assert records == check.uncached(ctx), (name, spec, check.__name__)
+                records.clear()  # a caller's list is its own
+                assert check(ctx) == check.uncached(ctx)
+
+
+def test_group_free_checks_recompute_for_another_graph_setting(monkeypatch):
+    import dataclasses
+
+    import qcolour.verify as verify_mod
+
+    calls = []
+    real = verify_mod.signed.kplus1_sign_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod.signed, "kplus1_sign_sum", counted)
+    fx = CORPUS["k4"]
+    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    check = verify_mod._check_rotation_covariance
+
+    def sums_run(doc, spec="3", tol=2.5e-7, max_terms=10**7, seed=0):
+        """How many (k+1)-colour sums one shared call computes."""
+        ctx = verify_mod.VerifyContext(doc, group_from_name(spec), tol, max_terms, seed)
+        calls.clear()
+        records = check(ctx)
+        made = len(calls)
+        assert records == check.uncached(ctx)
+        return made
+
+    # a tolerance no other test uses, so the first call computes
+    assert sums_run(doc) == 2
+    # other groups and seeds share it
+    assert [sums_run(doc, spec) for spec in ("3", "2x2", "f4", "5")] == [0] * 4
+    assert sums_run(doc, seed=4) == 0
+    swapped = dataclasses.replace(doc, rotation=fx.rotation.swap_adjacent(0, 0))
+    flipped = dataclasses.replace(doc, pfaffian_compatible=not doc.pfaffian_compatible)
+    assert sums_run(swapped) == 2 and sums_run(swapped, "4") == 0
+    assert sums_run(flipped) == 2
+    assert sums_run(doc, tol=2.6e-7) == 2
+    assert sums_run(doc, max_terms=10**7 + 1) == 2
+    # the flag is read: without the assertion the proper-4 record is gone
+    ctx = verify_mod.VerifyContext(doc, cyclic_group(3), 2.5e-7, 10**7, 0)
+    assert verify_mod._check_even_odd_proper4(ctx)
+    ctx = dataclasses.replace(ctx, doc=flipped)
+    assert verify_mod._check_even_odd_proper4(ctx) == []
+
+
+def test_over_cap_group_free_checks_skip_on_every_call():
+    fx = CORPUS["prism"]
+    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    skips = {
+        "skip.zero_sum_chain",
+        "skip.sine_and_kplus1",
+        "skip.even_odd_proper4",
+        "skip.rotation_covariance",
+    }
+    for spec in ("3", "2x2", "3"):
+        G = group_from_name(spec)
+        records = run_battery(doc, G, ("signed",), max_terms=50, seed=0)
+        assert skips <= {rec.name for rec in records if rec.passed is None}

@@ -15,6 +15,7 @@ from qcolour.groups import group_from_name, monochrome_indicator, zero_sum_indic
 from qcolour.models import (
     VertexWeights,
     edge_table_sum,
+    eliminate,
     factor_sum,
     halfedge_inner,
     vertex_table_sum,
@@ -297,3 +298,174 @@ def test_oracles_and_evaluators_share_no_enumeration_code():
         models.vertex_table_sum,
     )
     assert _bound(oracles, evaluators) == []
+
+
+
+
+
+# Batched sums: a table with one leading axis more than its labels holds
+# one table per batch entry, and a batch of B must give the B sums of B
+# unbatched calls, at the same per-entry cost and cap.
+
+BATCH_TOL = 1e-12
+# builders handed their batch whole: they return it on every graph, even
+# where no table carries it (the vertex side with no edges, or no vertices)
+KEEP_BATCH = (
+    "split_vertex_sum",
+    "split_edge_sum",
+    "halfedge_inner",
+    "tutte_edge_model",
+)
+
+
+def _picker(i):
+    """The whole input for the batched call (i None), else what the i-th
+    unbatched call takes of an input whose unbatched shape is given."""
+    if i is None:
+        return lambda x, shape: x
+    return lambda x, shape: x[i] if np.ndim(x) > len(shape) else x
+
+
+def _batched_cases(g, G, orient, draw, B):
+    """name -> run(i, cap) -> (values, planned cost or None), for the
+    batched call (i None) or the i-th unbatched one.  Each input is drawn
+    once, batched or not; halfedge_inner pairs B families at once."""
+    q = G.q
+    vv = [draw((q,)) for _ in range(g.num_vertices)]
+    ev = [draw((q,)) for _ in range(g.num_edges)]
+    # an edge's table reads its two ends, so a loop's reads its diagonal
+    et = [draw((q, q)) for _ in range(g.num_edges)]
+    const = draw((), batched=True)
+    h = draw((q, q), batched=True)
+    f, gtable, s, t = (draw((q,)) for _ in range(4))
+    tutte_s = 1.5 + np.abs(draw((), batched=True))
+    families = [
+        VertexWeights.from_tables(
+            G, {d: draw((q,) * d, batched=False) for d in set(g.degrees())}
+        )
+        for _ in range(B)
+    ]
+
+    def one(mv):
+        return [mv.value], mv.terms
+
+    def elim(pick, cap):
+        fs = [(pick(x, (q,)), (v,)) for v, x in enumerate(vv)]
+        fs += [(pick(x, (q, q)), g.edges[e]) for e, x in enumerate(et)]
+        fs.append((pick(const, ()), ()))
+        value, cost = eliminate(q, g.num_vertices + 1, fs, cap)
+        return [value], cost
+
+    def halfedge(fams, cap):
+        pairs = (monochrome_indicator(G, 2), zero_sum_indicator(G, 2))
+        mvs = [halfedge_inner(g, fams, pair, max_terms=cap) for pair in pairs]
+        return [mv.value for mv in mvs], max(mv.terms for mv in mvs)
+
+    def vecs(pick, xs):
+        return [pick(x, (q,)) for x in xs]
+
+    cases = {
+        "eliminate": elim,
+        "tension_vertex_sum": lambda pick, cap: one(
+            tension_vertex_sum(g, G, orient, vecs(pick, vv), vecs(pick, ev), cap)
+        ),
+        "boundary_edge_sum": lambda pick, cap: one(
+            boundary_edge_sum(g, G, orient, vecs(pick, vv), vecs(pick, ev), cap)
+        ),
+        "split_vertex_sum": lambda pick, cap: one(
+            duality._split_vertex_sum(g, q, pick(h, (q, q)), cap)
+        ),
+        "split_edge_sum": lambda pick, cap: one(
+            duality._split_edge_sum(g, q, pick(f, (q,)), pick(h, (q, q)), cap)
+        ),
+        "general_duality_sides": lambda pick, cap: (
+            list(
+                duality.general_duality_sides(
+                    g, G, orient, vecs(pick, vv), vecs(pick, ev), cap
+                )
+            ),
+            None,
+        ),
+        "flow_cwe_vertex_model": lambda pick, cap: one(
+            duality.flow_cwe_vertex_model(g, G, pick(gtable, (q,)), cap)
+        ),
+        "flow_cwe_edge_model": lambda pick, cap: one(
+            duality.flow_cwe_edge_model(g, G, pick(gtable, (q,)), cap)
+        ),
+        "tension_cwe_expectation": lambda pick, cap: one(
+            duality.tension_cwe_expectation(g, G, pick(gtable, (q,)), cap)
+        ),
+        "tutte_edge_model": lambda pick, cap: one(
+            duality.tutte_edge_model(g, q, pick(tutte_s, ()), cap)
+        ),
+        "xq_evaluate": lambda pick, cap: (
+            [duality.xq_evaluate(g, G, orient, pick(s, (q,)), pick(t, (q,)), cap)],
+            None,
+        ),
+        "xq_dual": lambda pick, cap: (
+            [duality.xq_dual(g, G, orient, pick(s, (q,)), pick(t, (q,)), cap)],
+            None,
+        ),
+    }
+    runs = {
+        name: (lambda i, cap, case=case: case(_picker(i), cap))
+        for name, case in cases.items()
+    }
+    runs["halfedge_inner"] = lambda i, cap: halfedge(
+        families if i is None else families[i], cap
+    )
+    if G.flavour == "cyclic" and len(G.factors) == 1:
+        # s = 1 is a root of unity, so the entries take both branches
+        ps, pt = np.array([1.0, 3.0, 0.5])[:B], draw(())
+        runs["principal_specialization"] = lambda i, cap: (
+            [
+                duality.principal_specialization(
+                    g, orient, q, _picker(i)(ps, ()), _picker(i)(pt, ()), cap
+                )
+            ],
+            None,
+        )
+    return runs
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    multigraphs(),
+    st.sampled_from(GROUP_SPECS),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.lists(st.booleans(), min_size=1, max_size=6),
+    st.lists(st.integers(0, 1), min_size=5, max_size=5),
+)
+@example(MIXED, "2x2", 1, 1, [True], [0, 1, 1, 0, 1])
+@example(MIXED, "f4", 2, 3, [True, False], [1, 0, 0, 1, 0])
+@example(MIXED, "3", 3, 2, [False, True, True], [1, 1, 0, 0, 1])
+@example(Multigraph(2, ()), "4", 4, 2, [True], [0, 0, 0, 0, 0])
+@example(Multigraph(0, ()), "2", 5, 3, [False, True], [0, 0, 0, 0, 0])
+def test_batched_sums_equal_their_entries(g, spec, seed, B, flags, heads):
+    G = group_from_name(spec)
+    rng = np.random.default_rng(seed)
+    orient = Orientation(tuple(heads[: g.num_edges]))
+    batched_flags = itertools.cycle(flags)
+
+    def draw(shape, batched=None):
+        x = complex_vec(rng, B * int(np.prod(shape))).reshape((B,) + shape)
+        return x if (next(batched_flags) if batched is None else batched) else x[0]
+
+    for name, run in _batched_cases(g, G, orient, draw, B).items():
+        values, cost = run(None, enumeration.DEFAULT_MAX_TERMS)
+        for i in range(B):
+            entry_values, entry_cost = run(i, enumeration.DEFAULT_MAX_TERMS)
+            assert entry_cost == cost, name
+            for whole, one in zip(values, entry_values, strict=True):
+                # a sum that no batched table reaches is one value for all
+                assert np.shape(whole) in ((B,), ()), name
+                assert_close(np.broadcast_to(whole, (B,))[i], one, BATCH_TOL, name)
+        if name in KEEP_BATCH:
+            assert all(np.shape(whole) == (B,) for whole in values), name
+        if cost:
+            # the cap is per entry: the batch passes at the cost of one
+            run(None, cost)
+            with pytest.raises(enumeration.TermCapExceeded) as err:
+                run(None, cost - 1)
+            assert err.value.estimate == cost, name

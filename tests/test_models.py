@@ -8,6 +8,7 @@ from qcolour.groups import (
     cyclic_group,
     monochrome_indicator,
     random_orthogonal,
+    transform_by,
     zero_sum_indicator,
 )
 from qcolour.models import (
@@ -15,6 +16,7 @@ from qcolour.models import (
     ModelValue,
     VertexModel,
     VertexWeights,
+    _transformed,
     edge_partition,
     halfedge_inner,
     orthogonal_invariance_check,
@@ -200,6 +202,20 @@ def test_orthogonal_invariance_rejects_non_orthogonal():
     assert orthogonal_invariance_check(g, w, [not_orth, np.eye(2)]) == (False, True)
 
 
+def test_transformed_tables_match_transform_by():
+    G = cyclic_group(3)
+    rng = np.random.default_rng(5)
+    Us = [random_orthogonal(3, i) for i in range(3)] + [rng.standard_normal((3, 3))]
+    Us = np.array(Us)
+    for d in range(4):
+        table = rng.standard_normal((3,) * d) + 1j * rng.standard_normal((3,) * d)
+        stack = _transformed(table, Us)
+        assert stack.shape == (4,) + (3,) * d
+        for U, got in zip(Us, stack):
+            want = transform_by(QFunction(G, d, table.reshape(-1)), U).as_tensor()
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
 def test_orthogonal_invariance_pairs_the_unchanged_weights_once(monkeypatch):
     import qcolour.models as models_mod
 
@@ -221,9 +237,15 @@ def test_orthogonal_invariance_pairs_the_unchanged_weights_once(monkeypatch):
     monkeypatch.setattr(models_mod, "halfedge_inner", counted)
     Us = [random_orthogonal(3, i) for i in range(5)]
     assert orthogonal_invariance_check(g, w, Us) == (True,) * 5
-    # one pairing of the unchanged weights, then one per transformed family
-    assert len(calls) == 6 and calls[0] is w
-    assert all(c is not w for c in calls[1:])
+    # one batched pairing: the unchanged weights, then each transformed family
+    assert len(calls) == 1
+    (families,) = calls
+    assert len(families) == 6 and families[0] is w
+    assert all(f is not w for f in families[1:])
+    # a U that fails the first test adds no family to the batch
+    calls.clear()
+    assert orthogonal_invariance_check(g, w, [Us[0], 2 * np.eye(3)]) == (True, False)
+    assert len(calls) == 1 and len(calls[0]) == 2 and calls[0][0] is w
     # none at all when no U fixes the monochrome indicator
     calls.clear()
     assert orthogonal_invariance_check(g, w, [2 * np.eye(3)]) == (False,)

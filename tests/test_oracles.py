@@ -18,6 +18,7 @@ from qcolour.enumeration import (
 from qcolour.graphs import (
     Multigraph,
     Orientation,
+    coboundary,
     components,
     line_graph,
     rank,
@@ -402,6 +403,35 @@ def test_weight_enums_exact_types_and_edge_cases():
     assert hamming_weight_enum(S, 0, 3) == 1
     assert hamming_weight_enum([(0, 0, 0), (1, 0, 0)], 0, 3) == 0
     assert hamming_weight_enum(S, Fraction(1, 2), 3) == Fraction(3, 4) + 1
+
+
+def test_complete_weight_enum_takes_non_finite_weights():
+    rows = np.array([[0, 1], [1, 1]])
+    # inf ** n overflows in Python, so the powers multiply out in the
+    # weights' own type and the sum is each row's product, summed
+    for weights in ([math.inf, 1.0], [-math.inf, 2.0], [math.inf, 0.5], [1.0, math.inf]):
+        want = sum(math.prod(weights[c] for c in row) for row in rows.tolist())
+        assert complete_weight_enum(rows, weights) == want
+        assert complete_weight_enum(rows, np.array(weights)) == want
+    assert math.isnan(complete_weight_enum(rows, [math.nan, 1.0]))
+    # the rows' products are -inf and inf
+    assert math.isnan(complete_weight_enum(rows, [math.inf, -math.inf]))
+    assert isinstance(complete_weight_enum(rows, [complex(math.inf, 1.0), 1j]), complex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    multigraphs(),
+    st.sampled_from(("2", "3", "4", "2x2", "f4")),
+    st.lists(st.integers(0, 1), min_size=5, max_size=5),
+)
+def test_coboundary_chunk_matches_coboundary_per_row(g, spec, heads):
+    G = group_from_name(spec)
+    orient = Orientation(tuple(heads[: g.num_edges]))
+    X = next(index_blocks(G.q, g.num_vertices))
+    got = coboundary_chunk(g, orient, G, X)
+    assert got.shape == (X.shape[0], g.num_edges) and got.dtype == np.int64
+    assert got.tolist() == [list(coboundary(g, orient, G, x)) for x in X.tolist()]
 
 
 # Composition histograms: the battery's route to the weight enumerators.
