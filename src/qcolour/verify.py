@@ -150,8 +150,14 @@ class VerifyContext:
     def rng(self, salt: int = 0):
         return _rng(self.seed, salt)
 
-    def cvec(self, rng, n: int) -> np.ndarray:
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    def cvec(self, rng, shape) -> np.ndarray:
+        """Complex standard normals of a shape (an int is a vector's length).
+        Each vector along the last axis takes its real parts and then its
+        imaginary parts from the stream, as one vector drawn at a time
+        would, so a stack of draws reads the stream in draw order."""
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        x = rng.standard_normal(shape[:-1] + (2, shape[-1]))
+        return x[..., 0, :] + 1j * x[..., 1, :]
 
 
 # records kept per shared check: one entry per graph and setting, and a
@@ -457,17 +463,15 @@ def _check_general_duality(ctx: VerifyContext):
     G = ctx.group
     rng = ctx.rng(6)
     orient = ctx.doc.orientation_or_default()
-    fs, gs = [], []
-    for _ in range(5):
-        fs.append([ctx.cvec(rng, G.q) for _ in range(g.num_vertices)])
-        gs.append([ctx.cvec(rng, G.q) for _ in range(g.num_edges)])
-    # one weight per vertex and edge, each stacked over the draws
+    # each draw is a weight per vertex, then one per edge; each weight
+    # goes to the sides stacked over the draws
+    draws = ctx.cvec(rng, (5, g.num_vertices + g.num_edges, G.q)).swapaxes(0, 1)
     lhs, rhs = duality.general_duality_sides(
         g,
         G,
         orient,
-        list(np.reshape(fs, (5, g.num_vertices, G.q)).swapaxes(0, 1)),
-        list(np.reshape(gs, (5, g.num_edges, G.q)).swapaxes(0, 1)),
+        list(draws[: g.num_vertices]),
+        list(draws[g.num_vertices :]),
         max_terms=ctx.max_terms,
     )
     for i, (a, b) in enumerate(zip(_entries(lhs, 5), _entries(rhs, 5))):
@@ -482,7 +486,7 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
     flows = ctx.flow_compositions
     tensions = ctx.tension_compositions
     rng = ctx.rng(7)
-    gvs = np.array([ctx.cvec(rng, G.q) for _ in range(5)])
+    gvs = ctx.cvec(rng, (5, G.q))
     v1s = duality.flow_cwe_vertex_model(g, G, gvs, max_terms=ctx.max_terms).value
     v2s = duality.flow_cwe_edge_model(g, G, gvs, max_terms=ctx.max_terms).value
     v3s = duality.tension_cwe_expectation(g, G, gvs, max_terms=ctx.max_terms).value
@@ -611,8 +615,7 @@ def _check_xq(ctx: VerifyContext):
     G = ctx.group
     orient = ctx.doc.orientation_or_default()
     rng = ctx.rng(9)
-    s = ctx.cvec(rng, G.q)
-    t = ctx.cvec(rng, G.q)
+    s, t = ctx.cvec(rng, (2, G.q))
     tsym = t + t[G.neg]
     # every vertex-colouring side in one batch: the dual expansion's, the
     # symmetric edge model's, then each principal specialization's
