@@ -94,7 +94,7 @@ def tension_vertex_sum(
     # ev[sub.T] at (x_tail, x_head) is ev[x_head - x_tail]; a loop reads ev[0]
     factors += [
         (
-            np.asarray(edge_vecs[e])[..., group.sub.T],
+            edge_vecs[e].take(group.sub.T, axis=-1),
             (orient.tail(g, e), orient.head(g, e)),
         )
         for e in range(g.num_edges)
@@ -123,7 +123,7 @@ def boundary_edge_sum(
             if orient.sigma(e, end) == -1:
                 col = group.neg[col]
             bnd = group.add[bnd, col]
-        factors.append((np.asarray(vertex_vecs[v])[..., bnd], [e for e, _end in hs]))
+        factors.append((vertex_vecs[v].take(bnd, axis=-1), [e for e, _end in hs]))
     factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
     return factor_sum(group.q, g.num_edges, factors, max_terms)
 
@@ -216,7 +216,7 @@ def flow_cwe_vertex_model(
     stack of tables g gives one value per table."""
     gF = _transform(group.fourier_matrix(), _as_weights(group, gtable))
     # h[x, b] = gF(x - b)
-    mv = _split_vertex_sum(g, group.q, gF[..., group.sub], max_terms)
+    mv = _split_vertex_sum(g, group.q, gF.take(group.sub, axis=-1), max_terms)
     return ModelValue.of(group.q ** (-g.num_vertices) * mv.value, mv.terms)
 
 
@@ -226,7 +226,9 @@ def flow_cwe_edge_model(
     """Edge-colouring route to the same enumerator: q^(-|V|) sum_y prod_v
     sum_a prod over half-edges at v of (Fg)(a - y_e), per table of a stack."""
     gF = _transform(group.fourier_matrix(), _as_weights(group, gtable))
-    mv = _split_edge_sum(g, group.q, np.ones(group.q), gF[..., group.sub], max_terms)
+    mv = _split_edge_sum(
+        g, group.q, np.ones(group.q), gF.take(group.sub, axis=-1), max_terms
+    )
     return ModelValue.of(group.q ** (-g.num_vertices) * mv.value, mv.terms)
 
 
@@ -237,7 +239,7 @@ def tension_cwe_expectation(
     tensions at f * f^N: q^(r(E)-|V|) sum_x prod_e sum_b prod f(x_v - b),
     per table of a stack."""
     fvec = _as_weights(group, ftable)
-    mv = _split_vertex_sum(g, group.q, fvec[..., group.sub], max_terms)
+    mv = _split_vertex_sum(g, group.q, fvec.take(group.sub, axis=-1), max_terms)
     return ModelValue.of(group.q ** (rank(g) - g.num_vertices) * mv.value, mv.terms)
 
 
