@@ -192,7 +192,8 @@ def _split_edge_sum(
     at v of h[a, y_e], with one vertex table per distinct degree.  f and h
     may carry leading batch axes, which broadcast; with no vertices each
     sum is 1."""
-    batch = np.broadcast_shapes(f.shape[:-1], h.shape[:-2])
+    fb, hb = f.shape[:-1], h.shape[:-2]
+    batch = np.broadcast_shapes(fb, hb) if fb and hb else fb or hb
     tables = {}
     for d in set(g.degrees()):
         # acc[..., a, c_1, ..., c_d] = f[..., a] prod_i h[..., a, c_i],

@@ -74,7 +74,8 @@ class ModelValue:
     def broadcast(self, batch: tuple) -> "ModelValue":
         """The value for every entry of a batch shape: a sum in which no
         table carried the batch has one value for all its entries."""
-        if np.shape(self.value) == batch:
+        value = self.value
+        if (value.shape if isinstance(value, np.ndarray) else ()) == batch:
             return self
         return ModelValue.of(np.broadcast_to(self.value, batch), self.terms)
 
@@ -223,26 +224,24 @@ def _plan(label_tuples: tuple, batched: tuple) -> _Plan:
         for _slot, ls, _b in live:
             for label in ls:
                 joint.setdefault(label, set()).update(ls)
-        label = min(joint, key=lambda lb: (len(joint[lb]), lb))
+        _size, label = min((len(ls), lb) for lb, ls in joint.items())
         scope = sorted(joint[label])
         # einsum takes at most 52 axis letters, so number the scope locally;
         # the batch takes the number after the scope's
         ids = {lb: i for i, lb in enumerate(scope)}
+        batch = (len(scope),)
         out = tuple(lb for lb in scope if lb != label)
         used = [f for f in live if label in f[1]]
         live = [f for f in live if label not in f[1]]
-        out_batched = any(b for _slot, _ls, b in used)
+        out_batched = any([b for _slot, _ls, b in used])
         if out:
             live.append((len(label_tuples) + len(steps), out, out_batched))
         scopes.append(len(scope))
         steps.append(
             (
                 tuple(slot for slot, _ls, _b in used),
-                tuple(
-                    (len(scope),) * b + tuple(ids[lb] for lb in ls)
-                    for _slot, ls, b in used
-                ),
-                (len(scope),) * out_batched + tuple(ids[lb] for lb in out),
+                tuple(batch * b + tuple(ids[lb] for lb in ls) for _slot, ls, b in used),
+                batch * out_batched + tuple(ids[lb] for lb in out),
                 not out,
             )
         )
@@ -396,11 +395,11 @@ def halfedge_inner(
     tables = {d: table(d) for d in set(g.degrees())}
     factors = []
     for v in range(g.num_vertices):
-        # the vertex table re-indexed from half-edge colours onto support pairs
+        # the vertex table re-indexed from half-edge colours onto support
+        # pairs, past the families' axis if there is one
         axes = np.ix_(*(ends[end] for _e, end in orders[v]))
-        factors.append(
-            (tables[g.degree(v)][(..., *axes)], [e for e, _end in orders[v]])
-        )
+        table_v = tables[g.degree(v)][(slice(None),) * len(batch) + axes]
+        factors.append((table_v, [e for e, _end in orders[v]]))
     factors += [(pair_weight.values[supp], (e,)) for e in range(g.num_edges)]
     # with no vertices no table carries the families, and all pair alike
     return factor_sum(supp.size, g.num_edges, factors, max_terms).broadcast(batch)
