@@ -12,14 +12,15 @@ each seed over the same groups.  Each line holds the record's fields
 it in two checkouts to see what a change does to the records.
 
 ``--compare`` matches records by seed, graph, group and position, prints
-how many differ in each field and the largest change of ``residual``, and
-exits nonzero if any record is missing or differs in a field other than
-``residual``.
+how many differ in each field, and of those how many carry each check
+name, and the largest change of ``residual``.  It exits nonzero if any
+record is missing or differs in a field other than ``residual``.
 """
 
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 GROUPS = ("2", "3", "4", "2x2", "f4", "5")
@@ -76,6 +77,9 @@ def compare(old_path, new_path) -> int:
     print(f"{len(old)} old records, {len(new)} new, {len(missing)} missing, {len(added)} added")
     for f in fields:
         print(f"  {f:9s} differs in {len(differ[f])}")
+        names = Counter(old[key]["name"] for key in differ[f])
+        for name, n in sorted(names.items()):
+            print(f"    {n:6d} {name}")
     print(f"  largest residual change {worst:.3g}")
     for key in missing[:10]:
         print("  missing", key)

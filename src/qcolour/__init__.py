@@ -26,6 +26,7 @@ from .groups import (
     negate,
     orthogonal_submodule,
     random_orthogonal,
+    transform,
     transform_by,
 )
 from .models import (

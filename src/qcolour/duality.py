@@ -18,37 +18,27 @@ The sums take stacked weights: a weight vector or matrix with one leading
 axis more than it needs holds one weight per batch entry, and the sum
 comes back with one value per entry from one batched contraction
 (``models.eliminate``).  So a check that draws several weights pays for
-one plan and one pass of Python over the graph, not one per draw.
+one plan and one pass of Python over the graph, not one per draw.  Every
+change of basis of the weights, the Fourier transform and the character
+sums of the X_Q dual, is ``groups.transform`` under the same batch rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .enumeration import DEFAULT_MAX_TERMS
 from .graphs import Multigraph, Orientation, rank
-from .groups import (
-    Group,
-    QFunction,
-    convolve,
-    cyclic_group,
-    fourier,
-    gf4,
-    inverse_fourier,
-    negate,
-)
+from .groups import Group, cyclic_group, gf4, transform
 from .models import ModelValue, edge_table_sum, factor_sum, vertex_table_sum
 from .oracles import ConsistencyError, flow_polynomial
 
 __all__ = [
-    "XQParams",
     "tension_vertex_sum",
     "boundary_edge_sum",
     "general_duality_sides",
-    "general_duality_check",
     "flow_cwe_vertex_model",
     "flow_cwe_edge_model",
     "tension_cwe_expectation",
@@ -74,10 +64,11 @@ def _as_weights(group: Group, table) -> np.ndarray:
     return vec
 
 
-def _transform(F: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """F @ v for each vector v on the last axis of ``vecs``; one
-    matrix-vector product per entry, as for a single vector."""
-    return np.matmul(F, vecs[..., None])[..., 0]
+def _weight_rows(group: Group, tables) -> np.ndarray:
+    """One weight table per vertex (or edge) as one complex array, a row
+    per table; an unbatched table is repeated along the others' batch."""
+    rows = [_as_weights(group, t) for t in tables]
+    return np.array(np.broadcast_arrays(*rows)) if rows else np.empty((0, group.q))
 
 
 def tension_vertex_sum(
@@ -143,32 +134,16 @@ def general_duality_sides(
     Weights with a leading batch axis give both sides per entry.
     """
     q = group.q
-    f_vecs = [_as_weights(group, f) for f in f_vecs]
-    g_vecs = [_as_weights(group, h) for h in g_vecs]
-    lhs = tension_vertex_sum(
-        g, group, orient, f_vecs, [h.conj() for h in g_vecs], max_terms
-    )
+    f_rows, g_rows = _weight_rows(group, f_vecs), _weight_rows(group, g_vecs)
+    lhs = tension_vertex_sum(g, group, orient, f_rows, g_rows.conj(), max_terms)
     F = group.fourier_matrix()
-    fF = [_transform(F, f) for f in f_vecs]
-    gF = [_transform(F, h).conj() for h in g_vecs]
+    fF = transform(F, f_rows, 1)
+    gF = transform(F, g_rows, 1).conj()
     rhs = boundary_edge_sum(g, group, orient, fF, gF, max_terms)
     return (
         q ** (-g.num_vertices / 2) * lhs.value,
         q ** (-g.num_edges / 2) * rhs.value,
     )
-
-
-def general_duality_check(
-    g: Multigraph,
-    group: Group,
-    orient: Orientation,
-    f_vecs,
-    g_vecs,
-    tol: float = 1e-8,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> bool:
-    lhs, rhs = general_duality_sides(g, group, orient, f_vecs, g_vecs, max_terms)
-    return abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
 
 
 def _split_vertex_sum(
@@ -215,7 +190,7 @@ def flow_cwe_vertex_model(
     evaluated at g * g^N: q^(-|V|) sum_x prod_e sum_b prod over the edge's
     half-edges of (Fg)(x_v - b).  A loop's factor appears squared.  A
     stack of tables g gives one value per table."""
-    gF = _transform(group.fourier_matrix(), _as_weights(group, gtable))
+    gF = transform(group.fourier_matrix(), _as_weights(group, gtable), 1)
     # h[x, b] = gF(x - b)
     mv = _split_vertex_sum(g, group.q, gF.take(group.sub, axis=-1), max_terms)
     return ModelValue.of(group.q ** (-g.num_vertices) * mv.value, mv.terms)
@@ -226,7 +201,7 @@ def flow_cwe_edge_model(
 ) -> ModelValue:
     """Edge-colouring route to the same enumerator: q^(-|V|) sum_y prod_v
     sum_a prod over half-edges at v of (Fg)(a - y_e), per table of a stack."""
-    gF = _transform(group.fourier_matrix(), _as_weights(group, gtable))
+    gF = transform(group.fourier_matrix(), _as_weights(group, gtable), 1)
     mv = _split_edge_sum(
         g, group.q, np.ones(group.q), gF.take(group.sub, axis=-1), max_terms
     )
@@ -334,19 +309,6 @@ def spectral_edge_model(
     return _split_edge_sum(g, q, fvec, h, max_terms)
 
 
-@dataclass(frozen=True)
-class XQParams:
-    """Vertex weights s_a and edge weights t_b for the boundary generating
-    function; t must be symmetric under negation for the edge model."""
-
-    s: tuple
-    t: tuple
-
-    def symmetric(self, group: Group) -> bool:
-        t = _as_weights(group, self.t)
-        return bool(np.allclose(t, t[group.neg]))
-
-
 def xq_evaluate(
     g: Multigraph,
     group: Group,
@@ -387,8 +349,8 @@ def xq_dual(
     svec = _as_weights(group, s_table)
     tvec = _as_weights(group, t_table)
     chimat = group.chi[group.mul]
-    shat = _transform(chimat.conj(), svec)
-    that = _transform(chimat, tvec)
+    shat = transform(chimat.conj(), svec, 1)
+    that = transform(chimat, tvec, 1)
     mv = boundary_edge_sum(
         g, group, orient, [shat] * g.num_vertices, [that] * g.num_edges, max_terms
     )
@@ -442,14 +404,14 @@ def symmetric_weight_root(group: Group, t_table, tol: float = 1e-9) -> np.ndarra
     tvec = _as_weights(group, t_table)
     if not np.allclose(tvec, tvec[group.neg], atol=1e-12):
         raise ValueError("edge weights must satisfy t(-b) = t(b)")
-    tq = QFunction(group, 1, tvec)
-    uF = group.q ** (-0.25) * np.sqrt(fourier(tq).values)
-    u = inverse_fourier(QFunction(group, 1, uF))
-    recon = convolve(u, negate(u)).values
+    F = group.fourier_matrix()
+    u = transform(F.conj(), group.q ** (-0.25) * np.sqrt(transform(F, tvec, 1)), 1)
+    # the convolution (u * u^N)(a) = sum_b u(a - b) u(-b), gathered at once
+    recon = u[group.sub] @ u[group.neg]
     resid = np.max(np.abs(recon - tvec))
     if resid > tol * max(1.0, np.max(np.abs(tvec))):
         raise ConsistencyError(f"convolution square root residual {resid}")
-    return u.values
+    return u
 
 
 def xq_edge_model(

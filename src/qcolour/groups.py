@@ -6,6 +6,14 @@ so that every downstream evaluator works uniformly for both flavours.
 
 Functions on Q^d are stored densely with the mixed-radix index convention
 "first coordinate most significant": (a_1, ..., a_d) -> sum a_i * q^(d-i).
+
+A change of basis of weight functions (the Fourier transform, or an
+orthogonal U tensored with itself) is one array function, ``transform``:
+it applies a q x q matrix to each of a table's last ``arity`` axes.  Any
+axes before those are a batch, one table per entry, as every model sum in
+``models`` and ``duality`` reads them: a table with one leading axis more
+than its arity carries the batch.  A stack of matrices broadcasts against
+that batch.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ __all__ = [
     "negate",
     "convolve",
     "pointwise",
+    "transform",
     "transform_by",
     "monochrome_indicator",
     "zero_sum_indicator",
@@ -208,16 +217,38 @@ def _check_same(f: QFunction, g: QFunction):
         raise ValueError("arity mismatch")
 
 
+def transform(M: np.ndarray, table: np.ndarray, arity: int) -> np.ndarray:
+    """M applied to each of the last ``arity`` axes of ``table``:
+    out[..., i_1, ..., i_d] = sum_j prod_k M[i_k, j_k] table[..., j_1, ..., j_d],
+    that is (M tensor ... tensor M) on each table of the batch.
+
+    M may be a stack of (q, q) matrices on its leading axes, which
+    broadcast against the table's leading batch axes as in ``np.matmul``;
+    a table of arity 0 is a constant, which every matrix fixes."""
+    if arity == 1:
+        # a weight vector or a stack of them, the common case: one product
+        return np.matmul(M, table[..., None])[..., 0]
+    if arity == 0:
+        return table * np.ones(M.shape[:-2])
+    q = M.shape[-1]
+    rows = (q ** (arity - 1), q)
+    x = table.reshape(table.shape[: table.ndim - arity] + rows)
+    for _ in range(arity):
+        # M on the last axis, which then leads the others: after arity
+        # steps every axis is transformed and back in its place
+        x = np.matmul(M, x.swapaxes(-1, -2))
+        x = x.reshape(x.shape[:-2] + rows)
+    return x.reshape(x.shape[:-2] + (q,) * arity)
+
+
 def transform_by(f: QFunction, U: np.ndarray) -> QFunction:
     """Apply U tensored with itself arity-many times to f."""
     q = f.group.q
     U = np.asarray(U)
     if U.shape != (q, q):
         raise ValueError(f"matrix must be {q}x{q}, got {U.shape}")
-    arr = f.as_tensor().astype(np.complex128)
-    for ax in range(f.arity):
-        arr = np.moveaxis(np.tensordot(U, arr, axes=(1, ax)), 0, ax)
-    return QFunction(f.group, f.arity, arr.reshape(-1))
+    values = transform(U, f.as_tensor(), f.arity).reshape(-1)
+    return QFunction(f.group, f.arity, values)
 
 
 def fourier(f: QFunction) -> QFunction:
@@ -242,18 +273,16 @@ def pointwise(f: QFunction, g: QFunction) -> QFunction:
 
 
 def convolve(f: QFunction, g: QFunction) -> QFunction:
-    """(f * g)(a) = sum_b f(a - b) g(b)."""
+    """(f * g)(a) = sum_b f(a - b) g(b): f gathered at the index of every
+    difference a - b, then summed against g."""
     _check_same(f, g)
     q, d = f.group.q, f.arity
-    ft, gt = f.as_tensor(), g.as_tensor()
-    out = np.zeros_like(ft)
-    sub = f.group.sub
-    for b in itertools.product(range(q), repeat=d):
-        shifted = ft
-        for ax, bi in enumerate(b):
-            shifted = np.take(shifted, sub[:, bi], axis=ax)
-        out = out + shifted * gt[b]
-    return QFunction(f.group, d, out.reshape(-1))
+    diff = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(d):
+        # the index of (a, a') - (b, b') from that of a - b and a' - b'
+        diff = diff[:, None, :, None] * q + f.group.sub[None, :, None, :]
+        diff = diff.reshape(diff.shape[0] * q, -1)
+    return QFunction(f.group, d, (f.values[diff] * g.values).sum(axis=1))
 
 
 def monochrome_indicator(group: Group, arity: int) -> QFunction:

@@ -10,8 +10,10 @@ structure (a bounded cache keyed by the factors' label tuples, so a sum
 repeated with other tables or another radix only runs the steps); its cost
 is what the term cap bounds and ``ModelValue.terms`` reports.  A table
 may carry one leading batch axis, so several sums that differ only in
-their tables run as one contraction, at the plan and cap of one.  The
-evaluators below only build factor lists.
+their tables run as one contraction, at the plan and cap of one: a table
+with one leading axis more than its arity carries the batch, the rule
+that ``groups.transform`` and the weight tables of every builder follow.
+The evaluators below only build factor lists.
 A vertex model sums over vertex colourings with a weight per vertex and a
 (q, q) interaction per edge.  An edge model sums over edge colourings with a
 weight per edge and, at each vertex, a weight depending on the tuple of
@@ -33,7 +35,7 @@ import numpy as np
 
 from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from .graphs import Multigraph, Orientation, RotationSystem, default_orientation
-from .groups import Group, QFunction, monochrome_indicator
+from .groups import Group, QFunction, monochrome_indicator, transform
 
 __all__ = [
     "ModelValue",
@@ -96,7 +98,8 @@ class VertexWeights:
     """A vertex weight family: one function per arity (vertex degree).
 
     Built either from a tuple function evaluated on demand or from explicit
-    per-arity tables.  Tables are cached per arity.
+    per-arity tables.  Tables are cached per arity.  An explicit table with
+    one leading axis more than its arity holds one family per batch entry.
     """
 
     def __init__(self, group: Group, table_fn=None, tables=None):
@@ -368,54 +371,34 @@ def edge_partition(
 
 def halfedge_inner(
     g: Multigraph,
-    weights: VertexWeights | Sequence[VertexWeights],
+    weights: VertexWeights,
     pair_weight: QFunction,
     rotation: RotationSystem | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
     """Real-bilinear pairing of the vertex weight family against an arity-2
     weight applied to each edge's half-edge pair; each edge is coloured by a
-    support pair of that weight.  A sequence of families over one group
-    gives one pairing per family, from one batched contraction."""
+    support pair of that weight.  Batched vertex tables give one pairing
+    per batch entry, from one contraction (see ``eliminate``)."""
     if pair_weight.arity != 2:
         raise ValueError("pair weight must have arity 2")
-    if isinstance(weights, VertexWeights):
-        group, table, batch = weights.group, weights.table, ()
-    else:
-        families = list(weights)
-        group, batch = families[0].group, (len(families),)
-
-        def table(d):
-            return np.stack([w.table(d) for w in families])
-
-    q = group.q
+    q = weights.group.q
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
     ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair
     orders = _vertex_orders(g, rotation)
-    tables = {d: table(d) for d in set(g.degrees())}
+    tables = {}
+    for d in set(g.degrees()):
+        table = weights.table(d)
+        # the index of every entry of the batch, if the table has one
+        tables[d] = table, (slice(None),) * (table.ndim - d)
     factors = []
     for v in range(g.num_vertices):
-        # the vertex table re-indexed from half-edge colours onto support
-        # pairs, past the families' axis if there is one
+        # the vertex table re-indexed from half-edge colours onto support pairs
+        table, batch = tables[g.degree(v)]
         axes = np.ix_(*(ends[end] for _e, end in orders[v]))
-        table_v = tables[g.degree(v)][(slice(None),) * len(batch) + axes]
-        factors.append((table_v, [e for e, _end in orders[v]]))
+        factors.append((table[batch + axes], [e for e, _end in orders[v]]))
     factors += [(pair_weight.values[supp], (e,)) for e in range(g.num_edges)]
-    # with no vertices no table carries the families, and all pair alike
-    return factor_sum(supp.size, g.num_edges, factors, max_terms).broadcast(batch)
-
-
-def _transformed(table: np.ndarray, Us: np.ndarray) -> np.ndarray:
-    """U tensor ... tensor U applied to a table, for each U of a (K, q, q)
-    stack: a (K,) + table.shape array, one einsum per axis of the table."""
-    out = np.broadcast_to(table, Us.shape[:1] + table.shape)
-    axes = list(range(3, 3 + table.ndim))
-    for ax in range(table.ndim):
-        # out[k, .., i, ..] = sum_j U_k[i, j] out[k, .., j, ..] at axis ax
-        src, dst = list(axes), list(axes)
-        src[ax], dst[ax] = 2, 1
-        out = np.einsum(Us, [0, 1, 2], out, [0, *src], [0, *dst])
-    return out
+    return factor_sum(supp.size, g.num_edges, factors, max_terms)
 
 
 def orthogonal_invariance_check(
@@ -435,19 +418,20 @@ def orthogonal_invariance_check(
     mono = monochrome_indicator(group, 2)
     Us = np.asarray(Us).reshape(-1, group.q, group.q)
     table = mono.as_tensor()
-    moved = np.abs(_transformed(table, Us) - table).max(axis=(1, 2))
+    moved = np.abs(transform(Us, table, 2) - table).max(axis=(1, 2))
     fixed = [not dev > tol for dev in moved]
     if not any(fixed):
         return tuple(fixed)
     kept = Us[fixed]
-    stacks = {d: _transformed(weights.table(d), kept) for d in set(g.degrees())}
-    families = [weights] + [
-        VertexWeights.from_tables(group, {d: stack[k] for d, stack in stacks.items()})
-        for k in range(len(kept))
-    ]
-    lhs, *rhs = halfedge_inner(
-        g, families, mono, rotation=rotation, max_terms=max_terms
-    ).value
+    # per degree, the unchanged table and then its change by each kept U
+    tables = {}
+    for d in set(g.degrees()):
+        table = weights.table(d)
+        tables[d] = np.concatenate([table[None], transform(kept, table, d)])
+    stacked = VertexWeights.from_tables(group, tables)
+    mv = halfedge_inner(g, stacked, mono, rotation=rotation, max_terms=max_terms)
+    # with no vertices no table carries the batch, and all pair alike
+    lhs, *rhs = mv.broadcast((len(kept) + 1,)).value
     rhs = iter(rhs)
     oks = []
     for ok in fixed:

@@ -168,26 +168,31 @@ def parity_transform_closed(k: int, q: int, b) -> complex | np.ndarray:
     return complex(value) if b.ndim == 1 else value
 
 
-def parity_transform_kplus1(k: int, b) -> complex:
+def parity_transform_kplus1(k: int, b) -> complex | np.ndarray:
     """Fourier transform of the parity weight on the k-element set inside
-    Z_(k+1), evaluated at a k-tuple of residues.
+    Z_(k+1), evaluated at a k-tuple of residues, or elementwise over an
+    integer array whose last axis holds k-tuples.
 
     Odd k: a constant times the all-colours parity weight.  Even k: the
     constant additionally flips with the parity of the one colour the
     injective tuple misses (the compact constant-only form only holds for
     tuples missing an even colour; brute-force transforms pin this down).
+
+    A single k-tuple gives a complex, an array of shape (..., k) a complex
+    array of shape (...).
     """
     q = k + 1
-    b = [int(x) % q for x in b]
-    if len(b) != k:
+    b = np.asarray(b, dtype=np.int64) % q
+    if b.shape[-1:] != (k,):
         raise ValueError("need a k-tuple")
-    s = sgn_injection(b)
-    if s == 0:
-        return 0.0
+    sign = parity_sign_table(q, k)[tuple(np.moveaxis(b, -1, 0))]
     if k % 2:
-        return q ** (-0.5) * 1j ** ((k * (k - 1) // 2) % 4) * s
-    missing = (set(range(q)) - set(b)).pop()
-    return q ** (-0.5) * 1j ** ((k * (k + 1) // 2) % 4) * (-1) ** missing * s
+        value = q ** (-0.5) * 1j ** ((k * (k - 1) // 2) % 4) * sign
+    else:
+        # an injective tuple misses the colour that completes the sum of Z_q
+        missing = (q * (q - 1) // 2 - b.sum(axis=-1)) % q
+        value = q ** (-0.5) * 1j ** ((k * (k + 1) // 2) % 4) * (-1) ** missing * sign
+    return complex(value) if b.ndim == 1 else value
 
 
 def _regular_degree(g: Multigraph) -> int:

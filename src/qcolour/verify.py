@@ -18,7 +18,6 @@ calls on one graph, so a graph's first group carries them.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -703,10 +702,8 @@ def _check_parity_transforms(ctx: VerifyContext):
         fF = fourier(
             signed.parity_function(G, k, signed.kplus1_colour_set(k))
         ).values.reshape((q,) * k)
-        worst = max(
-            abs(fF[b] - signed.parity_transform_kplus1(k, b))
-            for b in itertools.product(range(q), repeat=k)
-        )
+        grid = np.moveaxis(np.indices((q,) * k), 0, -1)
+        worst = float(np.max(np.abs(fF - signed.parity_transform_kplus1(k, grid))))
         out.append(
             _record(
                 f"sign.parity-transform-kplus1.k{k}",

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qcolour.groups import (
@@ -18,6 +19,7 @@ from qcolour.groups import (
     orthogonal_submodule,
     pointwise,
     random_orthogonal,
+    transform,
     transform_by,
     zero_sum_indicator,
 )
@@ -127,6 +129,69 @@ def test_convolution_examples():
     assert np.allclose(convolve(f, delta).values, f.values)
     ones = QFunction.ones(Z3, 1)
     assert np.allclose(convolve(ones, ones).values, 3 * ones.values)
+
+
+def _shift_loop_convolve(f, g):
+    """(f * g)(a) = sum_b f(a - b) g(b), one shift of f per b in Q^d."""
+    q, d = f.group.q, f.arity
+    ft, gt = f.as_tensor(), g.as_tensor()
+    out = np.zeros_like(ft)
+    for b in itertools.product(range(q), repeat=d):
+        shifted = ft
+        for ax, bi in enumerate(b):
+            shifted = np.take(shifted, f.group.sub[:, bi], axis=ax)
+        out = out + shifted * gt[b]
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "2x2", "f4"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_convolve_matches_the_shift_loop(spec, d):
+    G = group_from_name(spec)
+    rng = np.random.default_rng(stable_seed(spec, d))
+    f = QFunction(G, d, complex_vec(rng, G.q**d))
+    g = QFunction(G, d, complex_vec(rng, G.q**d))
+    want = _shift_loop_convolve(f, g)
+    tol = 1e-12 * np.abs(want).max()
+    assert np.allclose(convolve(f, g).values, want, rtol=0, atol=tol)
+
+
+def _kron_power(M, d):
+    out = np.ones((1, 1))
+    for _ in range(d):
+        out = np.kron(out, M)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(0, 3),
+    st.integers(1, 5),
+    st.booleans(),
+    st.sampled_from(["matrices", "tables", "both"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(3, 3, 4, False, "both", 0)
+@example(2, 0, 3, True, "matrices", 1)
+def test_transform_matches_kron_reference(q, d, k, orthogonal, stacked, seed):
+    """Entry i of a stack of k matrices, of k tables or of both transforms
+    its table as (M kron ... kron M) @ table.ravel()."""
+    rng = np.random.default_rng(seed)
+    if orthogonal:
+        Ms = np.array([random_orthogonal(q, seed + i) for i in range(k)])
+    else:
+        Ms = rng.standard_normal((k, q, q)) + 1j * rng.standard_normal((k, q, q))
+    shape = (k,) * (stacked != "matrices") + (q,) * d
+    tables = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = transform(Ms[0] if stacked == "tables" else Ms, tables, d)
+    assert got.shape == (k,) + (q,) * d
+    for i in range(k):
+        M = Ms[0] if stacked == "tables" else Ms[i]
+        table = tables if stacked == "matrices" else tables[i]
+        want = (_kron_power(M, d) @ table.ravel()).reshape((q,) * d)
+        scale = max(1.0, np.abs(want).max())
+        assert np.allclose(got[i], want, rtol=0, atol=1e-12 * scale), (i, d)
 
 
 @settings(max_examples=40, deadline=None)

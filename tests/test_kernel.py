@@ -313,7 +313,6 @@ BATCH_TOL = 1e-12
 KEEP_BATCH = (
     "split_vertex_sum",
     "split_edge_sum",
-    "halfedge_inner",
     "tutte_edge_model",
 )
 
@@ -329,7 +328,7 @@ def _picker(i):
 def _batched_cases(g, G, orient, draw, B):
     """name -> run(i, cap) -> (values, planned cost or None), for the
     batched call (i None) or the i-th unbatched one.  Each input is drawn
-    once, batched or not; halfedge_inner pairs B families at once."""
+    once, batched or not."""
     q = G.q
     vv = [draw((q,)) for _ in range(g.num_vertices)]
     ev = [draw((q,)) for _ in range(g.num_edges)]
@@ -339,12 +338,8 @@ def _batched_cases(g, G, orient, draw, B):
     h = draw((q, q), batched=True)
     f, gtable, s, t = (draw((q,)) for _ in range(4))
     tutte_s = 1.5 + np.abs(draw((), batched=True))
-    families = [
-        VertexWeights.from_tables(
-            G, {d: draw((q,) * d, batched=False) for d in set(g.degrees())}
-        )
-        for _ in range(B)
-    ]
+    # one vertex table per degree, for the half-edge pairings
+    vt = {d: draw((q,) * d) for d in set(g.degrees())}
 
     def one(mv):
         return [mv.value], mv.terms
@@ -356,9 +351,12 @@ def _batched_cases(g, G, orient, draw, B):
         value, cost = eliminate(q, g.num_vertices + 1, fs, cap)
         return [value], cost
 
-    def halfedge(fams, cap):
+    def halfedge(pick, cap):
+        weights = VertexWeights.from_tables(
+            G, {d: pick(x, (q,) * d) for d, x in vt.items()}
+        )
         pairs = (monochrome_indicator(G, 2), zero_sum_indicator(G, 2))
-        mvs = [halfedge_inner(g, fams, pair, max_terms=cap) for pair in pairs]
+        mvs = [halfedge_inner(g, weights, pair, max_terms=cap) for pair in pairs]
         return [mv.value for mv in mvs], max(mv.terms for mv in mvs)
 
     def vecs(pick, xs):
@@ -366,6 +364,7 @@ def _batched_cases(g, G, orient, draw, B):
 
     cases = {
         "eliminate": elim,
+        "halfedge_inner": halfedge,
         "tension_vertex_sum": lambda pick, cap: one(
             tension_vertex_sum(g, G, orient, vecs(pick, vv), vecs(pick, ev), cap)
         ),
@@ -411,9 +410,6 @@ def _batched_cases(g, G, orient, draw, B):
         name: (lambda i, cap, case=case: case(_picker(i), cap))
         for name, case in cases.items()
     }
-    runs["halfedge_inner"] = lambda i, cap: halfedge(
-        families if i is None else families[i], cap
-    )
     if G.flavour == "cyclic" and len(G.factors) == 1:
         # s = 1 is a root of unity, so the entries take both branches
         ps, pt = np.array([1.0, 3.0, 0.5])[:B], draw(())

@@ -200,6 +200,33 @@ def test_parity_transform_kplus1_entrywise(k):
         assert abs(fF[b] - parity_transform_kplus1(k, b)) <= 1e-9, (k, b)
 
 
+def _parity_transform_kplus1_by_tuple(k, b):
+    """The (k+1)-colour closed form at one tuple, its sign by sgn_injection."""
+    q = k + 1
+    s = sgn_injection(b)
+    if s == 0:
+        return 0.0
+    if k % 2:
+        return q ** (-0.5) * 1j ** ((k * (k - 1) // 2) % 4) * s
+    missing = (set(range(q)) - set(b)).pop()
+    return q ** (-0.5) * 1j ** ((k * (k + 1) // 2) % 4) * (-1) ** missing * s
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_parity_transform_kplus1_grid_matches_tuples(k):
+    q = k + 1
+    grid = np.moveaxis(np.indices((q,) * k), 0, -1)
+    got = parity_transform_kplus1(k, grid)
+    assert got.shape == (q,) * k
+    for b in itertools.product(range(q), repeat=k):
+        want = _parity_transform_kplus1_by_tuple(k, b)
+        assert got[b] == want, (k, b)
+        one = parity_transform_kplus1(k, b)
+        assert type(one) is complex and one == want, (k, b)
+    with pytest.raises(ValueError):
+        parity_transform_kplus1(k, np.zeros((2, k + 1), dtype=np.int64))
+
+
 # ------------------------------------------------------------------ pairings
 
 
