@@ -242,10 +242,7 @@ def tutte_edge_model(
 
 
 def flow_cubic_edge_model(
-    g: Multigraph,
-    q: int,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    tol: float = 1e-6,
+    g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS
 ) -> int:
     """Edge-model count of nowhere-zero flows of a 3-regular graph:
     q^(-|E|) 2^|V| sum_y (1-q)^(monochrome vertices) (1-q/2)^(|V| - rainbow
@@ -262,15 +259,20 @@ def flow_cubic_edge_model(
     ).astype(np.complex128)
     mv = edge_table_sum(g, q, [tbl] * g.num_vertices, max_terms=max_terms)
     value = q ** (-g.num_edges) * 2**g.num_vertices * mv.value
-    return ModelValue.of(value, mv.terms).rounded(tol)
+    return ModelValue.of(value, mv.terms).rounded(1e-6)
 
 
-def spectral_split(gmat: np.ndarray, threshold: float = 1e-9) -> np.ndarray:
+# relative eigenvalue cut of ``spectral_split``; the battery's rank check
+# reads it too, as the tolerance of the numerical rank it compares against
+RANK_TOL = 1e-9
+
+
+def spectral_split(gmat: np.ndarray) -> np.ndarray:
     """Factor a symmetric real matrix as g = h h^T with h = V sqrt(Lambda).
 
     Columns are ordered by descending eigenvalue with each eigenvector's
     largest-magnitude entry made positive, and eigenvalues within
-    threshold * ||g|| of zero give all-zero columns, so the number of
+    RANK_TOL * ||g|| of zero give all-zero columns, so the number of
     nonzero columns equals the numerical rank.
     """
     gmat = np.asarray(gmat, dtype=float)
@@ -284,7 +286,7 @@ def spectral_split(gmat: np.ndarray, threshold: float = 1e-9) -> np.ndarray:
     scale = max(np.max(np.abs(vals)), 1e-300)
     h = np.zeros(gmat.shape, dtype=np.complex128)
     for c in range(gmat.shape[0]):
-        if abs(vals[c]) <= threshold * scale:
+        if abs(vals[c]) <= RANK_TOL * scale:
             continue
         v = vecs[:, c]
         pivot = np.argmax(np.abs(v))
@@ -296,14 +298,13 @@ def spectral_split(gmat: np.ndarray, threshold: float = 1e-9) -> np.ndarray:
 
 def spectral_edge_model(
     g: Multigraph,
-    group_or_q,
+    q: int,
     fvec,
     gmat: np.ndarray,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
     """Edge-colouring form of a symmetric real vertex model:
     sum_y prod_v sum_a f(a) prod over half-edges h(a, y_e)."""
-    q = group_or_q if isinstance(group_or_q, int) else group_or_q.q
     fvec = np.asarray(list(fvec), dtype=np.complex128)
     h = spectral_split(np.asarray(gmat, dtype=float))
     return _split_edge_sum(g, q, fvec, h, max_terms)
@@ -364,7 +365,6 @@ def principal_specialization(
     s,
     t,
     max_terms: int = DEFAULT_MAX_TERMS,
-    root_tol: float = 1e-9,
 ) -> complex:
     """Boundary expansion of the order-q principal specialization
     (vertex weights 1, s, ..., s^(q-1); edge weight t on coboundary 0).
@@ -379,7 +379,7 @@ def principal_specialization(
     evec = np.empty(t.shape + (q,), dtype=np.complex128)
     evec[...] = (t - 1)[..., None]
     evec[..., 0] = t - 1 + q
-    at_root = np.abs(s**q - 1) < root_tol
+    at_root = np.abs(s**q - 1) < 1e-9
     c = np.round(-q * np.angle(s) / (2 * math.pi)) % q
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -397,7 +397,7 @@ def principal_specialization(
     return pref * mv.value
 
 
-def symmetric_weight_root(group: Group, t_table, tol: float = 1e-9) -> np.ndarray:
+def symmetric_weight_root(group: Group, t_table) -> np.ndarray:
     """The weight u with t = u * u^N (convolution), extracted by taking the
     principal square root in the Fourier domain; raises if the claimed
     factorization fails to reconstruct t."""
@@ -409,7 +409,8 @@ def symmetric_weight_root(group: Group, t_table, tol: float = 1e-9) -> np.ndarra
     # the convolution (u * u^N)(a) = sum_b u(a - b) u(-b), gathered at once
     recon = u[group.sub] @ u[group.neg]
     resid = np.max(np.abs(recon - tvec))
-    if resid > tol * max(1.0, np.max(np.abs(tvec))):
+    # written so that a nan residual, as from an infinite entry, raises
+    if not resid <= 1e-9 * max(1.0, np.max(np.abs(tvec))):
         raise ConsistencyError(f"convolution square root residual {resid}")
     return u
 
@@ -431,11 +432,7 @@ def xq_edge_model(
 
 
 def gf4_flow_identity_check(
-    g: Multigraph,
-    s,
-    t,
-    tol: float = 1e-8,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    g: Multigraph, s, t, max_terms: int = DEFAULT_MAX_TERMS
 ) -> tuple[bool, complex, complex]:
     """Compare (st)^(|E|/3) F(G;4) against the GF(4) vertex-colouring sum
     4^(-|V|) sum_x w(0)^#0 w(1)^#1 w(w)^#w w(wb)^#wb, where #a counts edges
@@ -450,5 +447,5 @@ def gf4_flow_identity_check(
     mv = vertex_table_sum(g, 4, [M] * g.num_edges, max_terms=max_terms)
     rhs = 4.0 ** (-g.num_vertices) * mv.value
     lhs = (s * t) ** (g.num_edges // 3) * flow_polynomial(g, 4, max_terms=max_terms)
-    ok = abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
+    ok = abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
     return ok, lhs, rhs

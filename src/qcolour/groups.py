@@ -146,18 +146,14 @@ class QFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def zeros(cls, group: Group, arity: int) -> "QFunction":
-        return cls(group, arity, np.zeros(group.q**arity, dtype=np.complex128))
-
-    @classmethod
     def ones(cls, group: Group, arity: int) -> "QFunction":
         return cls(group, arity, np.ones(group.q**arity, dtype=np.complex128))
 
     @classmethod
-    def delta_zero(cls, group: Group, arity: int = 1) -> "QFunction":
-        vals = np.zeros(group.q**arity, dtype=np.complex128)
+    def delta_zero(cls, group: Group) -> "QFunction":
+        vals = np.zeros(group.q, dtype=np.complex128)
         vals[0] = 1.0
-        return cls(group, arity, vals)
+        return cls(group, 1, vals)
 
     @classmethod
     def from_table(cls, group: Group, table) -> "QFunction":

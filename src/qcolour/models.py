@@ -407,7 +407,6 @@ def orthogonal_invariance_check(
     Us: Sequence[np.ndarray],
     tol: float = 1e-8,
     max_terms: int = DEFAULT_MAX_TERMS,
-    rotation: RotationSystem | None = None,
 ) -> tuple[bool, ...]:
     """For each matrix U: U tensor U fixes the monochrome pair indicator,
     and the monochrome pairing is invariant under that orthogonal change of
@@ -429,7 +428,7 @@ def orthogonal_invariance_check(
         table = weights.table(d)
         tables[d] = np.concatenate([table[None], transform(kept, table, d)])
     stacked = VertexWeights.from_tables(group, tables)
-    mv = halfedge_inner(g, stacked, mono, rotation=rotation, max_terms=max_terms)
+    mv = halfedge_inner(g, stacked, mono, max_terms=max_terms)
     # with no vertices no table carries the batch, and all pair alike
     lhs, *rhs = mv.broadcast((len(kept) + 1,)).value
     rhs = iter(rhs)

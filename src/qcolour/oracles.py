@@ -339,21 +339,17 @@ class CompositionHistogram:
         if self.rows == 0:
             return 0
         comps, mults = self._lists
-
-        def direct(ws):
-            return sum(
-                m * math.prod(ws[c] ** n for c, n in enumerate(comp) if n)
-                for comp, m in zip(comps, mults)
-            )
-
-        if all(isinstance(w, (int, np.integer, Fraction)) for w in weights):
-            return direct([w if isinstance(w, Fraction) else int(w) for w in weights])
-        zs = [complex(w) for w in weights]
-        is_complex = any(isinstance(w, (complex, np.complexfloating)) for w in weights)
-        if not np.isfinite(zs).all():
-            # inf ** n overflows in Python, so each power is multiplied out
-            # in the weights' own type, as a row's product would be
+        exact = all(isinstance(w, (int, np.integer, Fraction)) for w in weights)
+        if exact:
+            ws = [w if isinstance(w, Fraction) else int(w) for w in weights]
+        else:
+            zs = [complex(w) for w in weights]
+            is_complex = any(isinstance(w, (complex, np.complexfloating)) for w in weights)
             ws = zs if is_complex else [z.real for z in zs]
+        if exact or not np.isfinite(zs).all():
+            # each composition multiplied out in the weights' own type, as a
+            # row's product would be: exact for int and Fraction weights, and
+            # complex inf ** n would overflow in Python
             return sum(
                 m * math.prod(ws[c] for c, n in enumerate(comp) for _ in range(n))
                 for comp, m in zip(comps, mults)
@@ -361,58 +357,46 @@ class CompositionHistogram:
         ratios = [x.as_integer_ratio() for z in zs for x in (z.real, z.imag)]
         den = max(d for _n, d in ratios)
         parts = [n * (den // d) for n, d in ratios]
-        # each colour's powers up to its largest count in the histogram
+        # each colour's powers, as Gaussian integers over den, up to its
+        # largest count in the histogram
         powers = [[(1, 0)] for _ in zs]
         tops = np.max(self.comps, axis=0).tolist()
-        for c, (base, top) in enumerate(zip(zip(parts[::2], parts[1::2]), tops)):
+        for row, a, b, top in zip(powers, parts[::2], parts[1::2], tops):
             for _ in range(top):
-                powers[c].append(_gauss_mul(powers[c][-1], base))
-        # prefix[c] is the product of the powers of colours 0..c-1; in
-        # lexicographic order a composition shares it with the one before
-        # up to the first colour whose count differs
-        q = len(zs)
-        prefix = [(1, 0)] * (q + 1)
-        prev = [-1] * q
+                x, y = row[-1]
+                row.append((x * a - y * b, x * b + y * a))
+        # exact products, so the order of multiplication does not matter
         re = im = 0
         for comp, m in zip(comps, mults):
-            j = 0
-            while comp[j] == prev[j]:
-                j += 1
-            for c in range(j, q):
-                n = comp[c]
-                prefix[c + 1] = _gauss_mul(prefix[c], powers[c][n]) if n else prefix[c]
-            re, im = re + m * prefix[q][0], im + m * prefix[q][1]
-            prev = comp
+            x, y = m, 0
+            for c, n in enumerate(comp):
+                if n:
+                    a, b = powers[c][n]
+                    x, y = x * a - y * b, x * b + y * a
+            re, im = re + x, im + y
         scale = den**self.length
         return complex(re / scale, im / scale) if is_complex else re / scale
 
 
 def flow_compositions(
-    g: Multigraph,
-    group: Group,
-    orient: Orientation | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    g: Multigraph, group: Group, max_terms: int = DEFAULT_MAX_TERMS
 ) -> CompositionHistogram:
-    """The composition histogram of the flows, grouped block by block as
-    they are listed, never concatenated or sorted."""
-    orient = orient or default_orientation(g)
+    """The composition histogram of the flows under the default
+    orientation, grouped block by block as they are listed, never
+    concatenated or sorted."""
     return CompositionHistogram.merged(
         CompositionHistogram.of_rows(Y, group.q)
-        for Y in _flow_blocks(g, group, orient, max_terms)
+        for Y in _flow_blocks(g, group, default_orientation(g), max_terms)
     )
 
 
 def tension_compositions(
-    g: Multigraph,
-    group: Group,
-    orient: Orientation | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    g: Multigraph, group: Group, max_terms: int = DEFAULT_MAX_TERMS
 ) -> CompositionHistogram:
     """The composition histogram of the tensions, as ``flow_compositions``."""
-    orient = orient or default_orientation(g)
     return CompositionHistogram.merged(
         CompositionHistogram.of_rows(Y, group.q)
-        for Y in _tension_blocks(g, group, orient, max_terms)
+        for Y in _tension_blocks(g, group, default_orientation(g), max_terms)
     )
 
 
@@ -492,10 +476,6 @@ def hwe_coefficients(vectors, length: int) -> list[int]:
         raise ValueError(f"rows have {rows.shape[1]} coordinates, expected {length}")
     zeros = length - np.count_nonzero(rows, axis=1)
     return np.bincount(zeros, minlength=length + 1).tolist()
-
-
-def _gauss_mul(a, b):
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 def complete_weight_enum(vectors, weights):

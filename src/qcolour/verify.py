@@ -588,7 +588,8 @@ def _spectral_draws(q: int, seed: int):
         h = duality.spectral_split(gm)
         worst_recon = max(worst_recon, float(np.max(np.abs(h @ h.T - gm))))
         nz = sum(1 for c in range(q) if np.abs(h[:, c]).max() > 0)
-        num_rank = np.linalg.matrix_rank(gm, tol=1e-9 * np.linalg.norm(gm, 2))
+        tol = duality.RANK_TOL * np.linalg.norm(gm, 2)
+        num_rank = np.linalg.matrix_rank(gm, tol=tol)
         rank_ok = rank_ok and (nz == num_rank)
     records = (
         _record("spectral.reconstruction", "spectral.split", worst_recon, 0.0, 1e-9),

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def test_round_trip_identity(corpus_files):
         parsed = parse_graph(text)
         assert parsed == doc, name
         assert parse_graph(serialize_graph(parsed)) == parsed, name
+
+
+def test_committed_graph_files_match_corpus():
+    # graphs/*.g are written by scripts/regen_graph_files.py
+    graphs = pathlib.Path(__file__).resolve().parent.parent / "graphs"
+    assert sorted(p.stem for p in graphs.glob("*.g")) == sorted(CORPUS)
+    for name, fx in CORPUS.items():
+        doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+        assert (graphs / f"{name}.g").read_text() == serialize_graph(doc), name
 
 
 def test_parse_error_reports_line_number():

@@ -33,6 +33,7 @@ from qcolour.groups import (
 )
 from qcolour.models import VertexModel, vertex_partition
 from qcolour.oracles import (
+    ConsistencyError,
     complete_weight_enum,
     enumerate_flows,
     enumerate_tensions,
@@ -406,6 +407,17 @@ def test_symmetric_weight_root_rejects_asymmetric():
         symmetric_weight_root(Z3, [1.0, 2.0, 3.0])
 
 
+def test_symmetric_weight_root_rejects_infinite_entry():
+    # the root is all nan, so the reconstruction residual is nan
+    Z4 = cyclic_group(4)
+    t = [math.inf, 1.0, 1.0, 1.0]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConsistencyError):
+            symmetric_weight_root(Z4, t)
+        with pytest.raises(ConsistencyError):
+            xq_edge_model(graph_of("triangle"), Z4, np.ones(4), t)
+
+
 @pytest.mark.parametrize("name", ["digon", "triangle", "theta"])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_xq_edge_model_matches_direct(name, q):
@@ -480,7 +492,7 @@ def test_split_models_match_oracles_on_multigraphs(g, spec, s, seed):
         G, QFunction(G, 1, fv.astype(complex)), QFunction(G, 2, gm.reshape(-1).astype(complex))
     )
     assert_close(
-        spectral_edge_model(g, G, fv, gm).value,
+        spectral_edge_model(g, G.q, fv, gm).value,
         vertex_partition(g, vm).value,
         1e-8,
         "spectral",
