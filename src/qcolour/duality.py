@@ -5,6 +5,8 @@ weighted sums, the flow/tension weight-enumerator models, the Tutte
 hyperbola edge model, spectral conversion of symmetric vertex models to
 edge models, the two-variable boundary generating function and its
 principal specialization, and the GF(4) flow identity for cubic graphs.
+The duality's coboundary side ``tension_vertex_sum`` is a vertex table sum;
+its boundary side ``boundary_edge_sum`` is the one sum here with own factors.
 
 Six of the models rest on one split (the relationship behind Szegedy's
 edge-colouring result): a vertex model whose edge interaction factors as
@@ -79,18 +81,12 @@ def tension_vertex_sum(
     edge_vecs,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
-    """sum over vertex colourings x of prod_v vv[x_v] * prod_e ev[(dx)_e].
+    """sum over vertex colourings x of prod_v vv[x_v] * prod_e ev[(dx)_e],
+    the vertex table sum whose edge tables read ev at the coboundary.
     Each vector may carry a leading batch axis (see ``models.eliminate``)."""
-    factors = [(vertex_vecs[v], (v,)) for v in range(g.num_vertices)]
     # ev[sub.T] at (x_tail, x_head) is ev[x_head - x_tail]; a loop reads ev[0]
-    factors += [
-        (
-            edge_vecs[e].take(group.sub.T, axis=-1),
-            (orient.tail(g, e), orient.head(g, e)),
-        )
-        for e in range(g.num_edges)
-    ]
-    return factor_sum(group.q, g.num_vertices, factors, max_terms)
+    edge_tables = [edge_vecs[e].take(group.sub.T, axis=-1) for e in range(g.num_edges)]
+    return vertex_table_sum(g, group.q, edge_tables, vertex_vecs, orient, max_terms)
 
 
 def boundary_edge_sum(
@@ -102,19 +98,24 @@ def boundary_edge_sum(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
     """sum over edge colourings y of prod_v vv[(dy)_v] * prod_e ev[y_e].
-    Each vector may carry a leading batch axis (see ``models.eliminate``)."""
+    Each vector may carry a leading batch axis (see ``models.eliminate``).
+    A loop's half-edges cancel in the boundary, so only its edge weight
+    reads its label; ``models.edge_table_sum`` would read it at its vertex
+    too, and plan loops at a higher cost."""
+    # bnd[c_1, ..., c_d]: the signed sum of the non-loop half-edge colours
+    bnds = {}  # one per tuple of signs
     factors = []
     for v in range(g.num_vertices):
-        # a loop's two half-edges cancel in the boundary, so only non-loop
-        # half-edges index the table: bnd[c_1, ..., c_d] is their signed sum
         hs = [(e, end) for e, end in g.halfedges_at(v) if not g.is_loop(e)]
-        bnd = np.zeros((), dtype=np.int64)
-        for i, (e, end) in enumerate(hs):
-            col = np.arange(group.q).reshape((-1,) + (1,) * (len(hs) - 1 - i))
-            if orient.sigma(e, end) == -1:
-                col = group.neg[col]
-            bnd = group.add[bnd, col]
-        factors.append((vertex_vecs[v].take(bnd, axis=-1), [e for e, _end in hs]))
+        signs = tuple(orient.sigma(e, end) for e, end in hs)
+        if signs not in bnds:
+            bnd = np.zeros((), dtype=np.int64)
+            for i, sign in enumerate(signs):
+                col = np.arange(group.q).reshape((-1,) + (1,) * (len(signs) - 1 - i))
+                bnd = group.add[bnd, col if sign == 1 else group.neg[col]]
+            bnds[signs] = bnd
+        table = vertex_vecs[v].take(bnds[signs], axis=-1)
+        factors.append((table, [e for e, _end in hs]))
     factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
     return factor_sum(group.q, g.num_edges, factors, max_terms)
 
@@ -402,7 +403,9 @@ def symmetric_weight_root(group: Group, t_table) -> np.ndarray:
     principal square root in the Fourier domain; raises if the claimed
     factorization fails to reconstruct t."""
     tvec = _as_weights(group, t_table)
-    if not np.allclose(tvec, tvec[group.neg], atol=1e-12):
+    # np.allclose's tolerance; a nan entry passes to the residual test
+    d = tvec - tvec[group.neg]
+    if (np.abs(d) > 1e-12 + 1e-5 * np.abs(tvec[group.neg])).any():
         raise ValueError("edge weights must satisfy t(-b) = t(b)")
     F = group.fourier_matrix()
     u = transform(F.conj(), group.q ** (-0.25) * np.sqrt(transform(F, tvec, 1)), 1)

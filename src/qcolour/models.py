@@ -13,15 +13,16 @@ may carry one leading batch axis, so several sums that differ only in
 their tables run as one contraction, at the plan and cap of one: a table
 with one leading axis more than its arity carries the batch, the rule
 that ``groups.transform`` and the weight tables of every builder follow.
-The evaluators below only build factor lists.
-A vertex model sums over vertex colourings with a weight per vertex and a
-(q, q) interaction per edge.  An edge model sums over edge colourings with a
-weight per edge and, at each vertex, a weight depending on the tuple of
-half-edge colours in a declared order (rotation order when present, else
-(edge_index, end) lexicographic).  The half-edge inner product pairs a
-vertex weight family against a two-argument weight on each edge's half-edge
-pair; it colours each edge by a support pair of that weight, so monochrome
-or zero-sum pairings range over q^|E| colourings.
+``edge_table_sum``, ``vertex_table_sum`` and ``duality.boundary_edge_sum``
+are the only callers of ``factor_sum``; the other models supply tables.
+``vertex_table_sum`` sums over vertex colourings with a weight per vertex
+and a (q, q) interaction per edge.  ``edge_table_sum`` sums over edge
+colourings with a weight per edge and, at each vertex, a weight depending
+on the tuple of half-edge colours in a declared order (rotation order when
+present, else (edge_index, end) lexicographic).  The half-edge inner
+product pairs a vertex weight family against a two-argument weight on
+each edge's half-edge pair: the edge table sum over its support pairs,
+so monochrome or zero-sum pairings range over q^|E| colourings.
 """
 
 from __future__ import annotations
@@ -327,12 +328,13 @@ def vertex_table_sum(
     """Sum over vertex colourings of per-edge (q, q) lookups (tail, head)
     times optional per-vertex weights.  Loops look up (x_v, x_v)."""
     orient = orient or default_orientation(g)
-    factors = [
+    factors = []
+    if vertex_vecs is not None:
+        factors += [(vertex_vecs[v], (v,)) for v in range(g.num_vertices)]
+    factors += [
         (edge_tables[e], (orient.tail(g, e), orient.head(g, e)))
         for e in range(g.num_edges)
     ]
-    if vertex_vecs is not None:
-        factors += [(vertex_vecs[v], (v,)) for v in range(g.num_vertices)]
     return factor_sum(q, g.num_vertices, factors, max_terms)
 
 
@@ -377,28 +379,23 @@ def halfedge_inner(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
     """Real-bilinear pairing of the vertex weight family against an arity-2
-    weight applied to each edge's half-edge pair; each edge is coloured by a
-    support pair of that weight.  Batched vertex tables give one pairing
+    weight applied to each edge's half-edge pair: the edge table sum over
+    the support pairs of that weight, each vertex table re-indexed from
+    half-edge colours onto them.  Batched vertex tables give one pairing
     per batch entry, from one contraction (see ``eliminate``)."""
     if pair_weight.arity != 2:
         raise ValueError("pair weight must have arity 2")
     q = weights.group.q
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
     ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair
-    orders = _vertex_orders(g, rotation)
-    tables = {}
-    for d in set(g.degrees()):
-        table = weights.table(d)
+    tables = []
+    for order in _vertex_orders(g, rotation):
+        table = weights.table(len(order))
         # the index of every entry of the batch, if the table has one
-        tables[d] = table, (slice(None),) * (table.ndim - d)
-    factors = []
-    for v in range(g.num_vertices):
-        # the vertex table re-indexed from half-edge colours onto support pairs
-        table, batch = tables[g.degree(v)]
-        axes = np.ix_(*(ends[end] for _e, end in orders[v]))
-        factors.append((table[batch + axes], [e for e, _end in orders[v]]))
-    factors += [(pair_weight.values[supp], (e,)) for e in range(g.num_edges)]
-    return factor_sum(supp.size, g.num_edges, factors, max_terms)
+        batch = (slice(None),) * (table.ndim - len(order))
+        tables.append(table[batch + np.ix_(*(ends[end] for _e, end in order))])
+    edge_vecs = [pair_weight.values[supp]] * g.num_edges
+    return edge_table_sum(g, supp.size, tables, edge_vecs, rotation, max_terms)
 
 
 def orthogonal_invariance_check(

@@ -107,9 +107,8 @@ class VerifyContext:
     """One battery call's inputs, and the oracle quantities that several
     checks read, each built at most once per call on first use.
 
-    The context holds the graph's Tutte polynomial, one composition
-    histogram of its flows and one of its tensions, and one histogram of
-    monochromatic-edge counts over its vertex colourings.  The flows and
+    The context holds the graph's Tutte polynomial and one composition
+    histogram of its flows and one of its tensions.  The flows and
     tensions enter the checks only through their colour compositions, so
     each set is grouped block by block as it is listed, never joined or
     sorted.  A quantity over its term cap raises again for each check that
@@ -141,10 +140,6 @@ class VerifyContext:
         return oracles.tension_compositions(
             self.graph, self.group, max_terms=self.max_terms
         )
-
-    @functools.cached_property
-    def monochrome_histogram(self) -> tuple[int, ...]:
-        return oracles.monochrome_histogram(self.graph, self.group.q, self.max_terms)
 
     def rng(self, salt: int = 0):
         return _rng(self.seed, salt)
@@ -417,11 +412,13 @@ def _check_monochrome(ctx: VerifyContext):
     g = ctx.graph
     q = ctx.group.q
     tensions = ctx.tension_compositions
-    mono = ctx.monochrome_histogram
+    T = ctx.tutte
     kG = components(g)
     for t in (0, 2, 3):
         lhs = q**kG * tensions.hamming_weight_enum(t)
-        rhs = oracles.count_polynomial(mono, t)
+        # sum over vertex colourings of t^(monochromatic edges), the Potts form
+        x = Fraction(t - 1 + q, t - 1)
+        rhs = q**kG * (t - 1) ** T.full_rank * T(x, Fraction(t))
         out.append(
             _record(
                 f"tensions.monochrome-polynomial.t{t}",

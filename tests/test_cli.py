@@ -187,17 +187,21 @@ def test_verify_suite_counts_guard():
 
 def test_verify_detects_failure(monkeypatch, corpus_files, capsys):
     # sabotage one oracle so the battery must report a failure and exit
-    # nonzero: one more colouring with no monochromatic edge
+    # nonzero: the zero tension counted twice.  No check that shares its
+    # records between calls reads the tensions, so none keeps a failure.
     import qcolour.verify as verify_mod
 
     path, _ = corpus_files["triangle"]
-    real = verify_mod.oracles.monochrome_histogram
+    real = verify_mod.oracles.tension_compositions
+    histogram = verify_mod.oracles.CompositionHistogram
 
     def sabotaged(*args, **kwargs):
-        first, *rest = real(*args, **kwargs)
-        return (first + 1, *rest)
+        hist = real(*args, **kwargs)
+        q = hist.comps.shape[1]
+        zero = histogram.of_rows(np.zeros((1, hist.length), dtype=int), q)
+        return histogram.merged([hist, zero])
 
-    monkeypatch.setattr(verify_mod.oracles, "monochrome_histogram", sabotaged)
+    monkeypatch.setattr(verify_mod.oracles, "tension_compositions", sabotaged)
     code = main(["verify", "--graph", path, "--q", "2", "--suite", "duality"])
     out = capsys.readouterr()
     assert code == 1
@@ -217,7 +221,8 @@ def test_verify_petersen_runs_every_check():
 def test_battery_lists_flows_and_tensions_once(monkeypatch):
     import qcolour.verify as verify_mod
 
-    # each histogram is built once per call, from one listing of its set
+    # each histogram is built once per call, from one listing of its set,
+    # and no check walks the vertex colourings
     calls = {"flow_compositions": 0, "tension_compositions": 0, "monochrome_histogram": 0}
     for fname in calls:
         real = getattr(verify_mod.oracles, fname)
@@ -233,7 +238,7 @@ def test_battery_lists_flows_and_tensions_once(monkeypatch):
     assert calls == {
         "flow_compositions": 1,
         "tension_compositions": 1,
-        "monochrome_histogram": 1,
+        "monochrome_histogram": 0,
     }
     assert all(rec.passed is True for rec in records)
     # over the cap, every check that reads them still skips on its own
@@ -252,7 +257,6 @@ def test_battery_lists_flows_and_tensions_once(monkeypatch):
             hist.comps[0, 0] = 1
         with pytest.raises(ValueError):
             hist.mults[0] = 1
-    assert isinstance(ctx.monochrome_histogram, tuple)
 
 
 def test_spectral_split_records_depend_on_q_and_seed_alone():

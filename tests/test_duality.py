@@ -418,6 +418,13 @@ def test_symmetric_weight_root_rejects_infinite_entry():
             xq_edge_model(graph_of("triangle"), Z4, np.ones(4), t)
 
 
+def test_symmetric_weight_root_rejects_nan_entry():
+    # a nan entry is symmetric as far as anything can tell; the residual
+    # test names it, not the symmetry test
+    with pytest.raises(ConsistencyError):
+        symmetric_weight_root(cyclic_group(4), [math.nan, 1.0, 1.0, 1.0])
+
+
 @pytest.mark.parametrize("name", ["digon", "triangle", "theta"])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_xq_edge_model_matches_direct(name, q):

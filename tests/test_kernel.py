@@ -296,6 +296,9 @@ def test_oracles_and_evaluators_share_no_enumeration_code():
         models.eliminate,
         models.edge_table_sum,
         models.vertex_table_sum,
+        models.halfedge_inner,
+        duality.tension_vertex_sum,
+        duality.boundary_edge_sum,
     )
     assert _bound(oracles, evaluators) == []
 
