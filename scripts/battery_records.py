@@ -9,7 +9,8 @@ Records cover seeds 0-2, every corpus graph over the groups 2, 3, 4, 2x2,
 f4 and 5 (Petersen over 3 only), and the benchmark's random multigraph of
 each seed over the same groups.  Each line holds the record's fields
 (``CheckRecord.to_json``) under its seed, graph, group and position.  Run
-it in two checkouts to see what a change does to the records.
+it in two checkouts to see what a change does to the records.  It exits
+nonzero if any record failed.
 
 ``--compare`` matches records by seed, graph, group and position, prints
 how many differ in each field, and of those how many carry each check
@@ -42,17 +43,21 @@ def documents(seed):
     yield "random_multigraph", GraphDocument(random_multigraph(seed))
 
 
-def write(out):
+def write(out) -> int:
+    """Write every record; return how many failed."""
     from qcolour.groups import group_from_name
     from qcolour.verify import run_battery
 
+    failed = 0
     for seed in SEEDS:
         for name, doc in documents(seed):
             for spec in PETERSEN_GROUPS if name == "petersen" else GROUPS:
                 records = run_battery(doc, group_from_name(spec), seed=seed)
+                failed += sum(rec.passed is False for rec in records)
                 for i, rec in enumerate(records):
                     head = {"seed": seed, "graph": name, "group": spec, "index": i}
                     out.write(json.dumps({**head, **json.loads(rec.to_json())}) + "\n")
+    return failed
 
 
 def load(path):
@@ -103,8 +108,10 @@ def main():
     args = ap.parse_args()
     if args.compare:
         return compare(*args.compare)
-    write(sys.stdout)
-    return 0
+    failed = write(sys.stdout)
+    if failed:
+        print(f"{failed} records failed", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import numpy as np
 __all__ = ["TermCapExceeded", "index_blocks", "boundary_chunk", "coboundary_chunk"]
 
 DEFAULT_MAX_TERMS = 10**8
+DEFAULT_BLOCK = 1 << 17
 
 
 class TermCapExceeded(RuntimeError):
@@ -36,9 +37,8 @@ def count_terms(radix: int, length: int, cap: int) -> int:
     return est
 
 
-def index_blocks(radix: int, length: int):
+def index_blocks(radix: int, length: int, block: int = DEFAULT_BLOCK):
     """Yield (C, length) integer arrays covering range(radix)^length in order."""
-    block = 1 << 17  # rows per block at most, unless radix alone is more
     if length == 0:
         yield np.zeros((1, 0), dtype=np.int64)
         return

@@ -259,6 +259,25 @@ def test_battery_lists_flows_and_tensions_once(monkeypatch):
             hist.mults[0] = 1
 
 
+def test_monochrome_records_follow_the_tutte_cap():
+    import qcolour.verify as verify_mod
+    from qcolour.enumeration import TermCapExceeded
+    from qcolour.graphs import Multigraph
+
+    # the monochrome polynomial is read off the Tutte polynomial, so it
+    # skips past 22 edges, however few vertex colourings the graph has
+    def ctx(num_edges):
+        edges = [(0, 1)] * 8 + [(1, 2)] * 8 + [(0, 2)] * (num_edges - 16)
+        doc = GraphDocument(Multigraph(3, edges))
+        return verify_mod.VerifyContext(doc, cyclic_group(3), 1e-7, 10**8, 0)
+
+    records = verify_mod._check_monochrome(ctx(22))
+    assert [rec.passed for rec in records] == [True] * 3
+    with pytest.raises(TermCapExceeded) as exc:
+        verify_mod._check_monochrome(ctx(23))
+    assert (exc.value.estimate, exc.value.cap) == (2**23, 2**22)
+
+
 def test_spectral_split_records_depend_on_q_and_seed_alone():
     import qcolour.verify as verify_mod
 

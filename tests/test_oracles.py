@@ -445,13 +445,8 @@ def _small_blocks(block):
     import qcolour.oracles as oracles_mod
 
     real = oracles_mod.index_blocks
-
-    def split(radix, length):
-        for chunk in real(radix, length):
-            yield from (chunk[i : i + block] for i in range(0, len(chunk), block))
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles_mod, "index_blocks", split)
+        mp.setattr(oracles_mod, "index_blocks", lambda radix, length: real(radix, length, block))
         yield
 
 
