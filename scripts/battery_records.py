@@ -38,8 +38,7 @@ def documents(seed):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
     from workloads import random_multigraph
 
-    for name, fx in CORPUS.items():
-        yield name, GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    yield from CORPUS.items()
     yield "random_multigraph", GraphDocument(random_multigraph(seed))
 
 

@@ -4,15 +4,14 @@
 import pathlib
 
 from qcolour.corpus import CORPUS
-from qcolour.graphio import GraphDocument, save_graph
+from qcolour.graphio import save_graph
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "graphs"
 
 
 def main():
     OUT.mkdir(exist_ok=True)
-    for name, fx in CORPUS.items():
-        doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    for name, doc in CORPUS.items():
         save_graph(doc, OUT / f"{name}.g")
         print(f"wrote {OUT / (name + '.g')}")
 

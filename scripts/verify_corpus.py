@@ -16,7 +16,6 @@ import sys
 import time
 
 from qcolour.corpus import CORPUS
-from qcolour.graphio import GraphDocument
 from qcolour.groups import group_from_name
 from qcolour.verify import run_battery
 
@@ -33,10 +32,9 @@ def main():
     skip = set(args.skip.split(",")) if args.skip else set()
     failures = 0
     start = time.perf_counter()
-    for name, fx in CORPUS.items():
+    for name, doc in CORPUS.items():
         if name in skip:
             continue
-        doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
         for spec in args.groups.split(","):
             group = group_from_name(spec)
             t0 = time.perf_counter()

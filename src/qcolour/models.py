@@ -82,10 +82,6 @@ class ModelValue:
             return self
         return ModelValue.of(np.broadcast_to(self.value, batch), self.terms)
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
     def rounded(self, tol: float = 1e-6) -> int:
         """Nearest integer, verifying the value is integral to within tol."""
         n = round(self.value.real)

@@ -1,15 +1,17 @@
 """Independent brute-force ground truth for the identity checks.
 
-The Tutte polynomial is computed by the 2^|E| subset expansion with exact
-integer coefficients (no deletion-contraction): the ranks of all subsets
-come from one pass over the subset lattice, one edge at a time, holding a
-component label per vertex for 2^(|E|-1) subsets.  Flows and tensions are
-listed explicitly from a BFS spanning forest: a flow is fixed by its values
-on the |E|-|V|+k edges outside the forest (k components), a tension by a
-vertex colouring with each component's root at 0, so the term caps count
-q^(|E|-|V|+k) and q^(|V|-k) candidates, every one of them kept.  The sets
-come in blocks; ``enumerate_flows`` and ``enumerate_tensions`` join and
-sort them for callers that want the rows in order.
+The Tutte polynomial is held as its subset histogram, the number of edge
+subsets of each size and rank (no deletion-contraction): the ranks of all
+2^|E| subsets come from one pass over the subset lattice, one edge at a
+time, holding a component label per vertex for 2^(|E|-1) subsets.  T(x, y),
+the Potts count and the flow enumerator are exact sums over the histogram.
+Flows and tensions are listed explicitly from a BFS spanning forest: a flow
+is fixed by its values on the |E|-|V|+k edges outside the forest (k
+components), a tension by a vertex colouring with each component's root at
+0, so the term caps count q^(|E|-|V|+k) and q^(|V|-k) candidates, every one
+of them kept.  The sets come in blocks; ``enumerate_flows`` and
+``enumerate_tensions`` join and sort them for callers that want the rows in
+order.
 
 Weight enumerators depend on a set only through its colour compositions
 (how many coordinates take each colour).  A ``CompositionHistogram`` holds
@@ -72,14 +74,52 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class TuttePolynomial:
-    """Bivariate integer polynomial; coeffs maps (i, j) to the x^i y^j coefficient."""
+    """The Tutte polynomial held as its subset histogram: ``subsets`` maps
+    (|A|, r(A)) to the number of edge subsets A of that size and rank.
 
-    coeffs: dict[tuple[int, int], int]
+    T(x, y), the Potts count and the flow enumerator are exact sums over
+    the histogram; ``coeffs`` maps (i, j) to the x^i y^j coefficient."""
+
+    subsets: dict[tuple[int, int], int]
+    num_vertices: int
     num_edges: int
     full_rank: int
 
     def __call__(self, x, y):
-        return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
+        """sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A))."""
+        return sum(
+            c * (x - 1) ** (self.full_rank - r) * (y - 1) ** (a - r)
+            for (a, r), c in self.subsets.items()
+        )
+
+    def potts(self, q, t):
+        """sum over A of q^k(A) (t-1)^|A|: the sum over vertex q-colourings
+        of t^(number of monochromatic edges), a loop always monochromatic."""
+        return sum(
+            c * q ** (self.num_vertices - r) * (t - 1) ** a
+            for (a, r), c in self.subsets.items()
+        )
+
+    def flow_enumerator(self, q, s):
+        """sum over A of (s-1)^(|E|-|A|) q^(|A|-r(A)): the sum over the flows
+        with values in a group of order q of s^(number of edges valued 0)."""
+        return sum(
+            c * (s - 1) ** (self.num_edges - a) * q ** (a - r)
+            for (a, r), c in self.subsets.items()
+        )
+
+    @functools.cached_property
+    def coeffs(self) -> dict[tuple[int, int], int]:
+        """T(x, y) expanded binomially in x and y, zero coefficients dropped."""
+        coeffs: dict[tuple[int, int], int] = {}
+        for (a, r), c in self.subsets.items():
+            i, j = self.full_rank - r, a - r
+            for u in range(i + 1):
+                for v in range(j + 1):
+                    sign = (-1) ** ((i - u) + (j - v))
+                    term = c * math.comb(i, u) * math.comb(j, v) * sign
+                    coeffs[u, v] = coeffs.get((u, v), 0) + term
+        return {k: v for k, v in coeffs.items() if v != 0}
 
     def __str__(self):
         def term(i, j, c):
@@ -96,15 +136,9 @@ class TuttePolynomial:
         return " + ".join(term(i, j, c) for (i, j), c in items) or "0"
 
 
-def _binomial_row(n: int) -> list[int]:
-    row = [1]
-    for k in range(n):
-        row.append(row[-1] * (n - k) // (k + 1))
-    return row
-
-
 def tutte(g: Multigraph, max_subsets: int = 1 << 22) -> TuttePolynomial:
-    """Subset expansion: sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)).
+    """The subset histogram: how many edge subsets A have each size |A| and
+    rank r(A).
 
     A subset A is the bitmask of its edges.  The subsets holding edge e are
     those of edges 0..e-1 with e added, so rows [2^e, 2^(e+1)) of the rank,
@@ -128,22 +162,10 @@ def tutte(g: Multigraph, max_subsets: int = 1 << 22) -> TuttePolynomial:
         sizes[h : 2 * h] = sizes[:h] + 1
         if e < m - 1:
             labels[h : 2 * h] = np.where(lab == lab[:, v : v + 1], lab[:, u : u + 1], lab)
-    full = int(ranks[-1])
-    # corank-nullity counts: hist[i*(m+1) + j] = #{A : r(E)-r(A)=i, |A|-r(A)=j}
-    hist = np.bincount((full - ranks) * (m + 1) + (sizes - ranks))
-    coeffs: dict[tuple[int, int], int] = {}
-    for idx in np.flatnonzero(hist):
-        i, j = divmod(int(idx), m + 1)
-        c = int(hist[idx])
-        bi, bj = _binomial_row(i), _binomial_row(j)
-        for a in range(i + 1):
-            for b in range(j + 1):
-                term = c * bi[a] * bj[b] * (-1) ** ((i - a) + (j - b))
-                if term:
-                    key = (a, b)
-                    coeffs[key] = coeffs.get(key, 0) + term
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
-    return TuttePolynomial(coeffs, m, full)
+    # hist[a*(n+1) + r] = #{A : |A| = a, r(A) = r}
+    hist = np.bincount(sizes * (n + 1) + ranks)
+    subsets = {divmod(int(k), n + 1): int(hist[k]) for k in np.flatnonzero(hist)}
+    return TuttePolynomial(subsets, n, m, int(ranks[-1]))
 
 
 def _spanning_forest(g: Multigraph):
@@ -419,10 +441,11 @@ def flow_polynomial(
     cross_check: bool = True,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> int:
-    """Number of nowhere-zero flows over a group of order q, via the Tutte
-    specialization, cross-checked by direct enumeration when within cap."""
+    """Number of nowhere-zero flows over a group of order q, the flow
+    enumerator of the subset histogram at s = 0, cross-checked by direct
+    enumeration when within cap."""
     T = tutte(g)
-    value = (-1) ** (g.num_edges - T.full_rank) * T(0, 1 - q)
+    value = T.flow_enumerator(q, 0)
     if cross_check and q ** (g.num_edges - T.full_rank) <= max_terms:
         direct = flow_count(g, cyclic_group(q), max_terms=max_terms)
         if direct != value:
@@ -438,13 +461,11 @@ def chromatic(
     cross_check: bool = True,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> int:
-    """Number of proper vertex q-colourings, via the Tutte specialization,
-    cross-checked when within cap by brute force: the colourings with no
-    monochromatic edge, the monochrome polynomial at t = 0 (a loop is always
-    monochromatic, so a graph with one has none)."""
-    T = tutte(g)
-    k = g.num_vertices - T.full_rank
-    value = q**k * (-1) ** T.full_rank * T(1 - q, 0)
+    """Number of proper vertex q-colourings, the Potts count of the subset
+    histogram at t = 0, cross-checked when within cap by brute force: the
+    colourings with no monochromatic edge, the monochrome polynomial at
+    t = 0 (a loop is always monochromatic, so a graph with one has none)."""
+    value = tutte(g).potts(q, 0)
     if cross_check and q**g.num_vertices <= max_terms:
         direct = monochrome_polynomial(g, q, 0, max_terms)
         if direct != value:

@@ -20,14 +20,12 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import duality, oracles, signed
 from .enumeration import TermCapExceeded
 from .graphio import GraphDocument
-from .graphs import components
 from .groups import (
     Group,
     QFunction,
@@ -79,7 +77,7 @@ def _fmt(x) -> str:
             x = x.real
         else:
             return f"{x.real:.12g}{x.imag:+.12g}j"
-    if isinstance(x, float) and x == int(x) and abs(x) < 1e15:
+    if isinstance(x, float) and abs(x) < 1e15 and x == int(x):
         return str(int(x))
     if isinstance(x, float):
         return f"{x:.12g}"
@@ -392,15 +390,12 @@ FOURIER_CHECKS = [
 
 def _check_hwe_tutte(ctx: VerifyContext):
     out = []
-    g = ctx.graph
     q = ctx.group.q
     flows = ctx.flow_compositions
     T = ctx.tutte
     for s in (2, 3):
         lhs = flows.hamming_weight_enum(s)
-        rhs = (s - 1) ** (g.num_edges - T.full_rank) * T(
-            Fraction(s), Fraction(s - 1 + q, s - 1)
-        )
+        rhs = T.flow_enumerator(q, s)
         out.append(
             _record(f"flows.hwe-vs-tutte.s{s}", "tutte.hyperbola", float(lhs), float(rhs), 0)
         )
@@ -409,16 +404,13 @@ def _check_hwe_tutte(ctx: VerifyContext):
 
 def _check_monochrome(ctx: VerifyContext):
     out = []
-    g = ctx.graph
     q = ctx.group.q
     tensions = ctx.tension_compositions
     T = ctx.tutte
-    kG = components(g)
     for t in (0, 2, 3):
-        lhs = q**kG * tensions.hamming_weight_enum(t)
-        # sum over vertex colourings of t^(monochromatic edges), the Potts form
-        x = Fraction(t - 1 + q, t - 1)
-        rhs = q**kG * (t - 1) ** T.full_rank * T(x, Fraction(t))
+        # each tension is the coboundary of q^k vertex colourings
+        lhs = q ** (T.num_vertices - T.full_rank) * tensions.hamming_weight_enum(t)
+        rhs = T.potts(q, t)
         out.append(
             _record(
                 f"tensions.monochrome-polynomial.t{t}",
@@ -518,8 +510,7 @@ def _check_tutte_edge_model(ctx: VerifyContext):
     ss = (2, 3)
     gots = duality.tutte_edge_model(g, q, np.array(ss), max_terms=ctx.max_terms).value
     for s, got in zip(ss, gots):
-        s2 = Fraction(s) ** 2
-        want = float((s2 - 1) ** (g.num_edges - T.full_rank) * T(s2, (s2 - 1 + q) / (s2 - 1)))
+        want = float(T.flow_enumerator(q, s * s))
         out.append(
             _record(f"tutte.edge-model.s{s}", "tutte.hyperbola-edge-model", got, want, ctx.tol)
         )

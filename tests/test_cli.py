@@ -19,8 +19,7 @@ from qcolour.verify import SUITES, run_battery
 @pytest.fixture()
 def corpus_files(tmp_path):
     paths = {}
-    for name, fx in CORPUS.items():
-        doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    for name, doc in CORPUS.items():
         p = tmp_path / f"{name}.g"
         p.write_text(serialize_graph(doc))
         paths[name] = (str(p), doc)
@@ -39,8 +38,7 @@ def test_committed_graph_files_match_corpus():
     # graphs/*.g are written by scripts/regen_graph_files.py
     graphs = pathlib.Path(__file__).resolve().parent.parent / "graphs"
     assert sorted(p.stem for p in graphs.glob("*.g")) == sorted(CORPUS)
-    for name, fx in CORPUS.items():
-        doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    for name, doc in CORPUS.items():
         assert (graphs / f"{name}.g").read_text() == serialize_graph(doc), name
 
 
@@ -175,8 +173,7 @@ def test_cli_verify_single_suite(corpus_files, capsys):
 
 def test_verify_suite_counts_guard():
     # every suite registry contributes checks; dropping one would shrink the report
-    fx = CORPUS["theta"]
-    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    doc = CORPUS["theta"]
     G = cyclic_group(3)
     total = len(run_battery(doc, G, ("fourier", "duality", "signed"), seed=0))
     parts = [len(run_battery(doc, G, (s,), seed=0)) for s in ("fourier", "duality", "signed")]
@@ -208,11 +205,20 @@ def test_verify_detects_failure(monkeypatch, corpus_files, capsys):
     assert any(not json.loads(l)["pass"] for l in out.out.splitlines() if l.strip())
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_value_fails_its_record(value):
+    # a sum that overflows writes a failed record instead of raising
+    from qcolour.verify import _record
+
+    record = _record("x", "a", value, 1.0, 1e-7)
+    assert record.passed is False
+    assert record.lhs == str(value)
+
+
 def test_verify_petersen_runs_every_check():
     # no budget beyond the callees' caps: every model sum here plans well
     # under the default cap, so all 74 checks over Z3 run
-    fx = CORPUS["petersen"]
-    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    doc = CORPUS["petersen"]
     records = run_battery(doc, cyclic_group(3), seed=0)
     assert len(records) == 74
     assert all(rec.passed is True for rec in records)
@@ -232,8 +238,7 @@ def test_battery_lists_flows_and_tensions_once(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(verify_mod.oracles, fname, counted)
-    fx = CORPUS["prism"]
-    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    doc = CORPUS["prism"]
     records = run_battery(doc, cyclic_group(3), seed=0)
     assert calls == {
         "flow_compositions": 1,
@@ -281,8 +286,7 @@ def test_monochrome_records_follow_the_tutte_cap():
 def test_spectral_split_records_depend_on_q_and_seed_alone():
     import qcolour.verify as verify_mod
 
-    fx = CORPUS["theta"]
-    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    doc = CORPUS["theta"]
 
     def spectral(spec):
         records = run_battery(doc, group_from_name(spec), ("duality",), seed=3)
@@ -321,8 +325,7 @@ def test_graph_free_records_are_shared_and_equal_fresh_ones():
         verify_mod._check_parity_transforms,
     ]
     for name in ("theta", "k4"):
-        fx = CORPUS[name]
-        doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+        doc = CORPUS[name]
         for spec in ("3", "2x2", "f4"):
             # tol 0 fails the float residuals, so a key without tol would show
             for tol in (1e-7, 0.0):
@@ -372,8 +375,7 @@ def test_group_free_records_are_shared_and_equal_fresh_ones():
     import qcolour.verify as verify_mod
 
     checks = [getattr(verify_mod, name) for name in GROUP_FREE_CHECKS]
-    for name, fx in CORPUS.items():
-        doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    for name, doc in CORPUS.items():
         for spec in ("2", "3", "4", "2x2", "f4"):
             ctx = verify_mod.VerifyContext(doc, group_from_name(spec), 1e-7, 10**8, 1)
             for check in checks:
@@ -396,8 +398,7 @@ def test_group_free_checks_recompute_for_another_graph_setting(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify_mod.signed, "kplus1_sign_sum", counted)
-    fx = CORPUS["k4"]
-    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    doc = CORPUS["k4"]
     check = verify_mod._check_rotation_covariance
 
     def sums_run(doc, spec="3", tol=2.5e-7, max_terms=10**7, seed=0):
@@ -414,7 +415,7 @@ def test_group_free_checks_recompute_for_another_graph_setting(monkeypatch):
     # other groups and seeds share it
     assert [sums_run(doc, spec) for spec in ("3", "2x2", "f4", "5")] == [0] * 4
     assert sums_run(doc, seed=4) == 0
-    swapped = dataclasses.replace(doc, rotation=fx.rotation.swap_adjacent(0, 0))
+    swapped = dataclasses.replace(doc, rotation=doc.rotation.swap_adjacent(0, 0))
     flipped = dataclasses.replace(doc, pfaffian_compatible=not doc.pfaffian_compatible)
     assert sums_run(swapped) == 2 and sums_run(swapped, "4") == 0
     assert sums_run(flipped) == 2
@@ -428,8 +429,7 @@ def test_group_free_checks_recompute_for_another_graph_setting(monkeypatch):
 
 
 def test_over_cap_group_free_checks_skip_on_every_call():
-    fx = CORPUS["prism"]
-    doc = GraphDocument(fx.graph, None, fx.rotation, fx.pfaffian_compatible)
+    doc = CORPUS["prism"]
     skips = {
         "skip.zero_sum_chain",
         "skip.sine_and_kplus1",

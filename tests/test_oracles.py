@@ -18,8 +18,10 @@ from qcolour.enumeration import (
 from qcolour.graphs import (
     Multigraph,
     Orientation,
+    boundary,
     coboundary,
     components,
+    default_orientation,
     line_graph,
     rank,
 )
@@ -124,6 +126,33 @@ def _tutte_by_subsets(g):
 def test_tutte_matches_subset_ranks(g):
     T = tutte(g)
     assert (T.coeffs, T.num_edges, T.full_rank) == _tutte_by_subsets(g)
+
+
+SUM_POINTS = (0, 1, 2, 3, Fraction(1, 2))  # 1 is the pole of the coefficient form
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.sampled_from([2, 3]))
+def test_tutte_sums_match_colouring_walks(g, q):
+    T = tutte(g)
+    group = cyclic_group(q)
+    orient = default_orientation(g)
+    # monochromatic edges of each vertex colouring, a loop always one
+    mono = [
+        sum(c[u] == c[v] for u, v in g.edges)
+        for c in itertools.product(range(q), repeat=g.num_vertices)
+    ]
+    # edges valued 0 of each edge colouring with zero boundary
+    zeros = [
+        y.count(0)
+        for y in itertools.product(range(q), repeat=g.num_edges)
+        if not any(boundary(g, orient, group, y))
+    ]
+    for t in SUM_POINTS:
+        assert T.potts(q, t) == sum(t**k for k in mono)
+        assert T.flow_enumerator(q, t) == sum(t**k for k in zeros)
+        for y in SUM_POINTS:
+            assert T(t, y) == sum(c * t**i * y**j for (i, j), c in T.coeffs.items())
 
 
 def test_flow_polynomial_examples():
