@@ -14,12 +14,14 @@ nonzero if any record failed.
 
 ``--compare`` matches records by seed, graph, group and position, prints
 how many differ in each field, and of those how many carry each check
-name, and the largest change of ``residual``.  It exits nonzero if any
-record is missing or differs in a field other than ``residual``.
+name, and the largest change of ``residual``, inf where one side is
+null (a non-finite residual).  It exits nonzero if any record is missing
+or differs in a field other than ``residual``.
 """
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -55,7 +57,8 @@ def write(out) -> int:
                 failed += sum(rec.passed is False for rec in records)
                 for i, rec in enumerate(records):
                     head = {"seed": seed, "graph": name, "group": spec, "index": i}
-                    out.write(json.dumps({**head, **json.loads(rec.to_json())}) + "\n")
+                    row = {**head, **json.loads(rec.to_json())}
+                    out.write(json.dumps(row, allow_nan=False) + "\n")
     return failed
 
 
@@ -77,7 +80,9 @@ def compare(old_path, new_path) -> int:
         for f in fields:
             if a.get(f) != b.get(f):
                 differ[f].append(key)
-        worst = max(worst, abs(a["residual"] - b["residual"]))
+        ra, rb = a["residual"], b["residual"]  # None: a non-finite side
+        if ra != rb:
+            worst = max(worst, math.inf if None in (ra, rb) else abs(ra - rb))
     print(f"{len(old)} old records, {len(new)} new, {len(missing)} missing, {len(added)} added")
     for f in fields:
         print(f"  {f:9s} differs in {len(differ[f])}")

@@ -8,8 +8,9 @@ sine-weight edge model next to the line-graph chromatic oracle.
 
 import argparse
 
+from qcolour.cli import count
 from qcolour.corpus import CORPUS
-from qcolour.enumeration import TermCapExceeded
+from qcolour.enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from qcolour.graphs import line_graph
 from qcolour.oracles import chromatic, flow_polynomial, tutte
 from qcolour.signed import sine_model
@@ -18,9 +19,9 @@ from qcolour.signed import sine_model
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--q", type=int, default=4, help="order for flow counts")
-    ap.add_argument("--max-terms", type=float, default=1e8)
+    ap.add_argument("--max-terms", type=count, default=DEFAULT_MAX_TERMS)
     args = ap.parse_args()
-    cap = int(args.max_terms)
+    cap = args.max_terms
 
     header = f"{'graph':12s} {'|V|':>3s} {'|E|':>3s} {'T(2,2)':>8s} " \
              f"{'F(G;q)':>8s} {'P(G;3)':>8s} {'|sine|':>8s} {'P(L;3)':>8s}"
@@ -28,7 +29,7 @@ def main():
     print("-" * len(header))
     for name, fx in CORPUS.items():
         g = fx.graph
-        T = tutte(g)
+        T = tutte(g, cap)
         flow = flow_polynomial(g, args.q, max_terms=cap)
         chrom = chromatic(g, 3, max_terms=cap)
         sine = pl3 = ""  # blank where a term cap refuses the sum
@@ -39,7 +40,7 @@ def main():
             except TermCapExceeded:
                 pass
             try:
-                pl3 = f"{chromatic(line_graph(g), 3):8d}"
+                pl3 = f"{chromatic(line_graph(g), 3, max_terms=cap):8d}"
             except TermCapExceeded:
                 pass
         print(

@@ -15,7 +15,9 @@ import argparse
 import sys
 import time
 
+from qcolour.cli import count
 from qcolour.corpus import CORPUS
+from qcolour.enumeration import DEFAULT_MAX_TERMS
 from qcolour.groups import group_from_name
 from qcolour.verify import run_battery
 
@@ -25,7 +27,7 @@ def main():
     ap.add_argument("--groups", default="2,3,4,2x2,f4,5", help="comma-separated group specs")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tol", type=float, default=1e-7)
-    ap.add_argument("--max-terms", type=float, default=1e8)
+    ap.add_argument("--max-terms", type=count, default=DEFAULT_MAX_TERMS)
     ap.add_argument("--skip", default="", help="comma-separated graphs to skip")
     args = ap.parse_args()
 
@@ -42,7 +44,7 @@ def main():
                 doc,
                 group,
                 tol=args.tol,
-                max_terms=int(args.max_terms),
+                max_terms=args.max_terms,
                 seed=args.seed,
             )
             elapsed = time.perf_counter() - t0

@@ -2,18 +2,21 @@
 
 Subcommands compute single invariants from a graph file or run the
 cross-verification battery; `verify` emits one JSON record per check on
-stdout and exits nonzero if any check fails.
+stdout.  Every subcommand takes `--max-terms`, the cap on the work of its
+sums and oracles; only `verify` takes `--tol` and `--seed`.  Exit codes:
+0 ok, 1 a failed check, 2 a usage or parse error, 3 over a cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import duality, oracles, signed
-from .enumeration import TermCapExceeded
+from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from .graphio import GraphParseError, load_graph
 from .groups import QFunction, group_from_name
 from .models import EdgeModel, VertexModel, VertexWeights, edge_partition, vertex_partition
@@ -23,17 +26,24 @@ from .verify import run_battery
 def _parse_weights(text: str, n: int, what: str) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != n:
-        raise SystemExit(f"error: {what} needs {n} comma-separated values, got {len(parts)}")
+        raise ValueError(f"{what} needs {n} comma-separated values, got {len(parts)}")
     return np.array([complex(p) for p in parts])
+
+
+def count(text: str) -> int:
+    """A finite number such as 1e8, read as an int; argparse turns the
+    ValueError of anything else into a usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return int(value)
 
 
 def _add_common(p: argparse.ArgumentParser, group_flag=True):
     p.add_argument("--graph", required=True, help="graph file")
     if group_flag:
         p.add_argument("--group", default=None, help="group spec: N, N1xN2, or f4")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-terms", type=float, default=1e8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-terms", type=count, default=DEFAULT_MAX_TERMS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,13 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("xq", help="boundary generating function of a vertex colouring")
-    _add_common(p)
+    _add_common(p, group_flag=False)
+    p.add_argument("--group", required=True, help="group spec: N, N1xN2, or f4")
     p.add_argument("--s", required=True, help="q vertex weights")
     p.add_argument("--t", required=True, help="q edge weights")
 
     p = sub.add_parser("verify", help="run the identity battery, emit JSON records")
     _add_common(p)
     p.add_argument("--q", type=int, default=None)
+    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--suite",
         choices=("all", "fourier", "duality", "signed"),
@@ -109,12 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _group_of(args):
-    if getattr(args, "group", None):
+    if args.group:
         return group_from_name(args.group)
-    q = getattr(args, "q", None)
-    if q is None:
-        raise SystemExit("error: need --group or --q")
-    return group_from_name(str(q))
+    if args.q is None:
+        raise ValueError("need --group or --q")
+    return group_from_name(str(args.q))
 
 
 def _enumerated_set(doc, group, which: str, max_terms: int):
@@ -142,7 +154,7 @@ def _print_model_value(mv):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    max_terms = int(args.max_terms)
+    max_terms = args.max_terms
     try:
         doc = load_graph(args.graph)
     except GraphParseError as exc:
@@ -154,7 +166,7 @@ def main(argv=None) -> int:
     g = doc.graph
     try:
         if args.command == "tutte":
-            print(oracles.tutte(g))
+            print(oracles.tutte(g, max_terms))
         elif args.command == "flow":
             print(oracles.flow_polynomial(g, args.q, max_terms=max_terms))
         elif args.command == "chromatic":
@@ -166,8 +178,8 @@ def main(argv=None) -> int:
             print(_format_number(val))
         elif args.command == "cwe":
             group = _group_of(args)
-            vecs = _enumerated_set(doc, group, args.set, max_terms)
             w = _parse_weights(args.weights, group.q, "--weights")
+            vecs = _enumerated_set(doc, group, args.set, max_terms)
             val = oracles.complete_weight_enum(vecs, w)
             print(_format_number(val))
         elif args.command == "vertex-model":

@@ -204,14 +204,13 @@ class TwoStretch:
     """2-stretch of a graph: each edge replaced by a path of length 2.
 
     The new graph's edges are in bijection with the half-edges of the
-    original; each is oriented from the original vertex toward the
-    subdivision vertex.
+    original, half-edge (e, end) becoming new edge 2*e + end; each is
+    oriented from the original vertex toward edge e's subdivision vertex,
+    |V| + e.
     """
 
     graph: Multigraph
     orientation: Orientation
-    # new edge index of half-edge (e, end) is 2*e + end
-    subdivision_vertex_of_edge: tuple[int, ...]
 
 
 def two_stretch(g: Multigraph) -> TwoStretch:
@@ -223,7 +222,7 @@ def two_stretch(g: Multigraph) -> TwoStretch:
     stretched = Multigraph(n + g.num_edges, tuple(new_edges))
     # head is the subdivision vertex, i.e. end 1 of every new edge
     orient = Orientation((1,) * len(new_edges))
-    return TwoStretch(stretched, orient, tuple(range(n, n + g.num_edges)))
+    return TwoStretch(stretched, orient)
 
 
 def line_graph(g: Multigraph) -> Multigraph:

@@ -62,7 +62,6 @@ class Group:
     neg: np.ndarray
     mul: np.ndarray
     chi: np.ndarray
-    labels: tuple[str, ...]
     sub: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -102,8 +101,7 @@ def cyclic_group(*factors: int) -> Group:
             add[i, j] = index[tuple((x + y) % n for x, y, n in zip(a, b, factors))]
             mul[i, j] = index[tuple((x * y) % n for x, y, n in zip(a, b, factors))]
     name = "x".join(str(n) for n in factors)
-    labels = tuple(str(t[0]) if len(factors) == 1 else str(t) for t in tuples)
-    return Group(name, tuple(factors), "cyclic", q, add, neg, mul, chi, labels)
+    return Group(name, tuple(factors), "cyclic", q, add, neg, mul, chi)
 
 
 def gf4() -> Group:
@@ -115,7 +113,7 @@ def gf4() -> Group:
         [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]], dtype=np.int64
     )
     chi = np.array([1.0, 1.0, -1.0, -1.0], dtype=np.complex128)
-    return Group("f4", (2, 2), "f4", 4, add, neg, mul, chi, ("0", "1", "w", "wb"))
+    return Group("f4", (2, 2), "f4", 4, add, neg, mul, chi)
 
 
 def group_from_name(spec: str) -> Group:
@@ -146,22 +144,6 @@ class QFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def ones(cls, group: Group, arity: int) -> "QFunction":
-        return cls(group, arity, np.ones(group.q**arity, dtype=np.complex128))
-
-    @classmethod
-    def delta_zero(cls, group: Group) -> "QFunction":
-        vals = np.zeros(group.q, dtype=np.complex128)
-        vals[0] = 1.0
-        return cls(group, 1, vals)
-
-    @classmethod
-    def from_table(cls, group: Group, table) -> "QFunction":
-        """Build an arity-1 function from a length-q weight table."""
-        vals = np.asarray(list(table), dtype=np.complex128)
-        return cls(group, 1, vals)
-
-    @classmethod
     def indicator(cls, group: Group, arity: int, members) -> "QFunction":
         """Indicator of a set of tuples of element indices."""
         vals = np.zeros(group.q**arity, dtype=np.complex128)
@@ -179,9 +161,6 @@ class QFunction:
 
     def as_tensor(self) -> np.ndarray:
         return self.values.reshape((self.group.q,) * self.arity)
-
-    def value_at(self, t) -> complex:
-        return complex(self.values[tuple_index(self.group.q, t)])
 
     def support(self) -> list[tuple[int, ...]]:
         q, d = self.group.q, self.arity

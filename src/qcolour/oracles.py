@@ -3,8 +3,10 @@
 The Tutte polynomial is held as its subset histogram, the number of edge
 subsets of each size and rank (no deletion-contraction): the ranks of all
 2^|E| subsets come from one pass over the subset lattice, one edge at a
-time, holding a component label per vertex for 2^(|E|-1) subsets.  T(x, y),
-the Potts count and the flow enumerator are exact sums over the histogram.
+time, holding a component label per vertex for 2^(|E|-1) subsets.  The
+caller's term cap bounds that pass, up to a fixed ceiling of 2^22 subsets
+that keeps the labels in memory.  T(x, y), the Potts count and the flow
+enumerator are exact sums over the histogram.
 Flows and tensions are listed explicitly from a BFS spanning forest: a flow
 is fixed by its values on the |E|-|V|+k edges outside the forest (k
 components), a tension by a vertex colouring with each component's root at
@@ -39,7 +41,6 @@ import numpy as np
 
 from .enumeration import (
     DEFAULT_MAX_TERMS,
-    TermCapExceeded,
     coboundary_chunk,
     count_terms,
     index_blocks,
@@ -136,9 +137,15 @@ class TuttePolynomial:
         return " + ".join(term(i, j, c) for (i, j), c in items) or "0"
 
 
-def tutte(g: Multigraph, max_subsets: int = 1 << 22) -> TuttePolynomial:
+# the subset pass holds 2^(|E|-1)*|V| label bytes, so however large the
+# caller's cap, it stops at 2^22 subsets (200 MB of labels at 100 vertices)
+_SUBSET_CEILING = 1 << 22
+
+
+def tutte(g: Multigraph, max_terms: int = DEFAULT_MAX_TERMS) -> TuttePolynomial:
     """The subset histogram: how many edge subsets A have each size |A| and
-    rank r(A).
+    rank r(A); more than min(max_terms, 2^22) subsets raise
+    TermCapExceeded.
 
     A subset A is the bitmask of its edges.  The subsets holding edge e are
     those of edges 0..e-1 with e added, so rows [2^e, 2^(e+1)) of the rank,
@@ -149,8 +156,7 @@ def tutte(g: Multigraph, max_subsets: int = 1 << 22) -> TuttePolynomial:
     sizes.
     """
     m, n = g.num_edges, g.num_vertices
-    if 2**m > max_subsets:
-        raise TermCapExceeded(2**m, max_subsets)
+    count_terms(2, m, min(max_terms, _SUBSET_CEILING))
     labels = np.empty((1 << max(m - 1, 0), n), dtype=np.min_scalar_type(max(n - 1, 0)))
     labels[0] = np.arange(n)
     ranks = np.zeros(1 << m, dtype=np.intp)
@@ -422,17 +428,12 @@ def tension_compositions(
     )
 
 
-def flow_count(
-    g: Multigraph,
-    group: Group,
-    orient: Orientation | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> int:
-    """Number of nowhere-zero flows with values in the given group."""
-    orient = orient or default_orientation(g)
-    return sum(
-        int(Y.all(axis=1).sum()) for Y in _flow_blocks(g, group, orient, max_terms)
-    )
+def flow_count(g: Multigraph, group: Group, max_terms: int = DEFAULT_MAX_TERMS) -> int:
+    """Number of nowhere-zero flows with values in the given group.
+    Reversing an edge negates its value, so the count is the same under
+    every orientation; the default one is listed."""
+    blocks = _flow_blocks(g, group, default_orientation(g), max_terms)
+    return sum(int(Y.all(axis=1).sum()) for Y in blocks)
 
 
 def flow_polynomial(
@@ -443,8 +444,8 @@ def flow_polynomial(
 ) -> int:
     """Number of nowhere-zero flows over a group of order q, the flow
     enumerator of the subset histogram at s = 0, cross-checked by direct
-    enumeration when within cap."""
-    T = tutte(g)
+    enumeration when within cap.  ``max_terms`` caps both."""
+    T = tutte(g, max_terms)
     value = T.flow_enumerator(q, 0)
     if cross_check and q ** (g.num_edges - T.full_rank) <= max_terms:
         direct = flow_count(g, cyclic_group(q), max_terms=max_terms)
@@ -464,8 +465,9 @@ def chromatic(
     """Number of proper vertex q-colourings, the Potts count of the subset
     histogram at t = 0, cross-checked when within cap by brute force: the
     colourings with no monochromatic edge, the monochrome polynomial at
-    t = 0 (a loop is always monochromatic, so a graph with one has none)."""
-    value = tutte(g).potts(q, 0)
+    t = 0 (a loop is always monochromatic, so a graph with one has none).
+    ``max_terms`` caps both."""
+    value = tutte(g, max_terms).potts(q, 0)
     if cross_check and q**g.num_vertices <= max_terms:
         direct = monochrome_polynomial(g, q, 0, max_terms)
         if direct != value:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import duality, oracles, signed
-from .enumeration import TermCapExceeded
+from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from .graphio import GraphDocument
 from .groups import (
     Group,
@@ -59,15 +60,17 @@ class CheckRecord:
     passed: bool | None  # None: skipped, over a term cap
 
     def to_json(self) -> str:
+        """One line of strict JSON; a non-finite residual is written null."""
         return json.dumps(
             {
                 "name": self.name,
                 "anchor": self.anchor,
                 "lhs": self.lhs,
                 "rhs": self.rhs,
-                "residual": self.residual,
+                "residual": self.residual if math.isfinite(self.residual) else None,
                 "pass": self.passed,
-            }
+            },
+            allow_nan=False,
         )
 
 
@@ -127,7 +130,7 @@ class VerifyContext:
 
     @functools.cached_property
     def tutte(self) -> oracles.TuttePolynomial:
-        return oracles.tutte(self.graph)
+        return oracles.tutte(self.graph, self.max_terms)
 
     @functools.cached_property
     def flow_compositions(self) -> oracles.CompositionHistogram:
@@ -854,7 +857,7 @@ def run_battery(
     group: Group,
     suites=("fourier", "duality", "signed"),
     tol: float = 1e-7,
-    max_terms: int = 10**8,
+    max_terms: int = DEFAULT_MAX_TERMS,
     seed: int = 0,
 ) -> list[CheckRecord]:
     """One record per check that ran.  A check whose sum or oracle exceeds

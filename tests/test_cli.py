@@ -143,6 +143,71 @@ def test_cli_cap_exceeded(corpus_files, capsys):
     assert "125268" in err  # the offending planned contraction cost
 
 
+@pytest.mark.parametrize("command", ["flow", "tutte"])
+def test_cli_tutte_pass_obeys_max_terms(corpus_files, capsys, command):
+    # both read the subset histogram of all 2^15 edge subsets
+    path, _ = corpus_files["petersen"]
+    args = [command, "--graph", path, "--max-terms", "1000"]
+    assert main(args + (["--q", "4"] if command == "flow" else [])) == 3
+    assert "32768" in capsys.readouterr().err
+
+
+# the arguments each subcommand other than verify needs to run
+_RUN_ARGS = {
+    "tutte": [],
+    "flow": ["--q", "3"],
+    "chromatic": ["--q", "3"],
+    "hwe": ["--q", "3", "--s", "2"],
+    "cwe": ["--q", "3", "--weights", "1,1,1"],
+    "vertex-model": ["--q", "2", "--weights", "0,1,1,0"],
+    "edge-model": ["--q", "2"],
+    "sine-model": ["--q", "4", "--k", "3"],
+    "kplus1": ["--k", "2"],
+    "xq": ["--group", "2", "--s", "2,3", "--t", "5,1"],
+}
+
+
+def test_run_args_cover_every_subcommand_but_verify(corpus_files):
+    from qcolour.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(_RUN_ARGS) | {"verify"}
+    path, _ = corpus_files["k4"]
+    for command, args in _RUN_ARGS.items():
+        assert main([command, "--graph", path] + args) == 0, command
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--seed"])
+@pytest.mark.parametrize("command", sorted(_RUN_ARGS))
+def test_only_verify_takes_tol_and_seed(corpus_files, capsys, command, flag):
+    path, _ = corpus_files["k4"]
+    args = [command, "--graph", path] + _RUN_ARGS[command]
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_cli_usage_errors_exit_two(corpus_files, capsys):
+    # exit 1 means a failed check, so a usage error never exits 1
+    path, _ = corpus_files["k4"]
+    assert main(["verify", "--graph", path]) == 2
+    assert "need --group or --q" in capsys.readouterr().err
+    assert main(["cwe", "--graph", path, "--q", "3", "--weights", "1,2"]) == 2
+    assert "--weights needs 3 comma-separated values, got 2" in capsys.readouterr().err
+    # xq has no --q, so only --group is named
+    with pytest.raises(SystemExit) as exc:
+        main(["xq", "--graph", path, "--s", "2,3", "--t", "5,1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--group" in err and "--q" not in err
+    for cap in ("nan", "inf", "lots"):
+        with pytest.raises(SystemExit) as exc:
+            main(["tutte", "--graph", path, "--max-terms", cap])
+        assert exc.value.code == 2
+        assert f"invalid count value: '{cap}'" in capsys.readouterr().err
+
+
 def test_cli_parse_error_exit(tmp_path, capsys):
     p = tmp_path / "bad.g"
     p.write_text("vertices 2\nedge 0 two\n")
@@ -213,6 +278,13 @@ def test_non_finite_value_fails_its_record(value):
     record = _record("x", "a", value, 1.0, 1e-7)
     assert record.passed is False
     assert record.lhs == str(value)
+    # the line is strict JSON: the non-finite residual is written null
+    parsed = json.loads(record.to_json(), parse_constant=_refuse_constant)
+    assert parsed["residual"] is None and parsed["pass"] is False
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def test_verify_petersen_runs_every_check():

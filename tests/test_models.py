@@ -28,14 +28,14 @@ from conftest import assert_close, complex_vec, graph_of
 def proper_vertex_model(q):
     G = cyclic_group(q)
     g2 = QFunction.from_function(G, 2, lambda t: 0.0 if t[0] == t[1] else 1.0)
-    return VertexModel(G, QFunction.ones(G, 1), g2)
+    return VertexModel(G, QFunction(G, 1, np.ones(G.q)), g2)
 
 
 def test_vertex_partition_examples():
     assert vertex_partition(graph_of("triangle"), proper_vertex_model(3)).value == 6
     single = Multigraph(1, ())
     G = cyclic_group(5)
-    m = VertexModel(G, QFunction.ones(G, 1), QFunction.ones(G, 2))
+    m = VertexModel(G, QFunction(G, 1, np.ones(5)), QFunction(G, 2, np.ones(25)))
     assert vertex_partition(single, m).value == 5
     assert vertex_partition(graph_of("single_edge"), proper_vertex_model(2)).value == 2
 
@@ -123,7 +123,7 @@ def test_loop_consistency_between_model_kinds():
     G = cyclic_group(q)
     rng = np.random.default_rng(0)
     gv = complex_vec(rng, q * q)
-    vm = VertexModel(G, QFunction.ones(G, 1), QFunction(G, 2, gv))
+    vm = VertexModel(G, QFunction(G, 1, np.ones(G.q)), QFunction(G, 2, gv))
     got = vertex_partition(loop, vm).value
     want = sum(gv[a * q + a] for a in range(q))
     assert_close(got, want, 1e-12)
