@@ -57,8 +57,7 @@ def write(out) -> int:
                 failed += sum(rec.passed is False for rec in records)
                 for i, rec in enumerate(records):
                     head = {"seed": seed, "graph": name, "group": spec, "index": i}
-                    row = {**head, **json.loads(rec.to_json())}
-                    out.write(json.dumps(row, allow_nan=False) + "\n")
+                    out.write(json.dumps({**head, **json.loads(rec.to_json())}) + "\n")
     return failed
 
 

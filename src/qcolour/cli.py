@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _group_of(args):
-    if args.group:
+    if args.group is not None:
         return group_from_name(args.group)
     if args.q is None:
         raise ValueError("need --group or --q")

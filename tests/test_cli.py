@@ -201,6 +201,8 @@ def test_cli_usage_errors_exit_two(corpus_files, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--group" in err and "--q" not in err
+    assert main(["xq", "--graph", path, "--group", "", "--s", "2,3", "--t", "5,1"]) == 2
+    assert "cannot parse group spec ''" in capsys.readouterr().err
     for cap in ("nan", "inf", "lots"):
         with pytest.raises(SystemExit) as exc:
             main(["tutte", "--graph", path, "--max-terms", cap])
