@@ -10,7 +10,6 @@ sums and oracles; only `verify` takes `--tol` and `--seed`.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -31,10 +30,10 @@ def _parse_weights(text: str, n: int, what: str) -> np.ndarray:
 
 
 def count(text: str) -> int:
-    """A finite number such as 1e8, read as an int; argparse turns the
-    ValueError of anything else into a usage error."""
+    """A non-negative whole number such as 1e8, read as an int; argparse
+    turns the ValueError of anything else into a usage error."""
     value = float(text)
-    if not math.isfinite(value):
+    if not (value >= 0 and value.is_integer()):
         raise ValueError(text)
     return int(value)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .graphio import GraphDocument
 from .graphs import Multigraph, RotationSystem, default_rotation
 
-__all__ = ["CORPUS", "fixture"]
+__all__ = ["CORPUS"]
 
 
 def _fx(n, edges, rotation=None, pfaffian=False) -> GraphDocument:
@@ -85,7 +85,3 @@ def _build_corpus() -> dict[str, GraphDocument]:
 
 
 CORPUS: dict[str, GraphDocument] = _build_corpus()
-
-
-def fixture(name: str) -> GraphDocument:
-    return CORPUS[name]

@@ -120,9 +120,13 @@ def parse_graph(text: str) -> GraphDocument:
     orientation = None
     if orient_lines:
         head_end = list(default_orientation(graph).head_end)
+        seen = set()
         for lineno, e, end in orient_lines:
             if not 0 <= e < graph.num_edges:
                 raise GraphParseError(lineno, f"orient: edge {e} out of range")
+            if e in seen:
+                raise GraphParseError(lineno, f"duplicate orient record for edge {e}")
+            seen.add(e)
             if end not in (0, 1):
                 raise GraphParseError(lineno, "orient: head end must be 0 or 1")
             head_end[e] = end
@@ -131,9 +135,13 @@ def parse_graph(text: str) -> GraphDocument:
     rotation = None
     if rotation_lines:
         orders = [list(graph.halfedges_at(v)) for v in range(num_vertices)]
+        seen = set()
         for lineno, v, toks in rotation_lines:
             if not 0 <= v < num_vertices:
                 raise GraphParseError(lineno, f"rotation: vertex {v} out of range")
+            if v in seen:
+                raise GraphParseError(lineno, f"duplicate rotation record for vertex {v}")
+            seen.add(v)
             if sorted(toks) != sorted(graph.halfedges_at(v)):
                 raise GraphParseError(
                     lineno, f"rotation at vertex {v} must list H(v) exactly once"

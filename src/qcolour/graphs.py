@@ -16,15 +16,12 @@ __all__ = [
     "Multigraph",
     "Orientation",
     "RotationSystem",
-    "full_subset",
-    "subset_edges",
     "components",
     "rank",
     "default_orientation",
     "default_rotation",
     "boundary",
     "coboundary",
-    "TwoStretch",
     "two_stretch",
     "line_graph",
     "disjoint_union",
@@ -78,17 +75,9 @@ class Multigraph:
         return all(d == k for d in self.degrees())
 
 
-def full_subset(g: Multigraph) -> int:
-    return (1 << g.num_edges) - 1
-
-
-def subset_edges(mask: int, m: int) -> list[int]:
-    return [e for e in range(m) if mask >> e & 1]
-
-
 def components(g: Multigraph, subset: int | None = None) -> int:
-    """Number of connected components of (V, A); isolated vertices count."""
-    mask = full_subset(g) if subset is None else subset
+    """Number of connected components of (V, A); isolated vertices count.
+    A is the edges whose bits are set in ``subset``, or every edge."""
     parent = list(range(g.num_vertices))
 
     def find(x):
@@ -98,8 +87,9 @@ def components(g: Multigraph, subset: int | None = None) -> int:
         return x
 
     n = g.num_vertices
-    for e in subset_edges(mask, g.num_edges):
-        u, v = g.edges[e]
+    for e, (u, v) in enumerate(g.edges):
+        if subset is not None and not subset >> e & 1:
+            continue
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -199,30 +189,17 @@ def coboundary(g: Multigraph, orient: Orientation, group, x) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TwoStretch:
+def two_stretch(g: Multigraph) -> Multigraph:
     """2-stretch of a graph: each edge replaced by a path of length 2.
 
-    The new graph's edges are in bijection with the half-edges of the
-    original, half-edge (e, end) becoming new edge 2*e + end; each is
-    oriented from the original vertex toward edge e's subdivision vertex,
-    |V| + e.
-    """
-
-    graph: Multigraph
-    orientation: Orientation
-
-
-def two_stretch(g: Multigraph) -> TwoStretch:
+    Half-edge (e, end) of g becomes edge 2*e + end, from its vertex to edge
+    e's subdivision vertex |V| + e, the head under ``default_orientation``."""
     n = g.num_vertices
     new_edges = []
     for e in range(g.num_edges):
         for end in (0, 1):
             new_edges.append((g.endpoint(e, end), n + e))
-    stretched = Multigraph(n + g.num_edges, tuple(new_edges))
-    # head is the subdivision vertex, i.e. end 1 of every new edge
-    orient = Orientation((1,) * len(new_edges))
-    return TwoStretch(stretched, orient)
+    return Multigraph(n + g.num_edges, tuple(new_edges))
 
 
 def line_graph(g: Multigraph) -> Multigraph:

@@ -4,8 +4,10 @@ A group is a product of cyclic factors with componentwise ring structure,
 or the table-driven field of order 4.  All group arithmetic is table-driven
 so that every downstream evaluator works uniformly for both flavours.
 
-Functions on Q^d are stored densely with the mixed-radix index convention
-"first coordinate most significant": (a_1, ..., a_d) -> sum a_i * q^(d-i).
+Functions on Q^d are stored densely in numpy's C order, the first
+coordinate most significant: (a_1, ..., a_d) -> sum a_i * q^(d-i), so the
+values reshape to a (q,)*d tensor indexed by the tuple itself.  Elements of
+a product of cyclic groups are numbered the same way from their digits.
 
 A change of basis of weight functions (the Fourier transform, or an
 orthogonal U tensored with itself) is one array function, ``transform``:
@@ -67,13 +69,6 @@ class Group:
     def __post_init__(self):
         object.__setattr__(self, "sub", self.add[:, self.neg])
 
-    def dot(self, a, b) -> int:
-        """Ring dot product of two tuples of element indices."""
-        acc = 0
-        for x, y in zip(a, b):
-            acc = self.add[acc, self.mul[x, y]]
-        return int(acc)
-
     def fourier_matrix(self) -> np.ndarray:
         return self.chi[self.mul] / math.sqrt(self.q)
 
@@ -88,18 +83,22 @@ def cyclic_group(*factors: int) -> Group:
     if any(n < 1 for n in factors):
         raise ValueError("cyclic factor orders must be positive")
     q = math.prod(factors)
-    tuples = list(itertools.product(*[range(n) for n in factors]))
-    index = {t: i for i, t in enumerate(tuples)}
-    add = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    neg = np.empty(q, dtype=np.int64)
-    chi = np.empty(q, dtype=np.complex128)
-    for i, a in enumerate(tuples):
-        neg[i] = index[tuple((-x) % n for x, n in zip(a, factors))]
-        chi[i] = np.prod([np.exp(2j * np.pi * x / n) for x, n in zip(a, factors)])
-        for j, b in enumerate(tuples):
-            add[i, j] = index[tuple((x + y) % n for x, y, n in zip(a, b, factors))]
-            mul[i, j] = index[tuple((x * y) % n for x, y, n in zip(a, b, factors))]
+    digits = np.unravel_index(np.arange(q), factors)
+
+    def table(op):
+        digit_tables = [op.outer(x, x) % n for x, n in zip(digits, factors)]
+        return np.ravel_multi_index(digit_tables, factors)
+
+    add, mul = table(np.add), table(np.multiply)
+    neg = np.ravel_multi_index([-x % n for x, n in zip(digits, factors)], factors)
+    # element by element over Python ints: a vectorised exp or divide can
+    # move the last bits of the character values
+    chi = np.array(
+        [
+            np.prod([np.exp(2j * np.pi * x / n) for x, n in zip(a, factors)])
+            for a in zip(*(x.tolist() for x in digits))
+        ]
+    )
     name = "x".join(str(n) for n in factors)
     return Group(name, tuple(factors), "cyclic", q, add, neg, mul, chi)
 
@@ -146,10 +145,10 @@ class QFunction:
     @classmethod
     def indicator(cls, group: Group, arity: int, members) -> "QFunction":
         """Indicator of a set of tuples of element indices."""
-        vals = np.zeros(group.q**arity, dtype=np.complex128)
+        vals = np.zeros((group.q,) * arity, dtype=np.complex128)
         for t in members:
-            vals[tuple_index(group.q, t)] = 1.0
-        return cls(group, arity, vals)
+            vals[tuple(t)] = 1.0
+        return cls(group, arity, vals.reshape(-1))
 
     @classmethod
     def from_function(cls, group: Group, arity: int, fn) -> "QFunction":
@@ -163,26 +162,8 @@ class QFunction:
         return self.values.reshape((self.group.q,) * self.arity)
 
     def support(self) -> list[tuple[int, ...]]:
-        q, d = self.group.q, self.arity
-        return [
-            tuple(index_tuple(q, d, i))
-            for i in np.nonzero(np.abs(self.values) > 1e-12)[0]
-        ]
-
-
-def tuple_index(q: int, t) -> int:
-    idx = 0
-    for a in t:
-        idx = idx * q + a
-    return idx
-
-
-def index_tuple(q: int, d: int, idx: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        out.append(idx % q)
-        idx //= q
-    return tuple(reversed(out))
+        nonzero = np.argwhere(np.abs(self.as_tensor()) > 1e-12)
+        return [tuple(t) for t in nonzero.tolist()]
 
 
 def _check_same(f: QFunction, g: QFunction):
@@ -266,11 +247,8 @@ def monochrome_indicator(group: Group, arity: int) -> QFunction:
 
 
 def zero_sum_indicator(group: Group, arity: int) -> QFunction:
-    members = []
-    for t in itertools.product(range(group.q), repeat=arity):
-        if reduce(lambda s, a: group.add[s, a], t, 0) == 0:
-            members.append(t)
-    return QFunction.indicator(group, arity, members)
+    total = reduce(lambda s, x: group.add[s, x], np.indices((group.q,) * arity), 0)
+    return QFunction(group, arity, np.ravel(total == 0))
 
 
 def orthogonal_submodule(C: QFunction, max_scan: int = 1 << 20) -> QFunction:
@@ -278,12 +256,12 @@ def orthogonal_submodule(C: QFunction, max_scan: int = 1 << 20) -> QFunction:
     group, d = C.group, C.arity
     if group.q**d > max_scan:
         raise ValueError(f"scan size {group.q**d} exceeds cap {max_scan}")
-    members = C.support()
-    perp = []
-    for a in itertools.product(range(group.q), repeat=d):
-        if all(group.dot(a, c) == 0 for c in members):
-            perp.append(a)
-    return QFunction.indicator(group, d, perp)
+    a = np.indices((group.q,) * d)
+    perp = np.ones((group.q,) * d, dtype=bool)
+    for c in C.support():
+        # a . c for every a at once: mul[a_i, c_i] summed over i
+        perp &= reduce(lambda s, xy: group.add[s, group.mul[xy]], zip(a, c), 0) == 0
+    return QFunction(group, d, perp.reshape(-1))
 
 
 def random_orthogonal(q: int, seed: int) -> np.ndarray:

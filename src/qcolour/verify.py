@@ -21,6 +21,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -88,9 +89,14 @@ def _fmt(x) -> str:
 
 
 def _record(name, anchor, lhs, rhs, tol) -> CheckRecord:
+    """lhs against rhs; at tol 0 two exact sides must be equal, which the
+    float residual cannot tell past 2^53."""
     la, ra = complex(lhs), complex(rhs)
     resid = abs(la - ra) / max(1.0, abs(la), abs(ra))
-    return CheckRecord(name, anchor, _fmt(lhs), _fmt(rhs), resid, resid <= tol)
+    passed = resid <= tol
+    if tol == 0 and all(isinstance(x, (int, np.integer, Fraction)) for x in (lhs, rhs)):
+        passed = bool(lhs == rhs)
+    return CheckRecord(name, anchor, _fmt(lhs), _fmt(rhs), resid, passed)
 
 
 def _rng(seed: int, salt: int):
@@ -399,9 +405,7 @@ def _check_hwe_tutte(ctx: VerifyContext):
     for s in (2, 3):
         lhs = flows.hamming_weight_enum(s)
         rhs = T.flow_enumerator(q, s)
-        out.append(
-            _record(f"flows.hwe-vs-tutte.s{s}", "tutte.hyperbola", float(lhs), float(rhs), 0)
-        )
+        out.append(_record(f"flows.hwe-vs-tutte.s{s}", "tutte.hyperbola", lhs, rhs, 0))
     return out
 
 
@@ -415,13 +419,7 @@ def _check_monochrome(ctx: VerifyContext):
         lhs = q ** (T.num_vertices - T.full_rank) * tensions.hamming_weight_enum(t)
         rhs = T.potts(q, t)
         out.append(
-            _record(
-                f"tensions.monochrome-polynomial.t{t}",
-                "tensions.monochrome",
-                float(lhs),
-                float(rhs),
-                0,
-            )
+            _record(f"tensions.monochrome-polynomial.t{t}", "tensions.monochrome", lhs, rhs, 0)
         )
     return out
 

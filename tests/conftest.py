@@ -3,7 +3,7 @@ import zlib
 import hypothesis.strategies as st
 import pytest
 
-from qcolour.corpus import CORPUS, fixture
+from qcolour.corpus import CORPUS
 from qcolour.graphs import Multigraph
 
 
@@ -13,11 +13,11 @@ def corpus():
 
 
 def graph_of(name):
-    return fixture(name).graph
+    return CORPUS[name].graph
 
 
 def rotation_of(name):
-    return fixture(name).rotation
+    return CORPUS[name].rotation
 
 
 def complex_vec(rng, n):

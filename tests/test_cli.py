@@ -54,6 +54,28 @@ def test_parse_error_reports_line_number():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("vertices 2\nedge 0 1\norient 0 0\norient 0 1\n", "line 4: duplicate orient"),
+        (
+            "vertices 2\nedge 0 1\nrotation 0: e0.0\nrotation 1: e0.1\nrotation 0: e0.0\n",
+            "line 5: duplicate rotation",
+        ),
+    ],
+    ids=["orient", "rotation"],
+)
+def test_repeated_records_are_parse_errors(tmp_path, capsys, text, message):
+    # the later line must not silently win
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text)
+    assert message in str(exc.value)
+    p = tmp_path / "repeated.g"
+    p.write_text(text)
+    assert main(["tutte", "--graph", str(p)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_parse_orientation_and_assertion():
     doc = parse_graph(
         "vertices 2\nedge 0 1\nedge 0 1\norient 1 0\nassert pfaffian-compatible\n"
@@ -203,11 +225,12 @@ def test_cli_usage_errors_exit_two(corpus_files, capsys):
     assert "--group" in err and "--q" not in err
     assert main(["xq", "--graph", path, "--group", "", "--s", "2,3", "--t", "5,1"]) == 2
     assert "cannot parse group spec ''" in capsys.readouterr().err
-    for cap in ("nan", "inf", "lots"):
+    for cap in ("nan", "inf", "lots", "-1", "2.5"):
         with pytest.raises(SystemExit) as exc:
             main(["tutte", "--graph", path, "--max-terms", cap])
         assert exc.value.code == 2
         assert f"invalid count value: '{cap}'" in capsys.readouterr().err
+    assert main(["tutte", "--graph", path, "--max-terms", "1e8"]) == 0
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):
@@ -283,6 +306,22 @@ def test_non_finite_value_fails_its_record(value):
     # the line is strict JSON: the non-finite residual is written null
     parsed = json.loads(record.to_json(), parse_constant=_refuse_constant)
     assert parsed["residual"] is None and parsed["pass"] is False
+
+
+def test_exact_record_passes_only_on_equality():
+    # 2^60 + 1 and 2^60 are the same float, so only an exact comparison
+    # tells them apart
+    from fractions import Fraction
+
+    from qcolour.verify import _record
+
+    big = 2**60
+    for lhs, rhs in [(big + 1, big), (np.int64(big + 1), big), (Fraction(big + 1), big)]:
+        record = _record("x", "a", lhs, rhs, 0)
+        assert record.passed is False
+    assert _record("x", "a", np.int64(big), Fraction(big), 0).passed is True
+    # a nonzero tolerance compares the residual, as for float sides
+    assert _record("x", "a", big + 1, big, 1e-12).passed is True
 
 
 def _refuse_constant(name):

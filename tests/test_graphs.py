@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from qcolour.graphs import (
     rank,
     two_stretch,
 )
+import qcolour.graphs
 from qcolour.groups import cyclic_group
 from qcolour.oracles import enumerate_flows
 
@@ -128,13 +133,13 @@ def test_group_mismatch_errors():
 def test_two_stretch_counts():
     k4 = graph_of("k4")
     st_ = two_stretch(k4)
-    assert st_.graph.num_vertices == 10
-    assert st_.graph.num_edges == 12
+    assert st_.num_vertices == 10
+    assert st_.num_edges == 12
     loop = graph_of("single_loop")
-    d = two_stretch(loop).graph
+    d = two_stretch(loop)
     assert (d.num_vertices, d.num_edges) == (2, 2)  # digon
     e = graph_of("single_edge")
-    p = two_stretch(e).graph
+    p = two_stretch(e)
     assert (p.num_vertices, p.num_edges) == (3, 2)
     assert rank(p) == 2
 
@@ -151,7 +156,7 @@ def test_two_stretch_flow_bijection(name, q):
     flows = enumerate_flows(g, Zq, orient)
     mapped = set()
     for y in flows:
-        z = [0] * st_.graph.num_edges
+        z = [0] * st_.num_edges
         for e in range(g.num_edges):
             for end in (0, 1):
                 val = int(y[e])
@@ -161,7 +166,7 @@ def test_two_stretch_flow_bijection(name, q):
                 z[2 * e + end] = val if orient.sigma(e, end) == -1 else int(Zq.neg[val])
         mapped.add(tuple(z))
     stretched_flows = {
-        tuple(map(int, z)) for z in enumerate_flows(st_.graph, Zq, st_.orientation)
+        tuple(map(int, z)) for z in enumerate_flows(st_, Zq, default_orientation(st_))
     }
     assert mapped == stretched_flows
     assert len(mapped) == len(flows)
@@ -216,3 +221,15 @@ def test_disjoint_union():
     u = disjoint_union(a, b)
     assert u.num_vertices == 5 and u.num_edges == 4
     assert components(u) == 2
+
+
+def test_graph_modules_load_without_numpy():
+    # the package imports none of its submodules, so the graph types
+    # need neither numpy nor the models
+    code = "import sys, qcolour.graphs; print('numpy' in sys.modules)"
+    src = str(pathlib.Path(qcolour.graphs.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -281,3 +282,87 @@ def test_index_convention_first_coordinate_most_significant():
     f = QFunction.indicator(Z3, 2, [(1, 2)])
     assert f.values[1 * 3 + 2] == 1.0
     assert f.support() == [(1, 2)]
+
+
+# References for the index arithmetic: the tuple loops that numbered the
+# elements and the tuples of Q^d by hand, in itertools.product order.
+
+REFERENCE_FACTORS = [(n,) for n in range(1, 10)] + [
+    (12,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 2), (5, 3)
+]
+
+
+def _reference_cyclic_tables(factors):
+    q = math.prod(factors)
+    tuples = list(itertools.product(*[range(n) for n in factors]))
+    index = {t: i for i, t in enumerate(tuples)}
+    add = np.empty((q, q), dtype=np.int64)
+    mul = np.empty((q, q), dtype=np.int64)
+    neg = np.empty(q, dtype=np.int64)
+    chi = np.empty(q, dtype=np.complex128)
+    for i, a in enumerate(tuples):
+        neg[i] = index[tuple((-x) % n for x, n in zip(a, factors))]
+        chi[i] = np.prod([np.exp(2j * np.pi * x / n) for x, n in zip(a, factors)])
+        for j, b in enumerate(tuples):
+            add[i, j] = index[tuple((x + y) % n for x, y, n in zip(a, b, factors))]
+            mul[i, j] = index[tuple((x * y) % n for x, y, n in zip(a, b, factors))]
+    return {"add": add, "neg": neg, "mul": mul, "chi": chi, "sub": add[:, neg]}
+
+
+def _reference_dot(group, a, b):
+    acc = 0
+    for x, y in zip(a, b):
+        acc = group.add[acc, group.mul[x, y]]
+    return int(acc)
+
+
+def _reference_indicator(group, arity, member):
+    tuples = itertools.product(range(group.q), repeat=arity)
+    return np.array([1.0 if member(t) else 0.0 for t in tuples], dtype=np.complex128)
+
+
+def _reference_zero_sum(group, arity):
+    return _reference_indicator(
+        group, arity, lambda t: functools.reduce(lambda s, a: group.add[s, a], t, 0) == 0
+    )
+
+
+def _reference_orthogonal(C):
+    tuples = itertools.product(range(C.group.q), repeat=C.arity)
+    members = [t for t, v in zip(tuples, C.values) if abs(v) > 1e-12]
+    return _reference_indicator(
+        C.group,
+        C.arity,
+        lambda a: all(_reference_dot(C.group, a, c) == 0 for c in members),
+    )
+
+
+def _same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("factors", REFERENCE_FACTORS, ids=str)
+def test_cyclic_group_tables_match_the_tuple_loop(factors):
+    G = cyclic_group(*factors)
+    for name, want in _reference_cyclic_tables(factors).items():
+        _same_array(getattr(G, name), want)
+
+
+@pytest.mark.parametrize(
+    "spec", ["x".join(map(str, f)) for f in REFERENCE_FACTORS] + ["f4"]
+)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_indicators_match_the_tuple_loop(spec, d):
+    G = group_from_name(spec)
+    zero = zero_sum_indicator(G, d)
+    mono = monochrome_indicator(G, d)
+    _same_array(zero.values, _reference_zero_sum(G, d))
+    _same_array(mono.values, _reference_indicator(G, d, lambda t: len(set(t)) == 1))
+    rng = np.random.default_rng(stable_seed(spec, d))
+    picked = [tuple(t) for t in rng.integers(0, G.q, (3, d)).tolist()]
+    few = QFunction.indicator(G, d, picked)
+    _same_array(few.values, _reference_indicator(G, d, lambda t: t in picked))
+    assert few.support() == sorted(set(picked))
+    for C in (zero, mono, few):
+        _same_array(orthogonal_submodule(C).values, _reference_orthogonal(C))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qcolour import models
-from qcolour.corpus import fixture
+from qcolour.corpus import CORPUS
 from qcolour.enumeration import TermCapExceeded
 from qcolour.graphs import Multigraph, RotationSystem, line_graph
 from qcolour.groups import cyclic_group, fourier, monochrome_indicator, zero_sum_indicator
@@ -37,7 +37,7 @@ from conftest import assert_close
 
 
 def fx(name):
-    f = fixture(name)
+    f = CORPUS[name]
     return f.graph, f.rotation
 
 
