@@ -34,7 +34,7 @@ import numpy as np
 from .enumeration import DEFAULT_MAX_TERMS
 from .graphs import Multigraph, Orientation, rank
 from .groups import Group, cyclic_group, gf4, transform
-from .models import ModelValue, edge_table_sum, factor_sum, vertex_table_sum
+from .models import ModelValue, edge_sum_cost, edge_table_sum, factor_sum, vertex_table_sum
 from .oracles import ConsistencyError, flow_polynomial
 
 __all__ = [
@@ -170,6 +170,7 @@ def _split_edge_sum(
     sum is 1."""
     fb, hb = f.shape[:-1], h.shape[:-2]
     batch = np.broadcast_shapes(fb, hb) if fb and hb else fb or hb
+    edge_sum_cost(g, q, max_terms=max_terms)
     tables = {}
     for d in set(g.degrees()):
         # acc[..., a, c_1, ..., c_d] = f[..., a] prod_i h[..., a, c_i],

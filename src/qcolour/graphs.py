@@ -74,6 +74,11 @@ class Multigraph:
     def is_regular(self, k: int) -> bool:
         return all(d == k for d in self.degrees())
 
+    def regular_degree(self) -> int | None:
+        """The degree of every vertex; None if two differ or there is none."""
+        degs = set(self.degrees())
+        return degs.pop() if len(degs) == 1 else None
+
 
 def components(g: Multigraph, subset: int | None = None) -> int:
     """Number of connected components of (V, A); isolated vertices count.

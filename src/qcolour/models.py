@@ -14,7 +14,9 @@ their tables run as one contraction, at the plan and cap of one: a table
 with one leading axis more than its arity carries the batch, the rule
 that ``groups.transform`` and the weight tables of every builder follow.
 ``edge_table_sum``, ``vertex_table_sum`` and ``duality.boundary_edge_sum``
-are the only callers of ``factor_sum``; the other models supply tables.
+are the only callers of ``factor_sum``; the other models supply tables,
+and one whose tables grow as radix^degree prices its sum first
+(``edge_sum_cost``), so an oversized table is refused, never allocated.
 ``vertex_table_sum`` sums over vertex colourings with a weight per vertex
 and a (q, q) interaction per edge.  ``edge_table_sum`` sums over edge
 colourings with a weight per edge and, at each vertex, a weight depending
@@ -50,6 +52,7 @@ __all__ = [
     "factor_sum",
     "eliminate",
     "edge_table_sum",
+    "edge_sum_cost",
     "vertex_table_sum",
 ]
 
@@ -248,6 +251,13 @@ def _plan(label_tuples: tuple, batched: tuple) -> _Plan:
     return _Plan(diagonals, constants, read, tuple(scopes), tuple(steps))
 
 
+def _capped_cost(radix: int, plan: _Plan, max_terms: int) -> int:
+    cost = sum(radix**size for size in plan.scopes)
+    if cost > max_terms:
+        raise TermCapExceeded(cost, max_terms)
+    return cost
+
+
 def eliminate(
     radix: int, length: int, factors, max_terms: int = DEFAULT_MAX_TERMS
 ) -> tuple[complex | np.ndarray, int]:
@@ -270,9 +280,7 @@ def eliminate(
         tuple(label_tuples),
         tuple(t.ndim > len(labels) for t, labels in zip(tables, label_tuples)),
     )
-    cost = sum(radix**size for size in plan.scopes)
-    if cost > max_terms:
-        raise TermCapExceeded(cost, max_terms)
+    cost = _capped_cost(radix, plan, max_terms)
     # integer tables sum in floating point, as products of ints can wrap
     tables = [t.astype(np.result_type(t, np.float64), copy=False) for t in tables]
     for slot, axes, out in plan.diagonals:
@@ -303,14 +311,37 @@ def edge_table_sum(
     """Sum over edge colourings of per-vertex table lookups times per-edge
     weights.  ``vertex_tables[v]`` is indexed by the half-edge colours at v
     in declared order (a loop's colour indexes twice)."""
-    orders = _vertex_orders(g, rotation)
-    factors = [
-        (vertex_tables[v], [e for e, _end in orders[v]])
-        for v in range(g.num_vertices)
-    ]
+    labels = _edge_labels(g, rotation, edge_vecs is not None)
+    tables = [vertex_tables[v] for v in range(g.num_vertices)]
     if edge_vecs is not None:
-        factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
-    return factor_sum(q, g.num_edges, factors, max_terms)
+        tables += [edge_vecs[e] for e in range(g.num_edges)]
+    return factor_sum(q, g.num_edges, list(zip(tables, labels)), max_terms)
+
+
+def _edge_labels(g: Multigraph, rotation: RotationSystem | None, edge_weights: bool):
+    """The label tuples of ``edge_table_sum``'s factors: each vertex's
+    half-edge colours in declared order, then each edge's own colour."""
+    labels = [tuple(e for e, _end in order) for order in _vertex_orders(g, rotation)]
+    if edge_weights:
+        labels += [(e,) for e in range(g.num_edges)]
+    return labels
+
+
+def edge_sum_cost(
+    g: Multigraph,
+    radix: int,
+    rotation: RotationSystem | None = None,
+    edge_weights: bool = False,
+    max_terms: int = DEFAULT_MAX_TERMS,
+) -> int:
+    """The planned cost of ``edge_table_sum`` over g at this radix, from
+    its labels alone, raising TermCapExceeded over ``max_terms`` with the
+    estimate that ``eliminate`` raises.  A builder calls it before it
+    builds a (radix,)*degree table, so a sum over its cap refuses before
+    any table is allocated; a batch changes neither the plan's order nor
+    its cost, so the plan of unbatched tables is the one to price."""
+    labels = tuple(_edge_labels(g, rotation, edge_weights))
+    return _capped_cost(radix, _plan(labels, (False,) * len(labels)), max_terms)
 
 
 def vertex_table_sum(
@@ -383,6 +414,8 @@ def halfedge_inner(
         raise ValueError("pair weight must have arity 2")
     q = weights.group.q
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
+    # a table that ``weights`` builds on demand is built within the cap
+    edge_sum_cost(g, supp.size, rotation, True, max_terms)
     ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair
     tables = []
     for order in _vertex_orders(g, rotation):

@@ -45,13 +45,16 @@ from .enumeration import (
     count_terms,
     index_blocks,
 )
-from .graphs import Multigraph, Orientation, default_orientation
+from .graphs import Multigraph, Orientation, default_orientation, rank
 from .groups import Group, cyclic_group
 
 __all__ = [
     "TuttePolynomial",
     "ConsistencyError",
     "tutte",
+    "tutte_terms",
+    "flow_terms",
+    "tension_terms",
     "flow_polynomial",
     "flow_count",
     "chromatic",
@@ -142,6 +145,23 @@ class TuttePolynomial:
 _SUBSET_CEILING = 1 << 22
 
 
+def tutte_terms(g: Multigraph, max_terms: int = DEFAULT_MAX_TERMS) -> int:
+    """The 2^|E| subsets that ``tutte`` lists, raising TermCapExceeded, as
+    ``tutte`` does before it starts, over min(max_terms, 2^22)."""
+    return count_terms(2, g.num_edges, min(max_terms, _SUBSET_CEILING))
+
+
+def flow_terms(g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS) -> int:
+    """The q^(|E|-r(E)) flows listed over a group of order q, raising
+    TermCapExceeded, as the listing does before it starts, over max_terms."""
+    return count_terms(q, g.num_edges - rank(g), max_terms)
+
+
+def tension_terms(g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS) -> int:
+    """The q^r(E) tensions listed, as ``flow_terms``."""
+    return count_terms(q, rank(g), max_terms)
+
+
 def tutte(g: Multigraph, max_terms: int = DEFAULT_MAX_TERMS) -> TuttePolynomial:
     """The subset histogram: how many edge subsets A have each size |A| and
     rank r(A); more than min(max_terms, 2^22) subsets raise
@@ -156,7 +176,7 @@ def tutte(g: Multigraph, max_terms: int = DEFAULT_MAX_TERMS) -> TuttePolynomial:
     sizes.
     """
     m, n = g.num_edges, g.num_vertices
-    count_terms(2, m, min(max_terms, _SUBSET_CEILING))
+    tutte_terms(g, max_terms)
     labels = np.empty((1 << max(m - 1, 0), n), dtype=np.min_scalar_type(max(n - 1, 0)))
     labels[0] = np.arange(n)
     ranks = np.zeros(1 << m, dtype=np.intp)
@@ -202,7 +222,7 @@ def _flow_blocks(g: Multigraph, group: Group, orient: Orientation, max_terms: in
     too, because the boundaries of a component sum to zero."""
     _roots, order = _spanning_forest(g)
     free = sorted(set(range(g.num_edges)) - {e for _v, (e, _end) in order})
-    count_terms(group.q, len(free), max_terms)
+    flow_terms(g, group.q, max_terms)
     for chunk in index_blocks(group.q, len(free)):
         Y = np.zeros((chunk.shape[0], g.num_edges), dtype=np.int64)
         Y[:, free] = chunk
@@ -226,7 +246,7 @@ def _tension_blocks(g: Multigraph, group: Group, orient: Orientation, max_terms:
     and give every tension once."""
     roots, _order = _spanning_forest(g)
     free = sorted(set(range(g.num_vertices)) - set(roots))
-    count_terms(group.q, len(free), max_terms)
+    tension_terms(g, group.q, max_terms)
     for chunk in index_blocks(group.q, len(free)):
         X = np.zeros((chunk.shape[0], g.num_vertices), dtype=np.int64)
         X[:, free] = chunk

@@ -25,7 +25,7 @@ import numpy as np
 from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from .graphs import Multigraph, RotationSystem
 from .groups import Group, QFunction
-from .models import ModelValue, VertexWeights, edge_table_sum, halfedge_inner
+from .models import ModelValue, VertexWeights, edge_sum_cost, edge_table_sum, halfedge_inner
 from .groups import monochrome_indicator, zero_sum_indicator
 
 __all__ = [
@@ -196,10 +196,10 @@ def parity_transform_kplus1(k: int, b) -> complex | np.ndarray:
 
 
 def _regular_degree(g: Multigraph) -> int:
-    degs = set(g.degrees())
-    if len(degs) != 1:
+    k = g.regular_degree()
+    if k is None:
         raise ValueError("graph must be regular")
-    return degs.pop()
+    return k
 
 
 def _parity_pairing(
@@ -212,9 +212,9 @@ def _parity_pairing(
 ) -> ModelValue:
     """Pair the parity weight on colour set K against a pair weight over the
     half-edges of a regular graph."""
-    k = _regular_degree(g)
-    tbl = parity_sign_table(group.q, k, K).astype(np.complex128)
-    weights = VertexWeights.from_tables(group, {k: tbl})
+    _regular_degree(g)  # raises unless g is regular
+    # built by ``halfedge_inner`` once the pairing is within the cap
+    weights = VertexWeights(group, lambda k: parity_sign_table(group.q, k, K))
     return halfedge_inner(g, weights, pair, rotation=rotation, max_terms=max_terms)
 
 
@@ -303,7 +303,9 @@ def factorization_sign_sum(
 def _signed_edge_sum(
     g: Multigraph, rotation: RotationSystem, q: int, max_terms: int
 ) -> ModelValue:
-    tbl = parity_sign_table(q, _regular_degree(g))
+    k = _regular_degree(g)
+    edge_sum_cost(g, q, rotation, max_terms=max_terms)
+    tbl = parity_sign_table(q, k)
     return edge_table_sum(
         g, q, [tbl] * g.num_vertices, rotation=rotation, max_terms=max_terms
     )
@@ -339,6 +341,7 @@ def sine_model(
     deg = _regular_degree(g)
     if deg != k:
         raise ValueError(f"graph is {deg}-regular, expected {k}")
+    edge_sum_cost(g, q, rotation, max_terms=max_terms)
     tbl = _sine_product(np.stack(np.indices((q,) * k), axis=-1), q)
     mv = edge_table_sum(
         g, q, [tbl] * g.num_vertices, rotation=rotation, max_terms=max_terms

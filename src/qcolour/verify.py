@@ -3,10 +3,14 @@
 Every identity the package implements is checked here against its
 independent route (brute-force oracle, dual expansion, or closed form) and
 reported as one machine-readable record per check.  Checks are grouped into
-three suites.  A graph-dependent check runs when the structural
-preconditions of its identity hold (regularity, Pfaffian assertion, cyclic
-group); the only cost gate is the term cap of each sum or oracle it calls,
-and a check over that cap leaves a skip record rather than nothing.
+three suites.  A check declares in one ``@_check`` line when it applies,
+which oracle quantities it needs and, if it shares its records, what it
+reads of its context.  A check runs when the structural precondition of
+its identity holds (regularity, Pfaffian assertion); the only cost gate is
+the term cap of each sum or oracle it calls, and a check over that cap
+leaves a skip record rather than nothing.  A check refuses every quantity
+it needs before it builds any, and a builder prices its sum before it
+builds a table, so a skip costs no listing and no allocation.
 
 A check that draws several random weights passes them to each model as one
 stack, so every model is contracted once per check, not once per draw.  A
@@ -44,6 +48,7 @@ from .groups import (
 from .models import (
     VertexModel,
     VertexWeights,
+    edge_sum_cost,
     orthogonal_invariance_check,
     vertex_partition,
 )
@@ -118,11 +123,12 @@ class VerifyContext:
     histogram of its flows and one of its tensions.  The flows and
     tensions enter the checks only through their colour compositions, so
     each set is grouped block by block as it is listed, never joined or
-    sorted.  A quantity over its term cap raises again for each check that
-    asks, so each such check skips on its own.  Quantities that do not
-    depend on the graph are shared between calls instead (``_shared_by``,
-    ``_orthogonal_draws``, ``_spectral_draws``), and so are the records of
-    checks that do not read the group (``_shared_by`` with a graph key)."""
+    sorted.  A check declares the quantities it needs (``_check``), and
+    the first of them over its term cap raises before any is built, again
+    for each check that needs it, so each such check skips on its own.
+    Quantities that do not depend on the graph are shared between calls
+    instead (``_orthogonal_draws``, ``_spectral_draws``), and so are the
+    records of the checks that declare what they read (``_check``)."""
 
     doc: GraphDocument
     group: Group
@@ -166,19 +172,58 @@ class VerifyContext:
 _SHARED_CACHE_SIZE = 256
 
 
-def _shared_by(key):
-    """Share a check's records between battery calls that agree on
-    ``key(ctx)``, for a check that reads nothing else of the context: the
-    check runs once per process for each key, while the key is among the
-    last ``_SHARED_CACHE_SIZE`` used.  A check that raises (over a term
-    cap) keeps nothing, so it raises again on the next call.  The shared
-    check keeps the check's name, and ``uncached`` is the check itself."""
+def _group_tables(ctx: VerifyContext):
+    G = ctx.group
+    tables = tuple(a.tobytes() for a in (G.add, G.neg, G.mul, G.chi))
+    return G.name, G.flavour, G.factors, tables
 
-    def wrap(check):
+
+# the part of a shared check's key that each name in ``reads`` gives; the
+# graph is the whole document, with rotation, orientation and Pfaffian flag
+_READS = {
+    "graph": lambda ctx: ctx.doc,
+    "group": _group_tables,
+    "order": lambda ctx: ctx.group.q,
+    "seed": lambda ctx: ctx.seed,
+    "tol": lambda ctx: ctx.tol,
+    "cap": lambda ctx: ctx.max_terms,
+}
+
+# for each oracle quantity of the context that a check may declare in
+# ``needs``, the count that its oracle holds to the cap before it starts,
+# as a function of the graph, the group's order and the cap
+_NEEDS = {
+    "tutte": lambda g, q, cap: oracles.tutte_terms(g, cap),
+    "flow_compositions": oracles.flow_terms,
+    "tension_compositions": oracles.tension_terms,
+}
+
+
+def _check(reads=None, applies=None, needs=()):
+    """Declare when a check applies and what it reads.  Where the
+    precondition ``applies(ctx)`` fails, the check returns no record.
+    Before it runs, the first of the oracle quantities it ``needs`` (keys
+    of ``_NEEDS``) that is over its cap raises TermCapExceeded.  A check
+    that reads only the fields ``reads`` (keys of ``_READS``) shares its
+    records between the calls that agree on them, while they are among the
+    last ``_SHARED_CACHE_SIZE`` keys used; a check that raises keeps
+    nothing.  ``uncached`` is then the check without sharing."""
+
+    def wrap(body):
+        def check(ctx: VerifyContext):
+            if applies is not None and not applies(ctx):
+                return []
+            for need in needs:
+                _NEEDS[need](ctx.graph, ctx.group.q, ctx.max_terms)
+            return body(ctx)
+
+        check.__name__ = check.__qualname__ = body.__name__
+        if reads is None:
+            return check
         cache: dict = {}  # in order of last use
 
         def shared(ctx: VerifyContext):
-            k = key(ctx)
+            k = tuple(_READS[name](ctx) for name in reads)
             records = cache.pop(k, None)
             if records is None:
                 records = tuple(check(ctx))
@@ -187,42 +232,29 @@ def _shared_by(key):
             cache[k] = records
             return list(records)
 
-        shared.__name__ = shared.__qualname__ = check.__name__
+        shared.__name__ = shared.__qualname__ = body.__name__
         shared.uncached = check
         return shared
 
     return wrap
 
 
-def _group_seed_tol(ctx: VerifyContext):
-    """Everything of the context that a graph-free check reads: the
-    group's tables, the seed and the tolerance."""
-    G = ctx.group
-    tables = tuple(a.tobytes() for a in (G.add, G.neg, G.mul, G.chi))
-    return G.name, G.flavour, G.factors, tables, ctx.seed, ctx.tol
+def _cubic(ctx: VerifyContext) -> bool:
+    return ctx.graph.is_regular(3)
 
 
-def _graph_tol_cap(ctx: VerifyContext):
-    """Everything of the context that a group-free check reads: the graph
-    with its rotation, orientation and Pfaffian flag, the tolerance and the
-    term cap.  Such a check runs once per graph, not once per group."""
-    return ctx.doc, ctx.tol, ctx.max_terms
+def _cubic_pfaffian(ctx: VerifyContext) -> bool:
+    return _cubic(ctx) and ctx.doc.pfaffian_compatible
 
 
-def _graph_order(ctx: VerifyContext):
-    """As ``_graph_tol_cap``, for a check that also reads the group's order."""
-    return _graph_tol_cap(ctx) + (ctx.group.q,)
-
-
-def _graph_order_seed(ctx: VerifyContext):
-    """As ``_graph_order``, for a check that also draws from the seed."""
-    return _graph_order(ctx) + (ctx.seed,)
+def _regular(ctx: VerifyContext) -> bool:
+    return (ctx.graph.regular_degree() or 0) >= 2
 
 
 # ---------------------------------------------------------------- fourier
 
 
-@_shared_by(_group_seed_tol)
+@_check(reads=("group", "seed", "tol"))
 def _check_unitarity(ctx: VerifyContext):
     out = []
     rng = ctx.rng(1)
@@ -236,7 +268,7 @@ def _check_unitarity(ctx: VerifyContext):
     return out
 
 
-@_shared_by(_group_seed_tol)
+@_check(reads=("group", "seed", "tol"))
 def _check_involution(ctx: VerifyContext):
     out = []
     rng = ctx.rng(2)
@@ -265,7 +297,7 @@ def _check_involution(ctx: VerifyContext):
     return out
 
 
-@_shared_by(_group_seed_tol)
+@_check(reads=("group", "seed", "tol"))
 def _check_convolution(ctx: VerifyContext):
     rng = ctx.rng(3)
     G = ctx.group
@@ -284,7 +316,7 @@ def _check_convolution(ctx: VerifyContext):
     ]
 
 
-@_shared_by(_group_seed_tol)
+@_check(reads=("group", "seed", "tol"))
 def _check_subgroup_transform(ctx: VerifyContext):
     out = []
     G = ctx.group
@@ -334,7 +366,7 @@ def _check_subgroup_transform(ctx: VerifyContext):
     return out
 
 
-@_shared_by(_group_seed_tol)
+@_check(reads=("group", "seed", "tol"))
 def _check_character_bijection(ctx: VerifyContext):
     G = ctx.group
     rows = {tuple(np.round(G.chi[G.mul[a]], 9)) for a in range(G.q)}
@@ -352,13 +384,18 @@ def _check_character_bijection(ctx: VerifyContext):
 def _check_orthogonal_invariance(ctx: VerifyContext):
     g = ctx.graph
     G = ctx.group
+    # the monochrome pairing, priced before any table is drawn
+    edge_sum_cost(g, G.q, edge_weights=True, max_terms=ctx.max_terms)
     rng = ctx.rng(4)
-    weights = VertexWeights.from_tuple_function(
-        G, lambda t: complex(rng.standard_normal(), rng.standard_normal())
+    # one table per degree, in the order the vertices first show it; each
+    # entry takes its real and then its imaginary part from the stream
+    weights = VertexWeights.from_tables(
+        G,
+        {
+            d: rng.standard_normal((G.q**d, 2)).view(np.complex128).reshape((G.q,) * d)
+            for d in dict.fromkeys(g.degrees())
+        },
     )
-    # freeze the random family so both sides see identical tables
-    for v in range(g.num_vertices):
-        weights.table(g.degree(v))
     Us = _orthogonal_draws(G.q, ctx.seed)
     oks = orthogonal_invariance_check(
         g, weights, Us, tol=max(ctx.tol, 1e-8), max_terms=ctx.max_terms
@@ -397,6 +434,7 @@ FOURIER_CHECKS = [
 # ---------------------------------------------------------------- duality
 
 
+@_check(needs=("flow_compositions", "tutte"))
 def _check_hwe_tutte(ctx: VerifyContext):
     out = []
     q = ctx.group.q
@@ -409,6 +447,7 @@ def _check_hwe_tutte(ctx: VerifyContext):
     return out
 
 
+@_check(needs=("tension_compositions", "tutte"))
 def _check_monochrome(ctx: VerifyContext):
     out = []
     q = ctx.group.q
@@ -424,6 +463,7 @@ def _check_monochrome(ctx: VerifyContext):
     return out
 
 
+@_check(needs=("flow_compositions", "tension_compositions"))
 def _check_macwilliams(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -468,6 +508,7 @@ def _check_general_duality(ctx: VerifyContext):
     return out
 
 
+@_check(needs=("flow_compositions", "tension_compositions"))
 def _check_flow_cwe_routes(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -502,7 +543,7 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
     return out
 
 
-@_shared_by(_graph_order)
+@_check(reads=("graph", "tol", "cap", "order"))
 def _check_tutte_edge_model(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -518,25 +559,21 @@ def _check_tutte_edge_model(ctx: VerifyContext):
     return out
 
 
-@_shared_by(_graph_order)
+@_check(reads=("graph", "tol", "cap", "order"), applies=_cubic)
 def _check_cubic_flow_model(ctx: VerifyContext):
     out = []
     g = ctx.graph
     q = ctx.group.q
-    if not g.is_regular(3):
-        return out
     got = duality.flow_cubic_edge_model(g, q, max_terms=ctx.max_terms)
     want = oracles.flow_polynomial(g, q, max_terms=ctx.max_terms)
     out.append(_record("flow.cubic-edge-model", "flow.cubic-edge-model", got, want, 0))
     return out
 
 
-@_shared_by(_graph_tol_cap)
+@_check(reads=("graph", "tol", "cap"), applies=_cubic)
 def _check_gf4_identity(ctx: VerifyContext):
     out = []
     g = ctx.graph
-    if not g.is_regular(3):
-        return out
     for s, t in ((1, 1), (2, 3)):
         ok, lhs, rhs = duality.gf4_flow_identity_check(g, s, t, max_terms=ctx.max_terms)
         out.append(
@@ -545,7 +582,7 @@ def _check_gf4_identity(ctx: VerifyContext):
     return out
 
 
-@_shared_by(_graph_order_seed)
+@_check(reads=("graph", "tol", "cap", "order", "seed"))
 def _check_spectral(ctx: VerifyContext):
     g = ctx.graph
     G = ctx.group
@@ -659,7 +696,7 @@ DUALITY_CHECKS = [
 # ---------------------------------------------------------------- signed
 
 
-@_shared_by(lambda ctx: ())  # reads nothing of the context
+@_check(reads=())
 def _check_character_det(ctx: VerifyContext):
     out = []
     worst = 0.0
@@ -672,7 +709,7 @@ def _check_character_det(ctx: VerifyContext):
     return out
 
 
-@_shared_by(lambda ctx: ())  # reads nothing of the context
+@_check(reads=())
 def _check_parity_transforms(ctx: VerifyContext):
     out = []
     for k, q in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5)):
@@ -706,21 +743,11 @@ def _check_parity_transforms(ctx: VerifyContext):
     return out
 
 
-def _signed_ctx_degree(ctx: VerifyContext) -> int | None:
-    degs = set(ctx.graph.degrees())
-    if len(degs) != 1:
-        return None
-    k = degs.pop()
-    return k if k >= 1 else None
-
-
-@_shared_by(_graph_tol_cap)
+@_check(reads=("graph", "tol", "cap"), applies=_regular)
 def _check_zero_sum_chain(ctx: VerifyContext):
     out = []
     g = ctx.graph
-    k = _signed_ctx_degree(ctx)
-    if k is None or k < 2:
-        return out
+    k = g.regular_degree()
     rot = ctx.doc.rotation_or_default()
     G = cyclic_group(k)
     zs = signed.zero_sum_parity_sum(g, rot, G, tuple(range(k)), max_terms=ctx.max_terms)
@@ -762,13 +789,11 @@ def _check_zero_sum_chain(ctx: VerifyContext):
     return out
 
 
-@_shared_by(_graph_tol_cap)
+@_check(reads=("graph", "tol", "cap"), applies=_regular)
 def _check_sine_and_kplus1(ctx: VerifyContext):
     out = []
     g = ctx.graph
-    k = _signed_ctx_degree(ctx)
-    if k is None or k < 2:
-        return out
+    k = g.regular_degree()
     rot = ctx.doc.rotation_or_default()
     oracle = abs(signed.proper_colouring_sign_sum(g, rot, k, max_terms=ctx.max_terms))
     if k % 2:
@@ -796,12 +821,10 @@ def _check_sine_and_kplus1(ctx: VerifyContext):
     return out
 
 
-@_shared_by(_graph_tol_cap)
+@_check(reads=("graph", "tol", "cap"), applies=_cubic_pfaffian)
 def _check_even_odd_proper4(ctx: VerifyContext):
     out = []
     g = ctx.graph
-    if not g.is_regular(3) or not ctx.doc.pfaffian_compatible:
-        return out
     rot = ctx.doc.rotation_or_default()
     got = signed.even_minus_odd_proper4(g, rot, max_terms=ctx.max_terms)
     want = (-4) ** (g.num_edges // 3) * oracles.flow_polynomial(
@@ -813,13 +836,11 @@ def _check_even_odd_proper4(ctx: VerifyContext):
     return out
 
 
-@_shared_by(_graph_tol_cap)
+@_check(reads=("graph", "tol", "cap"), applies=_regular)
 def _check_rotation_covariance(ctx: VerifyContext):
     out = []
     g = ctx.graph
-    k = _signed_ctx_degree(ctx)
-    if k is None or k < 2:
-        return out
+    k = g.regular_degree()
     rot = ctx.doc.rotation_or_default()
     v = next(v for v in range(g.num_vertices) if g.degree(v) >= 2)
     swapped = rot.swap_adjacent(v, 0)

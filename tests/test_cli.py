@@ -28,7 +28,7 @@ def corpus_files(tmp_path):
 
 def test_round_trip_identity(corpus_files):
     for name, (path, doc) in corpus_files.items():
-        text = open(path).read()
+        text = pathlib.Path(path).read_text()
         parsed = parse_graph(text)
         assert parsed == doc, name
         assert parse_graph(serialize_graph(parsed)) == parsed, name
@@ -74,6 +74,83 @@ def test_repeated_records_are_parse_errors(tmp_path, capsys, text, message):
     p.write_text(text)
     assert main(["tutte", "--graph", str(p)]) == 2
     assert message in capsys.readouterr().err
+
+
+# every malformed record, after a comment and a blank line that count as
+# lines; line 0 is the file as a whole
+_HEAD = "# header\n\n"
+
+
+@pytest.mark.parametrize(
+    "body,lineno,message",
+    [
+        ("vertices 1\nvertices 1\n", 4, "duplicate vertices record"),
+        ("vertices\n", 3, "want: vertices N"),
+        ("vertices -1\n", 3, "want: vertices N"),
+        ("vertices 2\nedge 0\n", 4, "want: edge U V"),
+        ("vertices 2\nedge 0 x\n", 4, "edge endpoints must be integers"),
+        ("vertices 2\nedge 0 1\norient 0\n", 5, "want: orient E HEAD_END"),
+        ("vertices 2\nedge 0 1\norient 0 y\n", 5, "orient fields must be integers"),
+        ("vertices 2\nedge 0 1\nrotation 0 e0.0\n", 5, "want: rotation V: tokens"),
+        ("vertices 2\nedge 0 1\nrotation v: e0.0\n", 5, "rotation vertex must be an integer"),
+        (
+            "vertices 2\nedge 0 1\nrotation 0: x0.0\n",
+            5,
+            "bad half-edge token 'x0.0' (want eINDEX.END)",
+        ),
+        (
+            "vertices 2\nedge 0 1\nrotation 0: e0\n",
+            5,
+            "bad half-edge token 'e0' (want eINDEX.END)",
+        ),
+        ("vertices 2\nedge 0 1\nrotation 0: ea.0\n", 5, "bad half-edge token 'ea.0'"),
+        ("vertices 2\nedge 0 1\nrotation 0: e0.2\n", 5, "half-edge end must be 0 or 1, got 2"),
+        ("vertices 1\nassert planar\n", 4, "unknown assertion ['planar']"),
+        ("vertices 1\ncolour 0 1\n", 4, "unknown record 'colour'"),
+        ("edge 0 1\n", 0, "missing vertices record"),
+        ("vertices 2\nedge 0 2\n", 0, "edge (0,2) out of range"),
+        ("vertices 2\nedge 0 1\norient 1 0\n", 5, "orient: edge 1 out of range"),
+        ("vertices 2\nedge 0 1\norient 0 2\n", 5, "orient: head end must be 0 or 1"),
+        ("vertices 2\nedge 0 1\nrotation 2: e0.0\n", 5, "rotation: vertex 2 out of range"),
+        (
+            "vertices 2\nedge 0 1\nrotation 0: e0.0 e0.0\n",
+            5,
+            "rotation at vertex 0 must list H(v) exactly once",
+        ),
+    ],
+)
+def test_malformed_records_name_their_line(body, lineno, message):
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(_HEAD + body)
+    assert exc.value.lineno == lineno
+    assert str(exc.value) == f"line {lineno}: {message}"
+
+
+def test_round_trip_skips_comments_and_blank_lines_and_keeps_orientation():
+    text = (
+        "# a digon, its second edge drawn backwards\n"
+        "\n"
+        "vertices 2  # two\n"
+        "edge 0 1\n"
+        "   \n"
+        "edge 1 0\n"
+        "orient 0 0\n"
+        "orient 1 1  # the default, stated\n"
+        "rotation 0: e1.1 e0.0\n"
+        "assert pfaffian-compatible\n"
+    )
+    doc = parse_graph(text)
+    assert doc.graph.edges == ((0, 1), (1, 0))
+    assert doc.orientation.head_end == (0, 1)
+    assert doc.rotation.orders == (((1, 1), (0, 0)), ((0, 1), (1, 0)))
+    assert doc.pfaffian_compatible
+    written = serialize_graph(doc)
+    assert written == (
+        "vertices 2\nedge 0 1\nedge 1 0\norient 0 0\norient 1 1\n"
+        "rotation 0: e1.1 e0.0\nrotation 1: e0.1 e1.0\n"
+        "assert pfaffian-compatible\n"
+    )
+    assert parse_graph(written) == doc
 
 
 def test_parse_orientation_and_assertion():
@@ -125,6 +202,22 @@ def test_cli_hwe_cwe(corpus_files, capsys):
     assert float(first) == 2**3 + 6 * 2 + 2
     assert main(["cwe", "--graph", path, "--q", "3", "--weights", "1,1,1"]) == 0
     assert complex(capsys.readouterr().out.strip()) == 9  # |ker d| = 3^2
+
+
+def test_cli_hwe_cwe_over_tensions(corpus_files, capsys):
+    from qcolour import oracles
+
+    path, doc = corpus_files["theta"]
+    tensions = oracles.enumerate_tensions(doc.graph, cyclic_group(3))
+    args = ["--graph", path, "--q", "3", "--set", "tensions"]
+    assert main(["hwe", *args, "--s", "2"]) == 0
+    # three tensions, each edge reading the one vertex difference: the
+    # zero tension (s^3) and two nowhere-zero ones
+    hwe = oracles.hamming_weight_enum(tensions, 2, doc.graph.num_edges)
+    assert float(capsys.readouterr().out) == hwe == 2**3 + 2
+    assert main(["cwe", *args, "--weights", "1,2,3"]) == 0
+    cwe = oracles.complete_weight_enum(tensions, [1, 2, 3])
+    assert complex(capsys.readouterr().out) == cwe == 1 + 2**3 + 3**3
 
 
 def test_cli_vertex_and_edge_model(corpus_files, capsys):
@@ -238,6 +331,31 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     p.write_text("vertices 2\nedge 0 two\n")
     assert main(["flow", "--graph", str(p), "--q", "3"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_missing_graph_file_exit(tmp_path, capsys):
+    missing = tmp_path / "missing.g"
+    assert main(["tutte", "--graph", str(missing)]) == 2
+    assert "No such file" in capsys.readouterr().err
+
+
+def test_cli_oversized_signed_tables_skip(tmp_path, capsys):
+    # two vertices joined by 13 edges: each signed sum on it would build a
+    # table of 13^13 or 14^13 entries, so it must refuse at its plan's cost
+    path = tmp_path / "bundle.g"
+    path.write_text("vertices 2\n" + "edge 0 1\n" * 13)
+    assert main(["verify", "--graph", str(path), "--q", "2"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    skips = {rec["name"]: rec["lhs"] for rec in records if rec["pass"] is None}
+    proper, kplus1 = sum(13**i for i in range(1, 14)), sum(14**i for i in range(1, 14))
+    assert skips == {
+        "skip.zero_sum_chain": str(proper),
+        "skip.sine_and_kplus1": str(proper),
+        "skip.rotation_covariance": str(kplus1),
+    }
+    assert all(rec["pass"] is True for rec in records if rec["name"] not in skips)
+    assert main(["kplus1", "--graph", str(path), "--k", "13"]) == 3
+    assert str(kplus1) in capsys.readouterr().err
 
 
 def test_cli_verify_exit_zero(corpus_files, capsys):
@@ -375,6 +493,99 @@ def test_battery_lists_flows_and_tensions_once(monkeypatch):
             hist.comps[0, 0] = 1
         with pytest.raises(ValueError):
             hist.mults[0] = 1
+
+
+def test_checks_refuse_every_oracle_quantity_before_building_any(monkeypatch):
+    import qcolour.verify as verify_mod
+
+    calls = []
+    real = verify_mod.oracles.flow_compositions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod.oracles, "flow_compositions", counted)
+    doc = CORPUS["prism"]
+
+    def skips(max_terms):
+        records = run_battery(doc, cyclic_group(3), ("duality",), max_terms=max_terms)
+        return {rec.name: rec.lhs for rec in records if rec.passed is None}
+
+    # 3^4 flows fit under 100; the 3^5 tensions and the Tutte pass's 2^9
+    # subsets do not, so every check that reads the flows skips unbuilt
+    over = skips(100)
+    assert calls == []
+    assert over["skip.hwe_tutte"] == "512"
+    assert over["skip.monochrome"] == over["skip.macwilliams"] == "243"
+    assert over["skip.flow_cwe_routes"] == "243"
+    # past several caps, the record names the first quantity declared
+    over = skips(50)
+    assert over["skip.hwe_tutte"] == over["skip.macwilliams"] == "81"
+    assert over["skip.monochrome"] == "243"
+    assert calls == []
+
+
+def test_orthogonal_invariance_draws_each_table_within_the_cap(monkeypatch):
+    import qcolour.verify as verify_mod
+    from qcolour.enumeration import TermCapExceeded
+    from qcolour.graphs import Multigraph
+    from qcolour.models import VertexWeights
+
+    seen, salts = [], []
+    real_check, real_rng = verify_mod.orthogonal_invariance_check, verify_mod._rng
+
+    def check(g, weights, Us, **kwargs):
+        seen.append(weights)
+        return real_check(g, weights, Us, **kwargs)
+
+    def rng(seed, salt):
+        salts.append(salt)
+        return real_rng(seed, salt)
+
+    monkeypatch.setattr(verify_mod, "orthogonal_invariance_check", check)
+    monkeypatch.setattr(verify_mod, "_rng", rng)
+    # degrees 3, 2, 2, 3: the degree-3 table is drawn first
+    g = Multigraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (3, 3)))
+    G = group_from_name("2x2")
+    ctx = verify_mod.VerifyContext(GraphDocument(g), G, 1e-7, 10**8, 5)
+    records = verify_mod._check_orthogonal_invariance(ctx)
+    assert records and all(rec.passed for rec in records)
+    # the stream of one complex draw per entry, real part first
+    stream = real_rng(5, 4)
+    want = VertexWeights.from_tuple_function(
+        G, lambda t: complex(stream.standard_normal(), stream.standard_normal())
+    )
+    for d in (3, 2):
+        table = seen[0].table(d)
+        assert table.dtype == np.complex128
+        assert table.tobytes() == want.table(d).tobytes()
+    # over the pairing's cap, nothing is drawn
+    salts.clear()
+    ctx = verify_mod.VerifyContext(GraphDocument(g), G, 1e-7, 100, 5)
+    with pytest.raises(TermCapExceeded):
+        verify_mod._check_orthogonal_invariance(ctx)
+    assert 4 not in salts and len(seen) == 1
+
+
+def test_shared_records_are_evicted_past_the_cache_size(monkeypatch):
+    import qcolour.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "_SHARED_CACHE_SIZE", 2)
+    runs = []
+
+    @verify_mod._check(reads=("tol",))
+    def _check_probe(ctx):
+        runs.append(ctx.tol)
+        return [ctx.tol]
+
+    for tol in (1, 2, 1, 3, 2, 1, 2):
+        ctx = verify_mod.VerifyContext(CORPUS["k4"], cyclic_group(3), tol, 10**8, 0)
+        assert _check_probe(ctx) == [tol]
+    # 1 is read again before 3 comes in, so 2 is the oldest and goes; the
+    # last read of 2 finds it
+    assert runs == [1, 2, 3, 2, 1]
+    assert _check_probe.__name__ == "_check_probe"
 
 
 def test_monochrome_records_follow_the_tutte_cap():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 
 from qcolour import duality, enumeration, models, oracles, signed
 from qcolour.duality import boundary_edge_sum, tension_vertex_sum
-from qcolour.graphs import Multigraph, Orientation, boundary, coboundary
+from qcolour.graphs import Multigraph, Orientation, boundary, coboundary, default_rotation
 from qcolour.groups import group_from_name, monochrome_indicator, zero_sum_indicator
 from qcolour.models import (
     VertexWeights,
@@ -240,6 +240,35 @@ def test_cap_fires_before_any_einsum(monkeypatch):
     with pytest.raises(enumeration.TermCapExceeded) as err:
         halfedge_inner(g, weights, monochrome_indicator(G, 2), max_terms=20)
     assert err.value.estimate == 4**3 + 4**3 + 4**2 + 4
+
+
+# two vertices joined by 13 edges: a 13-colour table at either vertex has
+# 13^13 entries, petabytes, so a builder that built it before the plan's
+# cap fired would raise MemoryError instead
+BUNDLE = Multigraph(2, ((0, 1),) * 13)
+BUNDLE_ROT = default_rotation(BUNDLE)
+BUNDLE_SUMS = {
+    "proper_colouring_sign_sum": lambda: signed.proper_colouring_sign_sum(
+        BUNDLE, BUNDLE_ROT, 13
+    ),
+    "sine_model": lambda: signed.sine_model(BUNDLE, BUNDLE_ROT, 13, 13),
+    "zero_sum_parity_sum": lambda: signed.zero_sum_parity_sum(
+        BUNDLE, BUNDLE_ROT, group_from_name("13"), range(13)
+    ),
+    "tutte_edge_model": lambda: duality.tutte_edge_model(BUNDLE, 13, 2.0),
+    "flow_cwe_edge_model": lambda: duality.flow_cwe_edge_model(
+        BUNDLE, group_from_name("13"), np.ones(13)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLE_SUMS))
+def test_oversized_tables_refuse_before_they_are_built(name):
+    with pytest.raises(enumeration.TermCapExceeded) as err:
+        BUNDLE_SUMS[name]()
+    # the plan's cost: summing out each edge reads all the edges still left
+    assert err.value.estimate == sum(13**i for i in range(1, 14))
+    assert err.value.cap == enumeration.DEFAULT_MAX_TERMS
 
 
 def test_plan_is_reused_across_radix_and_tables():
