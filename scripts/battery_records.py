@@ -22,6 +22,7 @@ or differs in a field other than ``residual``.
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -109,12 +110,21 @@ def main():
     )
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = ap.parse_args()
-    if args.compare:
-        return compare(*args.compare)
-    failed = write(sys.stdout)
-    if failed:
-        print(f"{failed} records failed", file=sys.stderr)
-    return 1 if failed else 0
+    try:
+        if args.compare:
+            code = compare(*args.compare)
+        else:
+            failed = write(sys.stdout)
+            if failed:
+                print(f"{failed} records failed", file=sys.stderr)
+            code = 1 if failed else 0
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): end quietly, with stdout on
+        # devnull so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

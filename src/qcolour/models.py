@@ -6,17 +6,20 @@ read at the colours of its labels, and ``eliminate`` sums the labels out one
 at a time, so the cost is exponential in the width of the elimination order,
 not in the number of labels.  The order is planned from the labels alone
 and compiled into einsum steps over numbered table slots, once per label
-structure (a bounded cache keyed by the factors' label tuples, so a sum
-repeated with other tables or another radix only runs the steps); its cost
-is what the term cap bounds and ``ModelValue.terms`` reports.  A table
-may carry one leading batch axis, so several sums that differ only in
-their tables run as one contraction, at the plan and cap of one: a table
-with one leading axis more than its arity carries the batch, the rule
-that ``groups.transform`` and the weight tables of every builder follow.
+structure (a bounded cache keyed by the factors' label tuples alone, so a
+sum repeated with other tables, another radix or a batch only runs the
+steps); its cost is what the term cap bounds and ``ModelValue.terms``
+reports.  A loop repeats its label's subscript, and einsum takes that
+diagonal in the step that first reads it.  A table with one leading axis
+more than its arity carries a batch, the rule that ``groups.transform``
+and the weight tables of every builder follow, so several sums that
+differ only in their tables run as one contraction, at the plan and cap
+of one: the batch rides on the ``...`` that starts every subscript list.
 ``edge_table_sum``, ``vertex_table_sum`` and ``duality.boundary_edge_sum``
 are the only callers of ``factor_sum``; the other models supply tables,
-and one whose tables grow as radix^degree prices its sum first
-(``edge_sum_cost``), so an oversized table is refused, never allocated.
+and one whose tables grow as radix^degree first prices its sum, with the
+plan that the sum then runs, and its largest table (``edge_sum_cost``),
+so an oversized table is refused, never allocated.
 ``vertex_table_sum`` sums over vertex colourings with a weight per vertex
 and a (q, q) interaction per edge.  ``edge_table_sum`` sums over edge
 colourings with a weight per edge and, at each vertex, a weight depending
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
+from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded, count_terms
 from .graphs import Multigraph, Orientation, RotationSystem, default_orientation
 from .groups import Group, QFunction, monochrome_indicator, transform
 
@@ -189,11 +192,11 @@ _PLAN_CACHE_SIZE = 512
 
 class _Plan(NamedTuple):
     """A contraction compiled from the factors' labels alone.  Slots
-    0..n-1 hold the n factors' tables, and step i writes slot n + i.  A
-    batched table keeps its batch on its first axis, and so does every
-    step that reads one."""
+    0..n-1 hold the n factors' tables, and step i writes slot n + i.
+    Every subscript list starts with ``...``, so a leading batch axis
+    rides through each step, and a loop's repeated subscript makes einsum
+    take its diagonal in the step that first reads it."""
 
-    diagonals: tuple  # (slot, input axes, output axes) of each loop factor
     constants: tuple  # slots of the factors with no labels
     read: int  # distinct labels any factor reads
     scopes: tuple  # labels read at each step
@@ -201,54 +204,40 @@ class _Plan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(label_tuples: tuple, batched: tuple) -> _Plan:
+def _plan(label_tuples: tuple) -> _Plan:
     """Each step sums out the label whose factors together read the fewest
-    labels (ties to the smallest label); a factor reading a label several
-    times is first cut to its diagonal, one axis per distinct label.  The
-    batch is a subscript that no step sums out, so it leaves the order and
-    the scopes as they are; a step closes when it leaves no label."""
-    distinct = [tuple(dict.fromkeys(labels)) for labels in label_tuples]
-    diagonals = tuple(
-        (
-            i,
-            (len(ls),) * b + tuple(ls.index(label) for label in labels),
-            (len(ls),) * b + tuple(range(len(ls))),
-        )
-        for i, (labels, ls, b) in enumerate(zip(label_tuples, distinct, batched))
-        if len(ls) < len(labels)
-    )
-    constants = tuple(i for i, ls in enumerate(distinct) if not ls)
-    # (slot, labels, batched) of each table still to be summed
-    live = [(i, ls, b) for i, (ls, b) in enumerate(zip(distinct, batched)) if ls]
-    read = len({label for _slot, ls, _b in live for label in ls})
+    distinct labels (ties to the smallest label); a step closes when it
+    leaves no label.  A table keeps its labels as given, repeats included,
+    until a step reads it."""
+    constants = tuple(i for i, labels in enumerate(label_tuples) if not labels)
+    # (slot, labels) of each table still to be summed
+    live = [(i, labels) for i, labels in enumerate(label_tuples) if labels]
+    read = len({label for _slot, labels in live for label in labels})
     scopes, steps = [], []
     while live:
         joint: dict[int, set] = {}
-        for _slot, ls, _b in live:
-            for label in ls:
-                joint.setdefault(label, set()).update(ls)
+        for _slot, labels in live:
+            for label in labels:
+                joint.setdefault(label, set()).update(labels)
         _size, label = min((len(ls), lb) for lb, ls in joint.items())
         scope = sorted(joint[label])
-        # einsum takes at most 52 axis letters, so number the scope locally;
-        # the batch takes the number after the scope's
+        # einsum takes at most 52 axis letters, so number the scope locally
         ids = {lb: i for i, lb in enumerate(scope)}
-        batch = (len(scope),)
         out = tuple(lb for lb in scope if lb != label)
         used = [f for f in live if label in f[1]]
         live = [f for f in live if label not in f[1]]
-        out_batched = any([b for _slot, _ls, b in used])
         if out:
-            live.append((len(label_tuples) + len(steps), out, out_batched))
+            live.append((len(label_tuples) + len(steps), out))
         scopes.append(len(scope))
         steps.append(
             (
-                tuple(slot for slot, _ls, _b in used),
-                tuple(batch * b + tuple(ids[lb] for lb in ls) for _slot, ls, b in used),
-                batch * out_batched + tuple(ids[lb] for lb in out),
+                tuple(slot for slot, _labels in used),
+                tuple((...,) + tuple(ids[lb] for lb in labels) for _slot, labels in used),
+                (...,) + tuple(ids[lb] for lb in out),
                 not out,
             )
         )
-    return _Plan(diagonals, constants, read, tuple(scopes), tuple(steps))
+    return _Plan(constants, read, tuple(scopes), tuple(steps))
 
 
 def _capped_cost(radix: int, plan: _Plan, max_terms: int) -> int:
@@ -263,28 +252,23 @@ def eliminate(
 ) -> tuple[complex | np.ndarray, int]:
     """The sum of ``factor_sum`` by variable elimination, and its planned
     cost: the sum over steps of radix^(labels read at that step).  The plan
-    is cached per label structure; a cost over ``max_terms`` raises before
-    any table is converted or summed.
+    is cached per label structure, the factors' label tuples alone; a cost
+    over ``max_terms`` raises before any table is converted or summed.
 
     A table with ``ndim == len(labels) + 1`` carries a leading batch axis
     of size B, the same for every such table; the other tables are shared
-    by all entries.  The sum is then a (B,) complex array whose entry b is
-    the sum over the b-th tables, and a complex when no table carries a
-    batch.  The plan, the cost and the cap are those of one entry, as
-    ``ModelValue.terms`` is."""
+    by all entries.  The batch rides on each step's ``...``, so the sum is
+    then a (B,) complex array whose entry b is the sum over the b-th
+    tables, and a complex when no table carries a batch.  The plan, the
+    cost and the cap are those of one entry, as ``ModelValue.terms`` is."""
     tables, label_tuples = [], []
     for table, labels in factors:
         tables.append(np.asarray(table))
         label_tuples.append(tuple(labels))
-    plan = _plan(
-        tuple(label_tuples),
-        tuple(t.ndim > len(labels) for t, labels in zip(tables, label_tuples)),
-    )
+    plan = _plan(tuple(label_tuples))
     cost = _capped_cost(radix, plan, max_terms)
     # integer tables sum in floating point, as products of ints can wrap
     tables = [t.astype(np.result_type(t, np.float64), copy=False) for t in tables]
-    for slot, axes, out in plan.diagonals:
-        tables[slot] = np.einsum(tables[slot], axes, out)
     total = 1.0 + 0.0j
     for slot in plan.constants:
         total *= tables[slot][()]
@@ -336,12 +320,16 @@ def edge_sum_cost(
 ) -> int:
     """The planned cost of ``edge_table_sum`` over g at this radix, from
     its labels alone, raising TermCapExceeded over ``max_terms`` with the
-    estimate that ``eliminate`` raises.  A builder calls it before it
-    builds a (radix,)*degree table, so a sum over its cap refuses before
-    any table is allocated; a batch changes neither the plan's order nor
-    its cost, so the plan of unbatched tables is the one to price."""
+    estimate that ``eliminate`` raises: the very plan that the sum then
+    runs, batched or not.  A builder calls it before it builds a
+    (radix,)*degree table, so a sum over its cap refuses before any table
+    is allocated, and so does one whose largest table, radix^(half-edges
+    at a vertex), is over the cap, with that entry count as the estimate:
+    a loop is one label of the plan but two axes of its vertex's table."""
     labels = tuple(_edge_labels(g, rotation, edge_weights))
-    return _capped_cost(radix, _plan(labels, (False,) * len(labels)), max_terms)
+    cost = _capped_cost(radix, _plan(labels), max_terms)
+    count_terms(radix, max(g.degrees(), default=0), max_terms)
+    return cost
 
 
 def vertex_table_sum(
@@ -414,8 +402,9 @@ def halfedge_inner(
         raise ValueError("pair weight must have arity 2")
     q = weights.group.q
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
-    # a table that ``weights`` builds on demand is built within the cap
     edge_sum_cost(g, supp.size, rotation, True, max_terms)
+    # ``weights`` builds its tables at the group's order, not the support's
+    count_terms(q, max(g.degrees(), default=0), max_terms)
     ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair
     tables = []
     for order in _vertex_orders(g, rotation):

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -356,6 +359,39 @@ def test_cli_oversized_signed_tables_skip(tmp_path, capsys):
     assert all(rec["pass"] is True for rec in records if rec["name"] not in skips)
     assert main(["kplus1", "--graph", str(path), "--k", "13"]) == 3
     assert str(kplus1) in capsys.readouterr().err
+
+
+# one vertex with five loops: each signed sum plans over its 5 edge labels,
+# 10^5 terms at 10 colours, but its table has an axis per half-edge, 10^10
+# entries; run under a 4 GB address-space limit, so that building it fails
+# fast instead of taking the machine's memory
+FIVE_LOOPS = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4_000_000_000, 4_000_000_000))
+from qcolour.cli import main
+sys.exit(main(["verify", "--graph", sys.argv[1], "--q", "2", "--suite", "signed"]))
+"""
+
+
+def test_cli_loop_tables_skip_at_their_size(tmp_path):
+    path = tmp_path / "loops.g"
+    path.write_text("vertices 1\n" + "edge 0 0\n" * 5)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", FIVE_LOOPS, str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, "Traceback" in out.stderr) == (0, False), out.stderr
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    skips = {rec["name"]: rec["lhs"] for rec in records if rec["pass"] is None}
+    assert skips == {
+        "skip.zero_sum_chain": str(10**10),
+        "skip.sine_and_kplus1": str(10**10),
+        "skip.rotation_covariance": str(11**10),
+    }
+    assert all(rec["pass"] is True for rec in records if rec["name"] not in skips)
 
 
 def test_cli_verify_exit_zero(corpus_files, capsys):

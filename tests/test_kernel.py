@@ -347,6 +347,14 @@ KEEP_BATCH = (
     "split_edge_sum",
     "tutte_edge_model",
 )
+# builders that also refuse a vertex table over the cap: q^degree entries,
+# more than the plan's cost only at a vertex with loops
+PRICES_TABLES = (
+    "halfedge_inner",
+    "split_edge_sum",
+    "flow_cwe_edge_model",
+    "tutte_edge_model",
+)
 
 
 def _picker(i):
@@ -492,8 +500,14 @@ def test_batched_sums_equal_their_entries(g, spec, seed, B, flags, heads):
         if name in KEEP_BATCH:
             assert all(np.shape(whole) == (B,) for whole in values), name
         if cost:
-            # the cap is per entry: the batch passes at the cost of one
-            run(None, cost)
+            # the cap is per entry: the batch passes at the cost of one, or
+            # at the entries of one vertex table where a loop makes it larger
+            largest = G.q ** max(g.degrees(), default=0)
+            run(None, max(cost, largest) if name in PRICES_TABLES else cost)
+            if name in PRICES_TABLES and largest > cost:
+                with pytest.raises(enumeration.TermCapExceeded) as err:
+                    run(None, largest - 1)
+                assert err.value.estimate == largest, name
             with pytest.raises(enumeration.TermCapExceeded) as err:
                 run(None, cost - 1)
             assert err.value.estimate == cost, name
