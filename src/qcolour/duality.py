@@ -27,6 +27,7 @@ sums of the X_Q dual, is ``groups.transform`` under the same batch rule.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from .enumeration import DEFAULT_MAX_TERMS
 from .graphs import Multigraph, Orientation, rank
 from .groups import Group, cyclic_group, gf4, transform
-from .models import ModelValue, edge_sum_cost, edge_table_sum, factor_sum, vertex_table_sum
+from .models import ModelValue, edge_table_sum, factor_sum, vertex_table_sum
 from .oracles import ConsistencyError, flow_polynomial
 
 __all__ = [
@@ -101,20 +102,26 @@ def boundary_edge_sum(
     Each vector may carry a leading batch axis (see ``models.eliminate``).
     A loop's half-edges cancel in the boundary, so only its edge weight
     reads its label; ``models.edge_table_sum`` would read it at its vertex
-    too, and plan loops at a higher cost."""
-    # bnd[c_1, ..., c_d]: the signed sum of the non-loop half-edge colours
-    bnds = {}  # one per tuple of signs
+    too, and plan loops at a higher cost.  Each vertex table is built only
+    once the sum is priced (see ``models.eliminate``)."""
+
+    @functools.cache  # one per tuple of signs
+    def boundary(signs):
+        # bnd[c_1, ..., c_d]: the signed sum of the non-loop half-edge colours
+        bnd = np.zeros((), dtype=np.int64)
+        for i, sign in enumerate(signs):
+            col = np.arange(group.q).reshape((-1,) + (1,) * (len(signs) - 1 - i))
+            bnd = group.add[bnd, col if sign == 1 else group.neg[col]]
+        return bnd
+
+    def vertex_table(v, signs):
+        return vertex_vecs[v].take(boundary(signs), axis=-1)
+
     factors = []
     for v in range(g.num_vertices):
         hs = [(e, end) for e, end in g.halfedges_at(v) if not g.is_loop(e)]
         signs = tuple(orient.sigma(e, end) for e, end in hs)
-        if signs not in bnds:
-            bnd = np.zeros((), dtype=np.int64)
-            for i, sign in enumerate(signs):
-                col = np.arange(group.q).reshape((-1,) + (1,) * (len(signs) - 1 - i))
-                bnd = group.add[bnd, col if sign == 1 else group.neg[col]]
-            bnds[signs] = bnd
-        table = vertex_vecs[v].take(bnds[signs], axis=-1)
+        table = functools.partial(vertex_table, v, signs)
         factors.append((table, [e for e, _end in hs]))
     factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
     return factor_sum(group.q, g.num_edges, factors, max_terms)
@@ -165,14 +172,13 @@ def _split_edge_sum(
     g: Multigraph, q: int, f: np.ndarray, h: np.ndarray, max_terms: int
 ) -> ModelValue:
     """Edge side of the split: sum_y prod_v sum_a f[a] prod over half-edges
-    at v of h[a, y_e], with one vertex table per distinct degree.  f and h
-    may carry leading batch axes, which broadcast; with no vertices each
-    sum is 1."""
+    at v of h[a, y_e], with one vertex table per distinct degree, built only
+    once the sum is priced.  f and h may carry leading batch axes, which
+    broadcast; with no vertices each sum is 1."""
     fb, hb = f.shape[:-1], h.shape[:-2]
     batch = np.broadcast_shapes(fb, hb) if fb and hb else fb or hb
-    edge_sum_cost(g, q, max_terms=max_terms)
-    tables = {}
-    for d in set(g.degrees()):
+
+    def table(d):
         # acc[..., a, c_1, ..., c_d] = f[..., a] prod_i h[..., a, c_i],
         # then summed over a
         acc = f.reshape(f.shape + (1,) * d).astype(np.complex128)
@@ -180,8 +186,10 @@ def _split_edge_sum(
         for i in range(d):
             shape = [q if j in (0, i + 1) else 1 for j in range(d + 1)]
             acc *= h.reshape(h.shape[:-2] + tuple(shape))
-        tables[d] = acc.sum(axis=len(batch))
-    vertex_tables = [tables[g.degree(v)] for v in range(g.num_vertices)]
+        return acc.sum(axis=len(batch))
+
+    tables = {d: functools.partial(table, d) for d in g.degrees()}
+    vertex_tables = [tables[d] for d in g.degrees()]
     return edge_table_sum(g, q, vertex_tables, max_terms=max_terms).broadcast(batch)
 
 
@@ -252,13 +260,15 @@ def flow_cubic_edge_model(
     if not g.is_regular(3):
         raise ValueError("graph must be 3-regular")
 
-    a, b, c = np.indices((q,) * 3)
-    equal_pairs = (a == b).astype(int) + (b == c) + (a == c)  # 3, 1 or 0
-    tbl = np.where(
-        equal_pairs == 3,
-        (1 - q) * (1 - q / 2),
-        np.where(equal_pairs == 0, 1.0, 1 - q / 2),
-    ).astype(np.complex128)
+    def tbl():
+        a, b, c = np.indices((q,) * 3)
+        equal_pairs = (a == b).astype(int) + (b == c) + (a == c)  # 3, 1 or 0
+        return np.where(
+            equal_pairs == 3,
+            (1 - q) * (1 - q / 2),
+            np.where(equal_pairs == 0, 1.0, 1 - q / 2),
+        ).astype(np.complex128)
+
     mv = edge_table_sum(g, q, [tbl] * g.num_vertices, max_terms=max_terms)
     value = q ** (-g.num_edges) * 2**g.num_vertices * mv.value
     return ModelValue.of(value, mv.terms).rounded(1e-6)

@@ -1,10 +1,10 @@
 """Term caps, and chunked exhaustive enumeration over colouring spaces.
 
 ``count_terms`` caps the radix^length configurations that the oracles
-list, and the radix^degree entries of a model's largest vertex table
-(``models.edge_sum_cost``); a model sum caps the planned cost of its
-contraction (``models.eliminate``), and ``signed.factorization_sign_sum``
-the rows of each step of its frontier.  Configurations of
+list, and the radix^degree entries of a model's vertex table before it is
+built; a model sum caps the planned cost of its contraction first
+(``models.eliminate``), and ``signed.factorization_sign_sum`` the rows of
+each step of its frontier.  Configurations of
 range(radix)^length are produced in mixed-radix ascending order (first
 coordinate most significant) in blocks, so a few times 10^7 of them stay
 tractable in numpy without materializing the whole space.  No model sum

@@ -16,9 +16,9 @@ and the weight tables of every builder follow, so several sums that
 differ only in their tables run as one contraction, at the plan and cap
 of one: the batch rides on the ``...`` that starts every subscript list.
 ``edge_table_sum``, ``vertex_table_sum`` and ``duality.boundary_edge_sum``
-are the only callers of ``factor_sum``; the other models supply tables,
-and one whose tables grow as radix^degree first prices its sum, with the
-plan that the sum then runs, and its largest table (``edge_sum_cost``),
+are the only callers of ``factor_sum``; the other models supply tables.
+A table of radix^degree entries is handed over unbuilt, as a function
+that ``eliminate`` calls only once it has priced the sum and that table,
 so an oversized table is refused, never allocated.
 ``vertex_table_sum`` sums over vertex colourings with a weight per vertex
 and a (q, q) interaction per edge.  ``edge_table_sum`` sums over edge
@@ -55,7 +55,6 @@ __all__ = [
     "factor_sum",
     "eliminate",
     "edge_table_sum",
-    "edge_sum_cost",
     "vertex_table_sum",
 ]
 
@@ -100,9 +99,10 @@ class ModelValue:
 class VertexWeights:
     """A vertex weight family: one function per arity (vertex degree).
 
-    Built either from a tuple function evaluated on demand or from explicit
-    per-arity tables.  Tables are cached per arity.  An explicit table with
-    one leading axis more than its arity holds one family per batch entry.
+    Built either from a function of the arity evaluated on demand or from
+    explicit per-arity tables.  Tables are cached per arity and keep the
+    shape they are given: one with a leading axis more than its arity holds
+    one family per batch entry.
     """
 
     def __init__(self, group: Group, table_fn=None, tables=None):
@@ -114,9 +114,7 @@ class VertexWeights:
         if arity not in self._tables:
             if self._table_fn is None:
                 raise ValueError(f"no vertex weight for arity {arity}")
-            self._tables[arity] = np.asarray(
-                self._table_fn(arity), dtype=np.complex128
-            ).reshape((self.group.q,) * arity)
+            self._tables[arity] = np.asarray(self._table_fn(arity), dtype=np.complex128)
         return self._tables[arity]
 
     @classmethod
@@ -255,6 +253,11 @@ def eliminate(
     is cached per label structure, the factors' label tuples alone; a cost
     over ``max_terms`` raises before any table is converted or summed.
 
+    A table may be given unbuilt, as a function of no arguments.  Past the
+    plan's cap, the largest such table, radix^(its labels) entries with a
+    repeated label counted once per axis, is held to the cap, and then
+    each distinct function is called once, in factor order.
+
     A table with ``ndim == len(labels) + 1`` carries a leading batch axis
     of size B, the same for every such table; the other tables are shared
     by all entries.  The batch rides on each step's ``...``, so the sum is
@@ -263,10 +266,15 @@ def eliminate(
     cost and the cap are those of one entry, as ``ModelValue.terms`` is."""
     tables, label_tuples = [], []
     for table, labels in factors:
-        tables.append(np.asarray(table))
+        tables.append(table)
         label_tuples.append(tuple(labels))
     plan = _plan(tuple(label_tuples))
     cost = _capped_cost(radix, plan, max_terms)
+    axes = [len(ls) for t, ls in zip(tables, label_tuples) if callable(t)]
+    if axes:
+        count_terms(radix, max(axes), max_terms)
+    built = {fn: fn() for fn in dict.fromkeys(filter(callable, tables))}
+    tables = [np.asarray(built[t] if callable(t) else t) for t in tables]
     # integer tables sum in floating point, as products of ints can wrap
     tables = [t.astype(np.result_type(t, np.float64), copy=False) for t in tables]
     total = 1.0 + 0.0j
@@ -294,42 +302,15 @@ def edge_table_sum(
 ) -> ModelValue:
     """Sum over edge colourings of per-vertex table lookups times per-edge
     weights.  ``vertex_tables[v]`` is indexed by the half-edge colours at v
-    in declared order (a loop's colour indexes twice)."""
-    labels = _edge_labels(g, rotation, edge_vecs is not None)
-    tables = [vertex_tables[v] for v in range(g.num_vertices)]
+    in declared order (a loop's colour indexes twice), and may be given
+    unbuilt (see ``eliminate``)."""
+    factors = [
+        (vertex_tables[v], [e for e, _end in order])
+        for v, order in enumerate(_vertex_orders(g, rotation))
+    ]
     if edge_vecs is not None:
-        tables += [edge_vecs[e] for e in range(g.num_edges)]
-    return factor_sum(q, g.num_edges, list(zip(tables, labels)), max_terms)
-
-
-def _edge_labels(g: Multigraph, rotation: RotationSystem | None, edge_weights: bool):
-    """The label tuples of ``edge_table_sum``'s factors: each vertex's
-    half-edge colours in declared order, then each edge's own colour."""
-    labels = [tuple(e for e, _end in order) for order in _vertex_orders(g, rotation)]
-    if edge_weights:
-        labels += [(e,) for e in range(g.num_edges)]
-    return labels
-
-
-def edge_sum_cost(
-    g: Multigraph,
-    radix: int,
-    rotation: RotationSystem | None = None,
-    edge_weights: bool = False,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> int:
-    """The planned cost of ``edge_table_sum`` over g at this radix, from
-    its labels alone, raising TermCapExceeded over ``max_terms`` with the
-    estimate that ``eliminate`` raises: the very plan that the sum then
-    runs, batched or not.  A builder calls it before it builds a
-    (radix,)*degree table, so a sum over its cap refuses before any table
-    is allocated, and so does one whose largest table, radix^(half-edges
-    at a vertex), is over the cap, with that entry count as the estimate:
-    a loop is one label of the plan but two axes of its vertex's table."""
-    labels = tuple(_edge_labels(g, rotation, edge_weights))
-    cost = _capped_cost(radix, _plan(labels), max_terms)
-    count_terms(radix, max(g.degrees(), default=0), max_terms)
-    return cost
+        factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
+    return factor_sum(q, g.num_edges, factors, max_terms)
 
 
 def vertex_table_sum(
@@ -377,7 +358,7 @@ def edge_partition(
     rotation: RotationSystem | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
-    tables = [model.vertex_weights.table(g.degree(v)) for v in range(g.num_vertices)]
+    tables = [functools.partial(model.vertex_weights.table, d) for d in g.degrees()]
     vecs = None
     if model.edge_weight is not None:
         vecs = [model.edge_weight.values] * g.num_edges
@@ -402,16 +383,18 @@ def halfedge_inner(
         raise ValueError("pair weight must have arity 2")
     q = weights.group.q
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
-    edge_sum_cost(g, supp.size, rotation, True, max_terms)
-    # ``weights`` builds its tables at the group's order, not the support's
-    count_terms(q, max(g.degrees(), default=0), max_terms)
     ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair
-    tables = []
-    for order in _vertex_orders(g, rotation):
+
+    def vertex_table(order):
+        # ``weights`` builds its tables at the group's order, not the support's
+        count_terms(q, len(order), max_terms)
         table = weights.table(len(order))
         # the index of every entry of the batch, if the table has one
         batch = (slice(None),) * (table.ndim - len(order))
-        tables.append(table[batch + np.ix_(*(ends[end] for _e, end in order))])
+        return table[batch + np.ix_(*(ends[end] for _e, end in order))]
+
+    orders = _vertex_orders(g, rotation)
+    tables = [functools.partial(vertex_table, order) for order in orders]
     edge_vecs = [pair_weight.values[supp]] * g.num_edges
     return edge_table_sum(g, supp.size, tables, edge_vecs, rotation, max_terms)
 
@@ -427,7 +410,8 @@ def orthogonal_invariance_check(
     and the monochrome pairing is invariant under that orthogonal change of
     the vertex weights.  Each test applies every U at once; the unchanged
     weights and those of every U that passes the first test are paired in
-    one batched contraction, and only if some U passes."""
+    one batched contraction, and only if some U passes; each weight table is
+    built only once that pairing is priced."""
     group = weights.group
     mono = monochrome_indicator(group, 2)
     Us = np.asarray(Us).reshape(-1, group.q, group.q)
@@ -437,12 +421,13 @@ def orthogonal_invariance_check(
     if not any(fixed):
         return tuple(fixed)
     kept = Us[fixed]
-    # per degree, the unchanged table and then its change by each kept U
-    tables = {}
-    for d in set(g.degrees()):
+
+    def stacked_table(d):
+        # the unchanged table and then its change by each kept U
         table = weights.table(d)
-        tables[d] = np.concatenate([table[None], transform(kept, table, d)])
-    stacked = VertexWeights.from_tables(group, tables)
+        return np.concatenate([table[None], transform(kept, table, d)])
+
+    stacked = VertexWeights(group, stacked_table)
     mv = halfedge_inner(g, stacked, mono, max_terms=max_terms)
     # with no vertices no table carries the batch, and all pair alike
     lhs, *rhs = mv.broadcast((len(kept) + 1,)).value

@@ -18,6 +18,7 @@ contracted like the model sums.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from .graphs import Multigraph, RotationSystem
 from .groups import Group, QFunction
-from .models import ModelValue, VertexWeights, edge_sum_cost, edge_table_sum, halfedge_inner
+from .models import ModelValue, VertexWeights, edge_table_sum, halfedge_inner
 from .groups import monochrome_indicator, zero_sum_indicator
 
 __all__ = [
@@ -303,9 +304,7 @@ def factorization_sign_sum(
 def _signed_edge_sum(
     g: Multigraph, rotation: RotationSystem, q: int, max_terms: int
 ) -> ModelValue:
-    k = _regular_degree(g)
-    edge_sum_cost(g, q, rotation, max_terms=max_terms)
-    tbl = parity_sign_table(q, k)
+    tbl = functools.partial(parity_sign_table, q, _regular_degree(g))
     return edge_table_sum(
         g, q, [tbl] * g.num_vertices, rotation=rotation, max_terms=max_terms
     )
@@ -341,8 +340,10 @@ def sine_model(
     deg = _regular_degree(g)
     if deg != k:
         raise ValueError(f"graph is {deg}-regular, expected {k}")
-    edge_sum_cost(g, q, rotation, max_terms=max_terms)
-    tbl = _sine_product(np.stack(np.indices((q,) * k), axis=-1), q)
+
+    def tbl():
+        return _sine_product(np.stack(np.indices((q,) * k), axis=-1), q)
+
     mv = edge_table_sum(
         g, q, [tbl] * g.num_vertices, rotation=rotation, max_terms=max_terms
     )

@@ -9,8 +9,8 @@ reads of its context.  A check runs when the structural precondition of
 its identity holds (regularity, Pfaffian assertion); the only cost gate is
 the term cap of each sum or oracle it calls, and a check over that cap
 leaves a skip record rather than nothing.  A check refuses every quantity
-it needs before it builds any, and a builder prices its sum before it
-builds a table, so a skip costs no listing and no allocation.
+it needs before it builds any, and a model sum is priced before any of
+its tables is built, so a skip costs no listing and no allocation.
 
 A check that draws several random weights passes them to each model as one
 stack, so every model is contracted once per check, not once per draw.  A
@@ -48,7 +48,6 @@ from .groups import (
 from .models import (
     VertexModel,
     VertexWeights,
-    edge_sum_cost,
     orthogonal_invariance_check,
     vertex_partition,
 )
@@ -384,18 +383,15 @@ def _check_character_bijection(ctx: VerifyContext):
 def _check_orthogonal_invariance(ctx: VerifyContext):
     g = ctx.graph
     G = ctx.group
-    # the monochrome pairing, priced before any table is drawn
-    edge_sum_cost(g, G.q, edge_weights=True, max_terms=ctx.max_terms)
     rng = ctx.rng(4)
-    # one table per degree, in the order the vertices first show it; each
-    # entry takes its real and then its imaginary part from the stream
-    weights = VertexWeights.from_tables(
-        G,
-        {
-            d: rng.standard_normal((G.q**d, 2)).view(np.complex128).reshape((G.q,) * d)
-            for d in dict.fromkeys(g.degrees())
-        },
-    )
+
+    def draw(d):
+        # each entry takes its real and then its imaginary part from the stream
+        return rng.standard_normal((G.q**d, 2)).view(np.complex128).reshape((G.q,) * d)
+
+    # one table per degree, drawn once the pairing is priced, in the order
+    # the vertices first show it
+    weights = VertexWeights(G, draw)
     Us = _orthogonal_draws(G.q, ctx.seed)
     oks = orthogonal_invariance_check(
         g, weights, Us, tol=max(ctx.tol, 1e-8), max_terms=ctx.max_terms

@@ -1,3 +1,4 @@
+import resource
 import zlib
 
 import hypothesis.strategies as st
@@ -10,6 +11,21 @@ from qcolour.graphs import Multigraph
 @pytest.fixture(scope="session")
 def corpus():
     return CORPUS
+
+
+@pytest.fixture
+def address_space_cap():
+    """Hold the process to 2 GiB of address space past what it maps now,
+    so that a table allocated before its cap fires raises MemoryError."""
+    with open("/proc/self/statm") as statm:
+        mapped = int(statm.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = mapped + 2**31
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def graph_of(name):

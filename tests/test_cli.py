@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 
 from qcolour.cli import main
 from qcolour.corpus import CORPUS
+from qcolour.graphs import Multigraph
 from qcolour.graphio import (
     GraphDocument,
     GraphParseError,
@@ -244,6 +246,10 @@ def test_cli_vertex_and_edge_model(corpus_files, capsys):
         == 0
     )
     assert float(capsys.readouterr().out.splitlines()[0]) == 3.0
+    # each of K4's three perfect matchings, weighted 2 per matched edge
+    args = ["edge-model", "--graph", path4, "--q", "2", "--vertex-family", "matching"]
+    assert main([*args, "--weights", "1,2"]) == 0
+    assert float(capsys.readouterr().out.splitlines()[0]) == 3 * 2**2
 
 
 def test_cli_xq(corpus_files, capsys):
@@ -251,6 +257,9 @@ def test_cli_xq(corpus_files, capsys):
     assert main(["xq", "--graph", path, "--group", "2", "--s", "2,3", "--t", "5,1"]) == 0
     val = float(capsys.readouterr().out.strip())
     assert val == pytest.approx(5 * (4 + 9) + 2 * 6)
+    # a non-real value prints its imaginary part too
+    assert main(["xq", "--graph", path, "--group", "2", "--s", "2,3", "--t", "5,1j"]) == 0
+    assert capsys.readouterr().out.strip() == "65+12j"
 
 
 def test_cli_cap_exceeded(corpus_files, capsys):
@@ -568,7 +577,7 @@ def test_orthogonal_invariance_draws_each_table_within_the_cap(monkeypatch):
     from qcolour.graphs import Multigraph
     from qcolour.models import VertexWeights
 
-    seen, salts = [], []
+    seen, streams = [], []
     real_check, real_rng = verify_mod.orthogonal_invariance_check, verify_mod._rng
 
     def check(g, weights, Us, **kwargs):
@@ -576,8 +585,8 @@ def test_orthogonal_invariance_draws_each_table_within_the_cap(monkeypatch):
         return real_check(g, weights, Us, **kwargs)
 
     def rng(seed, salt):
-        salts.append(salt)
-        return real_rng(seed, salt)
+        streams.append(real_rng(seed, salt))
+        return streams[-1]
 
     monkeypatch.setattr(verify_mod, "orthogonal_invariance_check", check)
     monkeypatch.setattr(verify_mod, "_rng", rng)
@@ -596,12 +605,14 @@ def test_orthogonal_invariance_draws_each_table_within_the_cap(monkeypatch):
         table = seen[0].table(d)
         assert table.dtype == np.complex128
         assert table.tobytes() == want.table(d).tobytes()
-    # over the pairing's cap, nothing is drawn
-    salts.clear()
+    # over the pairing's cap, the stream is made but nothing is drawn
+    streams.clear()
     ctx = verify_mod.VerifyContext(GraphDocument(g), G, 1e-7, 100, 5)
-    with pytest.raises(TermCapExceeded):
+    with pytest.raises(TermCapExceeded) as err:
         verify_mod._check_orthogonal_invariance(ctx)
-    assert 4 not in salts and len(seen) == 1
+    assert err.value.estimate > 100 and len(seen) == 2
+    fresh = real_rng(5, 4).bit_generator.state
+    assert [s.bit_generator.state for s in streams] == [fresh]
 
 
 def test_shared_records_are_evicted_past_the_cache_size(monkeypatch):
@@ -786,6 +797,31 @@ def test_group_free_checks_recompute_for_another_graph_setting(monkeypatch):
     assert verify_mod._check_even_odd_proper4(ctx)
     ctx = dataclasses.replace(ctx, doc=flipped)
     assert verify_mod._check_even_odd_proper4(ctx) == []
+
+
+def test_signed_suite_on_k5_pins_the_vanishing_zero_sum_side():
+    # 4-regular with |V| - |E| = -5 odd: both pairings vanish, so the
+    # zero-sum side is compared against 0
+    k5 = Multigraph(5, tuple(itertools.combinations(range(5), 2)))
+    records = run_battery(GraphDocument(k5), cyclic_group(2), ("signed",), seed=0)
+    assert len(records) == 13 and all(rec.passed is True for rec in records)
+    (zero_sum,) = [r for r in records if r.name == "sign.zero-sum-vs-monochrome-transform"]
+    assert zero_sum.rhs == "0"
+
+
+def test_bundle_skips_and_refuses_within_the_address_space(
+    tmp_path, capsys, address_space_cap
+):
+    # two vertices joined by 13 edges: every 13-colour vertex table has
+    # 13^13 entries, so each check that would build one leaves a skip
+    # record, and the edge model exits 3 naming its planned cost
+    path = tmp_path / "bundle.g"
+    path.write_text(serialize_graph(GraphDocument(Multigraph(2, ((0, 1),) * 13))))
+    assert main(["verify", "--graph", str(path), "--q", "13"]) == 0
+    _out, err = capsys.readouterr()
+    assert err.strip() == "34 checks: 23 passed, 0 failed, 11 skipped"
+    assert main(["edge-model", "--graph", str(path), "--q", "13"]) == 3
+    assert "328114698808273" in capsys.readouterr().err
 
 
 def test_over_cap_group_free_checks_skip_on_every_call():

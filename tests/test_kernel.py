@@ -10,10 +10,20 @@ from hypothesis import example, given, settings
 
 from qcolour import duality, enumeration, models, oracles, signed
 from qcolour.duality import boundary_edge_sum, tension_vertex_sum
-from qcolour.graphs import Multigraph, Orientation, boundary, coboundary, default_rotation
-from qcolour.groups import group_from_name, monochrome_indicator, zero_sum_indicator
+from qcolour.corpus import CORPUS
+from qcolour.graphs import (
+    Multigraph,
+    Orientation,
+    boundary,
+    coboundary,
+    default_orientation,
+    default_rotation,
+)
+from qcolour.groups import QFunction, group_from_name, monochrome_indicator, zero_sum_indicator
 from qcolour.models import (
+    EdgeModel,
     VertexWeights,
+    edge_partition,
     edge_table_sum,
     eliminate,
     factor_sum,
@@ -160,6 +170,16 @@ def test_kernel_sums_match_brute_force(g, spec, seed, heads):
         TOL,
         "vertex_table_sum",
     )
+    # one edge weight on every edge, and the family's table at each degree
+    weight = complex_vec(rng, G.q)
+    assert_close(
+        edge_partition(g, EdgeModel(G, weights, QFunction(G, 1, weight))).value,
+        _edge_table_brute(
+            g, G.q, [tables[d] for d in g.degrees()], [weight] * g.num_edges
+        ),
+        TOL,
+        "edge_partition",
+    )
 
 
 def _factor_cases():
@@ -228,7 +248,7 @@ def test_cap_fires_before_any_einsum(monkeypatch):
         # a loop at label 0, whose diagonal is itself taken by einsum
         factor_sum(3, 3, [(t3, (0, 1, 0)), (t3, (1, 2, 2))], max_terms=20)
     assert (err.value.estimate, err.value.cap) == (3**2 + 3**2 + 3, 20)
-    # these two adapters build their small tables, then stop at the plan
+    # these two adapters stop at the plan before they build their tables
     G = group_from_name("4")
     g = Multigraph(3, ((0, 1), (1, 2), (2, 0), (0, 0)))
     orient = Orientation((1, 1, 1, 1))
@@ -247,27 +267,56 @@ def test_cap_fires_before_any_einsum(monkeypatch):
 # cap fired would raise MemoryError instead
 BUNDLE = Multigraph(2, ((0, 1),) * 13)
 BUNDLE_ROT = default_rotation(BUNDLE)
+BUNDLE_ORIENT = default_orientation(BUNDLE)
+Z13 = group_from_name("13")
+ONES = np.ones(13)
 BUNDLE_SUMS = {
     "proper_colouring_sign_sum": lambda: signed.proper_colouring_sign_sum(
         BUNDLE, BUNDLE_ROT, 13
     ),
     "sine_model": lambda: signed.sine_model(BUNDLE, BUNDLE_ROT, 13, 13),
     "zero_sum_parity_sum": lambda: signed.zero_sum_parity_sum(
-        BUNDLE, BUNDLE_ROT, group_from_name("13"), range(13)
+        BUNDLE, BUNDLE_ROT, Z13, range(13)
     ),
     "tutte_edge_model": lambda: duality.tutte_edge_model(BUNDLE, 13, 2.0),
-    "flow_cwe_edge_model": lambda: duality.flow_cwe_edge_model(
-        BUNDLE, group_from_name("13"), np.ones(13)
+    "flow_cwe_edge_model": lambda: duality.flow_cwe_edge_model(BUNDLE, Z13, ONES),
+    "edge_partition.uniform": lambda: models.edge_partition(
+        BUNDLE, EdgeModel(Z13, VertexWeights.uniform(Z13))
+    ),
+    "edge_partition.matching": lambda: models.edge_partition(
+        BUNDLE, EdgeModel(Z13, VertexWeights.perfect_matching(Z13))
+    ),
+    "general_duality_sides": lambda: duality.general_duality_sides(
+        BUNDLE, Z13, BUNDLE_ORIENT, [ONES] * 2, [ONES] * 13
+    ),
+    "xq_dual": lambda: duality.xq_dual(BUNDLE, Z13, BUNDLE_ORIENT, ONES, ONES),
+    "principal_specialization": lambda: duality.principal_specialization(
+        BUNDLE, BUNDLE_ORIENT, 13, 2.0, 3.0
+    ),
+    "xq_edge_model": lambda: duality.xq_edge_model(BUNDLE, Z13, ONES, ONES),
+    "spectral_edge_model": lambda: duality.spectral_edge_model(
+        BUNDLE, 13, ONES, np.eye(13)
+    ),
+    "orthogonal_invariance_check": lambda: models.orthogonal_invariance_check(
+        BUNDLE, VertexWeights.uniform(Z13), [np.eye(13)]
+    ),
+    # K4 at 2000 colours: each vertex table has 8 * 10^9 entries
+    "flow_cubic_edge_model": lambda: duality.flow_cubic_edge_model(
+        CORPUS["k4"].graph, 2000
     ),
 }
+# the plan's cost: summing out each edge of the bundle reads all the edges
+# still left; K4's steps read 5, 5, 4, 3, 2 and 1 of its 6 edges
+REFUSED_ESTIMATE = {"flow_cubic_edge_model": 64_016_008_004_002_000}
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLE_SUMS))
-def test_oversized_tables_refuse_before_they_are_built(name):
+def test_oversized_tables_refuse_before_they_are_built(name, address_space_cap):
     with pytest.raises(enumeration.TermCapExceeded) as err:
         BUNDLE_SUMS[name]()
-    # the plan's cost: summing out each edge reads all the edges still left
-    assert err.value.estimate == sum(13**i for i in range(1, 14))
+    assert err.value.estimate == REFUSED_ESTIMATE.get(
+        name, sum(13**i for i in range(1, 14))
+    )
     assert err.value.cap == enumeration.DEFAULT_MAX_TERMS
 
 
