@@ -10,6 +10,7 @@ sums and oracles; only `verify` takes `--tol` and `--seed`.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -36,6 +37,15 @@ def count(text: str) -> int:
     if not (value >= 0 and value.is_integer()):
         raise ValueError(text)
     return int(value)
+
+
+def tolerance(text: str) -> float:
+    """A finite tolerance of at least 0; argparse turns the ValueError of
+    anything else (nan, inf, a negative value) into a usage error."""
+    value = float(text)
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(text)
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser, group_flag=True):
@@ -110,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity battery, emit JSON records")
     _add_common(p)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=tolerance, default=1e-7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--suite",

@@ -6,8 +6,10 @@ built; a model sum caps the planned cost of its contraction first
 (``models.eliminate``), and ``signed.factorization_sign_sum`` the rows of
 each step of its frontier.  Configurations of
 range(radix)^length are produced in mixed-radix ascending order (first
-coordinate most significant) in blocks, so a few times 10^7 of them stay
-tractable in numpy without materializing the whole space.  No model sum
+coordinate most significant) in blocks read off numpy's index grid, so a
+few times 10^7 of them stay tractable in numpy without materializing the
+whole space.  ``DEFAULT_BLOCK``, read at each call, is the one block size:
+a block has at most max(DEFAULT_BLOCK, radix) rows.  No model sum
 uses the blocks or the chunk operators; the model sums contract instead.
 The oracles enumerate only free coordinates (the edges outside a spanning
 forest, the non-root vertices) and apply ``coboundary_chunk``;
@@ -38,31 +40,25 @@ def count_terms(radix: int, length: int, cap: int) -> int:
     return est
 
 
-def index_blocks(radix: int, length: int, block: int = DEFAULT_BLOCK):
-    """Yield (C, length) integer arrays covering range(radix)^length in order."""
-    if length == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
+def index_blocks(radix: int, length: int):
+    """Yield (C, length) int64 arrays covering range(radix)^length in order.
+
+    A block's trailing coordinates are as many as fit in ``DEFAULT_BLOCK``
+    rows (at least one) and come from numpy's index grid; its leading ones
+    are one prefix from ``np.ndindex``.  A space of one block is the grid's
+    transpose, so each coordinate is a contiguous row of ``block.T``."""
+    inner = min(length, 1)
+    while inner < length and radix ** (inner + 1) <= DEFAULT_BLOCK:
+        inner += 1
+    grid = np.indices((radix,) * inner, dtype=np.int64).reshape(inner, radix**inner)
+    outer = length - inner
+    if outer == 0:
+        yield grid.T
         return
-    if radix == 1:
-        yield np.zeros((1, length), dtype=np.int64)
-        return
-    suffix_len = 0
-    while suffix_len < length and radix ** (suffix_len + 1) <= block:
-        suffix_len += 1
-    suffix_len = max(suffix_len, 1)
-    n_suffix = radix**suffix_len
-    suffix = np.stack(
-        np.unravel_index(np.arange(n_suffix), (radix,) * suffix_len), axis=1
-    ).astype(np.int64)
-    prefix_len = length - suffix_len
-    if prefix_len == 0:
-        yield suffix
-        return
-    for flat in range(radix**prefix_len):
-        arr = np.empty((n_suffix, length), dtype=np.int64)
-        prefix = np.unravel_index(flat, (radix,) * prefix_len)
-        arr[:, :prefix_len] = np.asarray(prefix, dtype=np.int64)
-        arr[:, prefix_len:] = suffix
+    for prefix in np.ndindex((radix,) * outer):
+        arr = np.empty((grid.shape[1], length), dtype=np.int64)
+        arr[:, :outer] = prefix
+        arr[:, outer:] = grid.T
         yield arr
 
 

@@ -76,7 +76,7 @@ def parse_graph(text: str) -> GraphDocument:
         if kind == "vertices":
             if num_vertices is not None:
                 raise GraphParseError(lineno, "duplicate vertices record")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise GraphParseError(lineno, "want: vertices N")
             num_vertices = int(parts[1])
         elif kind == "edge":
@@ -170,8 +170,14 @@ def serialize_graph(doc: GraphDocument) -> str:
 
 
 def load_graph(path) -> GraphDocument:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise GraphParseError(lineno, f"not UTF-8 text ({err.reason})") from None
+    return parse_graph(text)
 
 
 def save_graph(doc: GraphDocument, path) -> None:

@@ -132,9 +132,15 @@ class VertexWeights:
     @classmethod
     def perfect_matching(cls, group: Group) -> "VertexWeights":
         """Weight 1 on tuples with exactly one colour equal to 1."""
-        return cls.from_tuple_function(
-            group, lambda t: 1.0 if sum(1 for a in t if a == 1) == 1 else 0.0
-        )
+        is_one = np.arange(group.q) == 1
+
+        def table(d):
+            ones = np.zeros((group.q,) * d, dtype=np.min_scalar_type(d))
+            for axis in range(d):
+                ones += is_one.reshape((-1,) + (1,) * (d - 1 - axis))
+            return ones == 1
+
+        return cls(group, table)
 
 
 @dataclass(frozen=True)

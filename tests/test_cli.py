@@ -336,6 +336,12 @@ def test_cli_usage_errors_exit_two(corpus_files, capsys):
         assert exc.value.code == 2
         assert f"invalid count value: '{cap}'" in capsys.readouterr().err
     assert main(["tutte", "--graph", path, "--max-terms", "1e8"]) == 0
+    for tol in ("nan", "inf", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--graph", path, "--q", "2", "--tol", tol])
+        assert exc.value.code == 2
+        assert f"invalid tolerance value: '{tol}'" in capsys.readouterr().err
+    assert main(["verify", "--graph", path, "--q", "2", "--tol", "1e-7"]) == 0
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):
@@ -343,6 +349,22 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     p.write_text("vertices 2\nedge 0 two\n")
     assert main(["flow", "--graph", str(p), "--q", "3"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ("vertices ²\n".encode(), "line 1: want: vertices N"),
+        (b"\xff\xfe", "line 1: not UTF-8 text"),
+        (b"vertices 2\nedge 0 1\n\xff\n", "line 3: not UTF-8 text"),
+    ],
+    ids=("superscript-count", "utf16-mark", "bad-byte-on-line-3"),
+)
+def test_cli_unreadable_graph_text_exits_two(tmp_path, capsys, data, message):
+    p = tmp_path / "bad.g"
+    p.write_bytes(data)
+    assert main(["tutte", "--graph", str(p)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_missing_graph_file_exit(tmp_path, capsys):

@@ -59,6 +59,18 @@ def test_edge_partition_perfect_matchings():
     assert edge_partition(graph_of("petersen"), matching_model()).value == 6
 
 
+@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("q", range(1, 6))
+def test_perfect_matching_table_matches_tuple_reference(q, d):
+    G = cyclic_group(q)
+    want = VertexWeights.from_tuple_function(
+        G, lambda t: 1.0 if sum(1 for a in t if a == 1) == 1 else 0.0
+    ).table(d)
+    got = VertexWeights.perfect_matching(G).table(d)
+    assert got.dtype == want.dtype and got.shape == want.shape == (q,) * d
+    assert got.tobytes() == want.tobytes()
+
+
 def test_edge_partition_missing_arity():
     G = cyclic_group(2)
     model = EdgeModel(G, VertexWeights.from_tables(G, {2: np.ones((2, 2))}))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from qcolour import enumeration
 from qcolour.duality import tension_cwe_expectation
 from qcolour.enumeration import (
     TermCapExceeded,
@@ -468,19 +469,28 @@ def test_coboundary_chunk_matches_coboundary_per_row(g, spec, heads):
     assert got.tolist() == [list(coboundary(g, orient, G, x)) for x in X.tolist()]
 
 
+@pytest.mark.parametrize("block", (1, 2, 3, 7, 16, 2**17))
+@pytest.mark.parametrize("length", range(7))
+@pytest.mark.parametrize("radix", range(1, 6))
+def test_index_blocks_list_the_product_in_order(radix, length, block, monkeypatch):
+    monkeypatch.setattr(enumeration, "DEFAULT_BLOCK", block)
+    blocks = list(index_blocks(radix, length))
+    assert all(b.dtype == np.int64 and b.shape[1] == length for b in blocks)
+    assert all(b.shape[0] <= max(block, radix) for b in blocks)
+    rows = np.concatenate(blocks).tolist()
+    assert rows == [list(t) for t in itertools.product(range(radix), repeat=length)]
+
+
 # Composition histograms: the battery's route to the weight enumerators.
 # Each is held to the sorted enumerators and to a per-row reference.
 
 
 @contextlib.contextmanager
 def _small_blocks(block):
-    """List the oracles' sets in blocks of at most ``block`` free colourings,
-    so that every histogram is merged from several blocks."""
-    import qcolour.oracles as oracles_mod
-
-    real = oracles_mod.index_blocks
+    """List the oracles' sets in blocks of at most max(``block``, q) free
+    colourings, so that every histogram is merged from several blocks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles_mod, "index_blocks", lambda radix, length: real(radix, length, block))
+        mp.setattr(enumeration, "DEFAULT_BLOCK", block)
         yield
 
 
