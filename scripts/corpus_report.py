@@ -16,9 +16,18 @@ from qcolour.oracles import chromatic, flow_polynomial, tutte
 from qcolour.signed import sine_model
 
 
+def order(text: str) -> int:
+    """A group order of at least 1; argparse turns the ValueError of
+    anything else into a usage error."""
+    q = int(text)
+    if q < 1:
+        raise ValueError(text)
+    return q
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--q", type=int, default=4, help="order for flow counts")
+    ap.add_argument("--q", type=order, default=4, help="order for flow counts")
     ap.add_argument("--max-terms", type=count, default=DEFAULT_MAX_TERMS)
     args = ap.parse_args()
     cap = args.max_terms

@@ -9,36 +9,62 @@ skipped check (over its term cap) is not a failure.
 Checks that read nothing of the group share their records between the
 groups of one graph, so a graph's first group carries their time and its
 later groups' seconds are lower; the records are the same.
+
+Every argument is checked before any battery runs: a group spec that does
+not parse, a graph name not in the corpus or a tolerance that is not a
+finite number of at least 0 is a usage error (exit 2).
 """
 
 import argparse
 import sys
 import time
 
-from qcolour.cli import count
+from qcolour.cli import count, tolerance
 from qcolour.corpus import CORPUS
 from qcolour.enumeration import DEFAULT_MAX_TERMS
 from qcolour.groups import group_from_name
 from qcolour.verify import run_battery
 
 
+def group_specs(text: str) -> list:
+    """(spec, group) for each comma-separated group spec."""
+    try:
+        return [(spec, group_from_name(spec)) for spec in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def corpus_names(text: str) -> set:
+    """The comma-separated names, each a corpus graph's."""
+    names = set(text.split(",")) if text else set()
+    unknown = sorted(names - CORPUS.keys())
+    if unknown:
+        raise argparse.ArgumentTypeError(f"not in the corpus: {', '.join(unknown)}")
+    return names
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--groups", default="2,3,4,2x2,f4,5", help="comma-separated group specs")
+    ap.add_argument(
+        "--groups",
+        type=group_specs,
+        default="2,3,4,2x2,f4,5",
+        help="comma-separated group specs",
+    )
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tol", type=float, default=1e-7)
+    ap.add_argument("--tol", type=tolerance, default=1e-7)
     ap.add_argument("--max-terms", type=count, default=DEFAULT_MAX_TERMS)
-    ap.add_argument("--skip", default="", help="comma-separated graphs to skip")
+    ap.add_argument(
+        "--skip", type=corpus_names, default="", help="comma-separated graphs to skip"
+    )
     args = ap.parse_args()
 
-    skip = set(args.skip.split(",")) if args.skip else set()
     failures = 0
     start = time.perf_counter()
     for name, doc in CORPUS.items():
-        if name in skip:
+        if name in args.skip:
             continue
-        for spec in args.groups.split(","):
-            group = group_from_name(spec)
+        for spec, group in args.groups:
             t0 = time.perf_counter()
             records = run_battery(
                 doc,

@@ -157,7 +157,7 @@ def _format_number(val) -> str:
 
 def _print_model_value(mv):
     print(_format_number(mv.value))
-    print(f"magnitude {abs(mv.value):.12g}  imag-residual {mv.imag_residual:.3g}  terms {mv.terms}",
+    print(f"magnitude {abs(mv.value):.12g}  imag-residual {abs(mv.value.imag):.3g}  terms {mv.terms}",
           file=sys.stderr)
 
 
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
                 if args.f
                 else np.ones(group.q, dtype=complex)
             )
-            model = VertexModel(group, QFunction(group, 1, fw), QFunction(group, 2, gw))
+            model = VertexModel(QFunction(group, 1, fw), QFunction(group, 2, gw))
             _print_model_value(
                 vertex_partition(g, model, doc.orientation_or_default(), max_terms)
             )
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
                 if args.weights
                 else None
             )
-            model = EdgeModel(group, family, ew)
+            model = EdgeModel(family, ew)
             _print_model_value(
                 edge_partition(g, model, doc.rotation_or_default(), max_terms)
             )

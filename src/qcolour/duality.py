@@ -154,27 +154,27 @@ def general_duality_sides(
     )
 
 
-def _split_vertex_sum(
-    g: Multigraph, q: int, h: np.ndarray, max_terms: int
-) -> ModelValue:
+def _split_vertex_sum(g: Multigraph, h: np.ndarray, max_terms: int) -> ModelValue:
     """Vertex side of the split: sum_x prod_e sum_b h[x_tail, b] h[x_head, b],
-    the vertex model with edge interaction h h^T and unit vertex weights.
-    A stack of matrices h gives one sum per matrix; with no edges each is
-    q^|V|."""
+    the vertex model with edge interaction h h^T and unit vertex weights,
+    over the q colours of h's (q, q) last axes.  A stack of matrices h
+    gives one sum per matrix; with no edges each is q^|V|."""
     # on a contiguous stack, each entry takes the product a single h takes
     h = np.ascontiguousarray(h)
     hhT = h @ np.swapaxes(h, -1, -2)
-    mv = vertex_table_sum(g, q, [hhT] * g.num_edges, max_terms=max_terms)
+    mv = vertex_table_sum(g, h.shape[-1], [hhT] * g.num_edges, max_terms=max_terms)
     return mv.broadcast(h.shape[:-2])
 
 
 def _split_edge_sum(
-    g: Multigraph, q: int, f: np.ndarray, h: np.ndarray, max_terms: int
+    g: Multigraph, f: np.ndarray, h: np.ndarray, max_terms: int
 ) -> ModelValue:
     """Edge side of the split: sum_y prod_v sum_a f[a] prod over half-edges
-    at v of h[a, y_e], with one vertex table per distinct degree, built only
-    once the sum is priced.  f and h may carry leading batch axes, which
-    broadcast; with no vertices each sum is 1."""
+    at v of h[a, y_e], over the q colours of h's (q, q) last axes, with one
+    vertex table per distinct degree, built only once the sum is priced.
+    f and h may carry leading batch axes, which broadcast; with no vertices
+    each sum is 1."""
+    q = h.shape[-1]
     fb, hb = f.shape[:-1], h.shape[:-2]
     batch = np.broadcast_shapes(fb, hb) if fb and hb else fb or hb
 
@@ -202,7 +202,7 @@ def flow_cwe_vertex_model(
     stack of tables g gives one value per table."""
     gF = transform(group.fourier_matrix(), _as_weights(group, gtable), 1)
     # h[x, b] = gF(x - b)
-    mv = _split_vertex_sum(g, group.q, gF.take(group.sub, axis=-1), max_terms)
+    mv = _split_vertex_sum(g, gF.take(group.sub, axis=-1), max_terms)
     return ModelValue.of(group.q ** (-g.num_vertices) * mv.value, mv.terms)
 
 
@@ -212,9 +212,7 @@ def flow_cwe_edge_model(
     """Edge-colouring route to the same enumerator: q^(-|V|) sum_y prod_v
     sum_a prod over half-edges at v of (Fg)(a - y_e), per table of a stack."""
     gF = transform(group.fourier_matrix(), _as_weights(group, gtable), 1)
-    mv = _split_edge_sum(
-        g, group.q, np.ones(group.q), gF.take(group.sub, axis=-1), max_terms
-    )
+    mv = _split_edge_sum(g, np.ones(group.q), gF.take(group.sub, axis=-1), max_terms)
     return ModelValue.of(group.q ** (-g.num_vertices) * mv.value, mv.terms)
 
 
@@ -225,7 +223,7 @@ def tension_cwe_expectation(
     tensions at f * f^N: q^(r(E)-|V|) sum_x prod_e sum_b prod f(x_v - b),
     per table of a stack."""
     fvec = _as_weights(group, ftable)
-    mv = _split_vertex_sum(g, group.q, fvec.take(group.sub, axis=-1), max_terms)
+    mv = _split_vertex_sum(g, fvec.take(group.sub, axis=-1), max_terms)
     return ModelValue.of(group.q ** (rank(g) - g.num_vertices) * mv.value, mv.terms)
 
 
@@ -246,7 +244,7 @@ def tutte_edge_model(
     # with t on h's diagonal and 1 elsewhere, sum_a prod_i h[a, c_i] is
     # sum_a t^(number of c_i equal to a)
     h = np.where(np.eye(q, dtype=bool), t[..., None, None], 1.0)
-    mv = _split_edge_sum(g, q, np.ones(q), h, max_terms)
+    mv = _split_edge_sum(g, np.ones(q), h, max_terms)
     pref = q ** (-g.num_edges - g.num_vertices) * (s - 1.0) ** (2 * g.num_edges)
     return ModelValue.of(pref * mv.value, mv.terms)
 
@@ -310,16 +308,16 @@ def spectral_split(gmat: np.ndarray) -> np.ndarray:
 
 def spectral_edge_model(
     g: Multigraph,
-    q: int,
     fvec,
     gmat: np.ndarray,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
-    """Edge-colouring form of a symmetric real vertex model:
+    """Edge-colouring form of a symmetric real vertex model over the q
+    colours of the (q, q) matrix g = h h^T (``spectral_split``):
     sum_y prod_v sum_a f(a) prod over half-edges h(a, y_e)."""
     fvec = np.asarray(list(fvec), dtype=np.complex128)
     h = spectral_split(np.asarray(gmat, dtype=float))
-    return _split_edge_sum(g, q, fvec, h, max_terms)
+    return _split_edge_sum(g, fvec, h, max_terms)
 
 
 def xq_evaluate(
@@ -442,7 +440,7 @@ def xq_edge_model(
     svec = _as_weights(group, s_table)
     u = symmetric_weight_root(group, t_table)
     # u[sub][a, c] = u(a - c), so its transpose reads u(y_e - a) per half-edge
-    return _split_edge_sum(g, group.q, svec, u[group.sub].T, max_terms)
+    return _split_edge_sum(g, svec, u[group.sub].T, max_terms)
 
 
 def gf4_flow_identity_check(

@@ -64,11 +64,10 @@ class ModelValue:
     """A partition-function value with diagnostics (``terms``: its cost).
 
     A batched sum (see ``eliminate``) holds one value per batch entry:
-    ``value`` and ``imag_residual`` are then arrays of the batch shape,
-    and ``terms`` is still the cost of one entry."""
+    ``value`` is then an array of the batch shape, and ``terms`` is still
+    the cost of one entry."""
 
     value: complex | np.ndarray
-    imag_residual: float | np.ndarray
     terms: int
 
     @classmethod
@@ -77,7 +76,7 @@ class ModelValue:
             value = value.astype(np.complex128, copy=False)
         else:
             value = complex(value)
-        return cls(value, abs(value.imag), terms)
+        return cls(value, terms)
 
     def broadcast(self, batch: tuple) -> "ModelValue":
         """The value for every entry of a batch shape: a sum in which no
@@ -143,28 +142,36 @@ class VertexWeights:
         return cls(group, table)
 
 
+def _same_group(a: Group, b: Group):
+    if a.name != b.name:
+        raise ValueError("group mismatch")
+
+
 @dataclass(frozen=True)
 class VertexModel:
-    group: Group
+    """A vertex-colouring model; its group is its weights' group."""
+
     vertex_weight: QFunction  # arity 1
     edge_weight: QFunction  # arity 2, applied to (tail, head)
 
     def __post_init__(self):
         if self.vertex_weight.arity != 1 or self.edge_weight.arity != 2:
             raise ValueError("vertex model needs arity-1 and arity-2 weights")
-        if self.vertex_weight.group.name != self.group.name:
-            raise ValueError("group mismatch")
+        _same_group(self.vertex_weight.group, self.edge_weight.group)
 
 
 @dataclass(frozen=True)
 class EdgeModel:
-    group: Group
+    """An edge-colouring model; its group is its weights' group."""
+
     vertex_weights: VertexWeights
     edge_weight: QFunction | None = None  # arity 1; None means uniform
 
     def __post_init__(self):
-        if self.edge_weight is not None and self.edge_weight.arity != 1:
-            raise ValueError("edge weight must have arity 1")
+        if self.edge_weight is not None:
+            if self.edge_weight.arity != 1:
+                raise ValueError("edge weight must have arity 1")
+            _same_group(self.vertex_weights.group, self.edge_weight.group)
 
 
 def _vertex_orders(g: Multigraph, rotation: RotationSystem | None):
@@ -346,15 +353,10 @@ def vertex_partition(
     orient: Orientation | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
+    q, fv = model.vertex_weight.group.q, model.vertex_weight.values
     gt = model.edge_weight.as_tensor()
-    fv = model.vertex_weight.values
     return vertex_table_sum(
-        g,
-        model.group.q,
-        [gt] * g.num_edges,
-        [fv] * g.num_vertices,
-        orient=orient,
-        max_terms=max_terms,
+        g, q, [gt] * g.num_edges, [fv] * g.num_vertices, orient, max_terms
     )
 
 
@@ -368,9 +370,8 @@ def edge_partition(
     vecs = None
     if model.edge_weight is not None:
         vecs = [model.edge_weight.values] * g.num_edges
-    return edge_table_sum(
-        g, model.group.q, tables, vecs, rotation=rotation, max_terms=max_terms
-    )
+    q = model.vertex_weights.group.q
+    return edge_table_sum(g, q, tables, vecs, rotation, max_terms)
 
 
 def halfedge_inner(
@@ -387,6 +388,7 @@ def halfedge_inner(
     per batch entry, from one contraction (see ``eliminate``)."""
     if pair_weight.arity != 2:
         raise ValueError("pair weight must have arity 2")
+    _same_group(weights.group, pair_weight.group)
     q = weights.group.q
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
     ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair

@@ -196,10 +196,13 @@ def parity_transform_kplus1(k: int, b) -> complex | np.ndarray:
     return complex(value) if b.ndim == 1 else value
 
 
-def _regular_degree(g: Multigraph) -> int:
+def _regular_degree(g: Multigraph, expected: int | None = None) -> int:
+    """The graph's regular degree, which must be ``expected`` if given."""
     k = g.regular_degree()
     if k is None:
         raise ValueError("graph must be regular")
+    if expected not in (None, k):
+        raise ValueError(f"graph is {k}-regular, expected {expected}")
     return k
 
 
@@ -337,9 +340,7 @@ def sine_model(
         raise ValueError("k must be odd")
     if q < k:
         raise ValueError("need q >= k")
-    deg = _regular_degree(g)
-    if deg != k:
-        raise ValueError(f"graph is {deg}-regular, expected {k}")
+    _regular_degree(g, k)
 
     def tbl():
         return _sine_product(np.stack(np.indices((q,) * k), axis=-1), q)
@@ -358,7 +359,8 @@ def kplus1_sign_sum(
 ) -> ModelValue:
     """(k+1)^(-|V|/2) times the signed sum over all edge colourings with
     k+1 colours; magnitude gives the proper edge k-colouring count on
-    constant-sign graphs."""
+    constant-sign graphs.  The graph must be k-regular."""
+    _regular_degree(g, k)
     mv = _signed_edge_sum(g, rotation, k + 1, max_terms)
     pref = (k + 1) ** (-g.num_vertices / 2)
     return ModelValue.of(pref * mv.value, mv.terms)

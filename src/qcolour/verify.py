@@ -380,6 +380,7 @@ def _check_character_bijection(ctx: VerifyContext):
     ]
 
 
+@_check(reads=("graph", "order", "seed", "tol", "cap"))
 def _check_orthogonal_invariance(ctx: VerifyContext):
     g = ctx.graph
     G = ctx.group
@@ -555,7 +556,7 @@ def _check_tutte_edge_model(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap", "order"), applies=_cubic)
+@_check(reads=("graph", "tol", "cap", "order"), applies=_cubic, needs=("tutte",))
 def _check_cubic_flow_model(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -566,7 +567,7 @@ def _check_cubic_flow_model(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap"), applies=_cubic)
+@_check(reads=("graph", "tol", "cap"), applies=_cubic, needs=("tutte",))
 def _check_gf4_identity(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -583,13 +584,9 @@ def _check_spectral(ctx: VerifyContext):
     g = ctx.graph
     G = ctx.group
     records, gm, fv = _spectral_draws(G.q, ctx.seed)
-    vm = VertexModel(
-        G,
-        QFunction(G, 1, fv.astype(complex)),
-        QFunction(G, 2, gm.reshape(-1).astype(complex)),
-    )
+    vm = VertexModel(QFunction(G, 1, fv), QFunction(G, 2, gm.reshape(-1)))
     lhs = vertex_partition(g, vm, max_terms=ctx.max_terms).value
-    rhs = duality.spectral_edge_model(g, G.q, fv, gm, max_terms=ctx.max_terms).value
+    rhs = duality.spectral_edge_model(g, fv, gm, max_terms=ctx.max_terms).value
     return [
         *records,
         _record("spectral.partition-equality", "spectral.edge-model", lhs, rhs, ctx.tol),
@@ -817,7 +814,7 @@ def _check_sine_and_kplus1(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap"), applies=_cubic_pfaffian)
+@_check(reads=("graph", "tol", "cap"), applies=_cubic_pfaffian, needs=("tutte",))
 def _check_even_odd_proper4(ctx: VerifyContext):
     out = []
     g = ctx.graph

@@ -212,12 +212,11 @@ def test_criterion_06_spectral_conversion():
                 g = CORPUS[name].graph
                 fv = rng.standard_normal(q)
                 vm = VertexModel(
-                    G,
                     QFunction(G, 1, fv.astype(complex)),
                     QFunction(G, 2, gm.reshape(-1).astype(complex)),
                 )
                 lhs = vertex_partition(g, vm, max_terms=MAX_TERMS).value
-                rhs = duality.spectral_edge_model(g, q, fv, gm, max_terms=MAX_TERMS).value
+                rhs = duality.spectral_edge_model(g, fv, gm, max_terms=MAX_TERMS).value
                 assert relerr(lhs, rhs) < 1e-7, (q, draw, name)
     report(6, "spectral split: reconstruction 1e-9, rank = nonzero columns, "
               "partition equality 1e-7 (10 draws x q in {2,3,4})")

@@ -199,6 +199,17 @@ def test_cli_kplus1(corpus_files, capsys):
     assert abs(abs(float(out)) - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("k", ["-1", "2"])
+def test_cli_kplus1_refuses_a_k_other_than_the_degree(corpus_files, capsys, k):
+    # K4 is 3-regular: -1 would divide by zero, and 2 gives a non-count
+    path, _ = corpus_files["k4"]
+    assert main(["kplus1", "--graph", path, "--k", k]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"graph is 3-regular, expected {k}" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_cli_hwe_cwe(corpus_files, capsys):
     path, _ = corpus_files["theta"]
     assert main(["hwe", "--graph", path, "--q", "3", "--s", "2"]) == 0
@@ -289,7 +300,7 @@ _RUN_ARGS = {
     "vertex-model": ["--q", "2", "--weights", "0,1,1,0"],
     "edge-model": ["--q", "2"],
     "sine-model": ["--q", "4", "--k", "3"],
-    "kplus1": ["--k", "2"],
+    "kplus1": ["--k", "3"],
     "xq": ["--group", "2", "--s", "2,3", "--t", "5,1"],
 }
 
@@ -753,6 +764,7 @@ def test_cli_verify_reports_cap_skips(corpus_files, capsys):
 
 
 GROUP_FREE_CHECKS = (
+    "_check_orthogonal_invariance",
     "_check_zero_sum_chain",
     "_check_sine_and_kplus1",
     "_check_even_odd_proper4",
@@ -844,6 +856,26 @@ def test_bundle_skips_and_refuses_within_the_address_space(
     assert err.strip() == "34 checks: 23 passed, 0 failed, 11 skipped"
     assert main(["edge-model", "--graph", str(path), "--q", "13"]) == 3
     assert "328114698808273" in capsys.readouterr().err
+
+
+def test_checks_read_by_the_flow_polynomial_refuse_the_tutte_pass_first(monkeypatch):
+    import qcolour.verify as verify_mod
+
+    def refused(*args, **kwargs):
+        raise AssertionError("model sum built over the Tutte ceiling")
+
+    monkeypatch.setattr(verify_mod.duality, "flow_cubic_edge_model", refused)
+    monkeypatch.setattr(verify_mod.duality, "gf4_flow_identity_check", refused)
+    monkeypatch.setattr(verify_mod.signed, "even_minus_odd_proper4", refused)
+    # the prism C8 x K2, cubic and plane, with its Pfaffian flag asserted:
+    # its 2^24 edge subsets are over the cap, its model sums are not
+    rungs = [(i, i + 8) for i in range(8)]
+    cycles = [(i + s, (i + 1) % 8 + s) for s in (0, 8) for i in range(8)]
+    doc = GraphDocument(Multigraph(16, tuple(cycles + rungs)), pfaffian_compatible=True)
+    records = run_battery(doc, cyclic_group(4), ("duality", "signed"), max_terms=4194304)
+    skips = {rec.name: (rec.lhs, rec.rhs) for rec in records if rec.passed is None}
+    for name in ("cubic_flow_model", "gf4_identity", "even_odd_proper4"):
+        assert skips["skip." + name] == ("16777216", "4194304")
 
 
 def test_over_cap_group_free_checks_skip_on_every_call():

@@ -240,12 +240,12 @@ def test_spectral_split_zero_columns_match_rank():
 
 
 def test_spectral_edge_model_chromatic():
-    got = spectral_edge_model(graph_of("triangle"), 3, np.ones(3), 1.0 - np.eye(3))
+    got = spectral_edge_model(graph_of("triangle"), np.ones(3), 1.0 - np.eye(3))
     assert_close(got.value, 6.0, 1e-7)
 
 
 def test_spectral_edge_model_all_ones():
-    got = spectral_edge_model(graph_of("k4"), 2, np.ones(2), np.ones((2, 2)))
+    got = spectral_edge_model(graph_of("k4"), np.ones(2), np.ones((2, 2)))
     assert_close(got.value, 2**4, 1e-7)
 
 
@@ -259,11 +259,11 @@ def test_spectral_edge_model_matches_vertex_model(name, q):
     gm = (A + A.T) / 2
     fv = rng.standard_normal(q)
     vm = VertexModel(
-        G, QFunction(G, 1, fv.astype(complex)), QFunction(G, 2, gm.reshape(-1).astype(complex))
+        QFunction(G, 1, fv.astype(complex)), QFunction(G, 2, gm.reshape(-1).astype(complex))
     )
     assert_close(
         vertex_partition(g, vm).value,
-        spectral_edge_model(g, q, fv, gm).value,
+        spectral_edge_model(g, fv, gm).value,
         1e-7,
         name,
     )
@@ -496,10 +496,10 @@ def test_split_models_match_oracles_on_multigraphs(g, spec, s, seed):
     gm = (A + A.T) / 2
     fv = rng.standard_normal(q)
     vm = VertexModel(
-        G, QFunction(G, 1, fv.astype(complex)), QFunction(G, 2, gm.reshape(-1).astype(complex))
+        QFunction(G, 1, fv.astype(complex)), QFunction(G, 2, gm.reshape(-1).astype(complex))
     )
     assert_close(
-        spectral_edge_model(g, G.q, fv, gm).value,
+        spectral_edge_model(g, fv, gm).value,
         vertex_partition(g, vm).value,
         1e-8,
         "spectral",

@@ -173,7 +173,7 @@ def test_kernel_sums_match_brute_force(g, spec, seed, heads):
     # one edge weight on every edge, and the family's table at each degree
     weight = complex_vec(rng, G.q)
     assert_close(
-        edge_partition(g, EdgeModel(G, weights, QFunction(G, 1, weight))).value,
+        edge_partition(g, EdgeModel(weights, QFunction(G, 1, weight))).value,
         _edge_table_brute(
             g, G.q, [tables[d] for d in g.degrees()], [weight] * g.num_edges
         ),
@@ -281,10 +281,10 @@ BUNDLE_SUMS = {
     "tutte_edge_model": lambda: duality.tutte_edge_model(BUNDLE, 13, 2.0),
     "flow_cwe_edge_model": lambda: duality.flow_cwe_edge_model(BUNDLE, Z13, ONES),
     "edge_partition.uniform": lambda: models.edge_partition(
-        BUNDLE, EdgeModel(Z13, VertexWeights.uniform(Z13))
+        BUNDLE, EdgeModel(VertexWeights.uniform(Z13))
     ),
     "edge_partition.matching": lambda: models.edge_partition(
-        BUNDLE, EdgeModel(Z13, VertexWeights.perfect_matching(Z13))
+        BUNDLE, EdgeModel(VertexWeights.perfect_matching(Z13))
     ),
     "general_duality_sides": lambda: duality.general_duality_sides(
         BUNDLE, Z13, BUNDLE_ORIENT, [ONES] * 2, [ONES] * 13
@@ -295,7 +295,7 @@ BUNDLE_SUMS = {
     ),
     "xq_edge_model": lambda: duality.xq_edge_model(BUNDLE, Z13, ONES, ONES),
     "spectral_edge_model": lambda: duality.spectral_edge_model(
-        BUNDLE, 13, ONES, np.eye(13)
+        BUNDLE, ONES, np.eye(13)
     ),
     "orthogonal_invariance_check": lambda: models.orthogonal_invariance_check(
         BUNDLE, VertexWeights.uniform(Z13), [np.eye(13)]
@@ -461,10 +461,10 @@ def _batched_cases(g, G, orient, draw, B):
             boundary_edge_sum(g, G, orient, vecs(pick, vv), vecs(pick, ev), cap)
         ),
         "split_vertex_sum": lambda pick, cap: one(
-            duality._split_vertex_sum(g, q, pick(h, (q, q)), cap)
+            duality._split_vertex_sum(g, pick(h, (q, q)), cap)
         ),
         "split_edge_sum": lambda pick, cap: one(
-            duality._split_edge_sum(g, q, pick(f, (q,)), pick(h, (q, q)), cap)
+            duality._split_edge_sum(g, pick(f, (q,)), pick(h, (q, q)), cap)
         ),
         "general_duality_sides": lambda pick, cap: (
             list(

@@ -6,6 +6,7 @@ from qcolour.graphs import Multigraph, disjoint_union
 from qcolour.groups import (
     QFunction,
     cyclic_group,
+    group_from_name,
     monochrome_indicator,
     random_orthogonal,
     transform,
@@ -28,14 +29,14 @@ from conftest import assert_close, complex_vec, graph_of
 def proper_vertex_model(q):
     G = cyclic_group(q)
     g2 = QFunction.from_function(G, 2, lambda t: 0.0 if t[0] == t[1] else 1.0)
-    return VertexModel(G, QFunction(G, 1, np.ones(G.q)), g2)
+    return VertexModel(QFunction(G, 1, np.ones(G.q)), g2)
 
 
 def test_vertex_partition_examples():
     assert vertex_partition(graph_of("triangle"), proper_vertex_model(3)).value == 6
     single = Multigraph(1, ())
     G = cyclic_group(5)
-    m = VertexModel(G, QFunction(G, 1, np.ones(5)), QFunction(G, 2, np.ones(25)))
+    m = VertexModel(QFunction(G, 1, np.ones(5)), QFunction(G, 2, np.ones(25)))
     assert vertex_partition(single, m).value == 5
     assert vertex_partition(graph_of("single_edge"), proper_vertex_model(2)).value == 2
 
@@ -48,7 +49,7 @@ def test_vertex_partition_loop_sees_pair():
 
 def matching_model(q=2):
     G = cyclic_group(q)
-    return EdgeModel(G, VertexWeights.perfect_matching(G))
+    return EdgeModel(VertexWeights.perfect_matching(G))
 
 
 def test_edge_partition_perfect_matchings():
@@ -71,9 +72,26 @@ def test_perfect_matching_table_matches_tuple_reference(q, d):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("specs", [("3", "2"), ("4", "2x2"), ("2x2", "f4")])
+def test_models_refuse_weights_of_two_groups(specs):
+    for a, b in (specs, specs[::-1]):
+        A, B = group_from_name(a), group_from_name(b)
+        with pytest.raises(ValueError, match="group mismatch"):
+            VertexModel(QFunction(A, 1, np.ones(A.q)), QFunction(B, 2, np.ones(B.q**2)))
+        with pytest.raises(ValueError, match="group mismatch"):
+            EdgeModel(VertexWeights.uniform(A), QFunction(B, 1, np.ones(B.q)))
+        with pytest.raises(ValueError, match="group mismatch"):
+            halfedge_inner(
+                graph_of("k4"), VertexWeights.uniform(A), monochrome_indicator(B, 2)
+            )
+        # one group on both sides is a model
+        VertexModel(QFunction(A, 1, np.ones(A.q)), QFunction(A, 2, np.ones(A.q**2)))
+        EdgeModel(VertexWeights.uniform(A), QFunction(A, 1, np.ones(A.q)))
+
+
 def test_edge_partition_missing_arity():
     G = cyclic_group(2)
-    model = EdgeModel(G, VertexWeights.from_tables(G, {2: np.ones((2, 2))}))
+    model = EdgeModel(VertexWeights.from_tables(G, {2: np.ones((2, 2))}))
     with pytest.raises(ValueError):
         edge_partition(graph_of("k4"), model)
 
@@ -94,7 +112,7 @@ def test_halfedge_inner_monochrome_collapses_to_edge_model():
             for v in range(g.num_vertices):
                 w.table(g.degree(v))
             lhs = halfedge_inner(g, w, monochrome_indicator(G, 2)).value
-            rhs = edge_partition(g, EdgeModel(G, w)).value
+            rhs = edge_partition(g, EdgeModel(w)).value
             assert_close(lhs, rhs, 1e-9, f"{name} q={q}")
 
 
@@ -135,13 +153,13 @@ def test_loop_consistency_between_model_kinds():
     G = cyclic_group(q)
     rng = np.random.default_rng(0)
     gv = complex_vec(rng, q * q)
-    vm = VertexModel(G, QFunction(G, 1, np.ones(G.q)), QFunction(G, 2, gv))
+    vm = VertexModel(QFunction(G, 1, np.ones(G.q)), QFunction(G, 2, gv))
     got = vertex_partition(loop, vm).value
     want = sum(gv[a * q + a] for a in range(q))
     assert_close(got, want, 1e-12)
     # edge model vertex factor sees the loop colour twice
     w = VertexWeights.from_tuple_function(G, lambda t: float(sum(t)))
-    mv = edge_partition(loop, EdgeModel(G, w))
+    mv = edge_partition(loop, EdgeModel(w))
     assert_close(mv.value, sum(2 * y for y in range(q)), 1e-12)
 
 

@@ -1,11 +1,14 @@
 """The record script ends quietly when the reader of its output closes the
-pipe early, as ``| head`` does."""
+pipe early, as ``| head`` does, and the corpus scripts refuse bad arguments
+before they run anything."""
 
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "battery_records.py"
@@ -27,6 +30,29 @@ def _first_line_then_close(args):
         err = proc.stderr.read()
         proc.wait(timeout=120)
     return err
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("verify_corpus.py", ["--tol", "nan", "--groups", "2", "--skip", "petersen"]),
+        ("verify_corpus.py", ["--groups", "2,zz"]),
+        ("verify_corpus.py", ["--skip", "petersn"]),
+        ("corpus_report.py", ["--q", "0"]),
+    ],
+)
+def test_scripts_refuse_bad_arguments_before_they_run(script, args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_records_end_quietly_when_the_reader_stops():
