@@ -138,14 +138,11 @@ def _group_of(args):
     return group_from_name(str(args.q))
 
 
-def _enumerated_set(doc, group, which: str, max_terms: int):
-    if which == "flows":
-        return oracles.enumerate_flows(
-            doc.graph, group, doc.orientation_or_default(), max_terms=max_terms
-        )
-    return oracles.enumerate_tensions(
-        doc.graph, group, doc.orientation_or_default(), max_terms=max_terms
-    )
+# the composition histogram that ``hwe`` and ``cwe`` evaluate, by ``--set``
+_COMPOSITIONS = {
+    "flows": oracles.flow_compositions,
+    "tensions": oracles.tension_compositions,
+}
 
 
 def _format_number(val) -> str:
@@ -182,15 +179,17 @@ def main(argv=None) -> int:
             print(oracles.chromatic(g, args.q, max_terms=max_terms))
         elif args.command == "hwe":
             group = _group_of(args)
-            vecs = _enumerated_set(doc, group, args.set, max_terms)
-            val = oracles.hamming_weight_enum(vecs, args.s, g.num_edges)
-            print(_format_number(val))
+            hist = _COMPOSITIONS[args.set](
+                g, group, doc.orientation_or_default(), max_terms
+            )
+            print(_format_number(hist.hamming_weight_enum(args.s)))
         elif args.command == "cwe":
             group = _group_of(args)
             w = _parse_weights(args.weights, group.q, "--weights")
-            vecs = _enumerated_set(doc, group, args.set, max_terms)
-            val = oracles.complete_weight_enum(vecs, w)
-            print(_format_number(val))
+            hist = _COMPOSITIONS[args.set](
+                g, group, doc.orientation_or_default(), max_terms
+            )
+            print(_format_number(hist.complete_weight_enum(w)))
         elif args.command == "vertex-model":
             group = _group_of(args)
             gw = _parse_weights(args.weights, group.q**2, "--weights")

@@ -259,7 +259,7 @@ def flow_cubic_edge_model(
         raise ValueError("graph must be 3-regular")
 
     def tbl():
-        a, b, c = np.indices((q,) * 3)
+        a, b, c = np.indices((q,) * 3, sparse=True)
         equal_pairs = (a == b).astype(int) + (b == c) + (a == c)  # 3, 1 or 0
         return np.where(
             equal_pairs == 3,

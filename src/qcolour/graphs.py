@@ -22,9 +22,7 @@ __all__ = [
     "default_rotation",
     "boundary",
     "coboundary",
-    "two_stretch",
     "line_graph",
-    "disjoint_union",
 ]
 
 HalfEdge = tuple[int, int]  # (edge_index, end)
@@ -194,19 +192,6 @@ def coboundary(g: Multigraph, orient: Orientation, group, x) -> tuple[int, ...]:
     return tuple(out)
 
 
-def two_stretch(g: Multigraph) -> Multigraph:
-    """2-stretch of a graph: each edge replaced by a path of length 2.
-
-    Half-edge (e, end) of g becomes edge 2*e + end, from its vertex to edge
-    e's subdivision vertex |V| + e, the head under ``default_orientation``."""
-    n = g.num_vertices
-    new_edges = []
-    for e in range(g.num_edges):
-        for end in (0, 1):
-            new_edges.append((g.endpoint(e, end), n + e))
-    return Multigraph(n + g.num_edges, tuple(new_edges))
-
-
 def line_graph(g: Multigraph) -> Multigraph:
     """One vertex per edge of g; one edge per unordered pair of distinct
     half-edges sharing a vertex, so parallels and loops yield multiplicities."""
@@ -217,9 +202,3 @@ def line_graph(g: Multigraph) -> Multigraph:
             for j in range(i + 1, len(hs)):
                 edges.append((hs[i][0], hs[j][0]))
     return Multigraph(g.num_edges, tuple(edges))
-
-
-def disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:
-    shift = a.num_vertices
-    edges = a.edges + tuple((u + shift, v + shift) for u, v in b.edges)
-    return Multigraph(a.num_vertices + b.num_vertices, edges)

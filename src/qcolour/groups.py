@@ -247,7 +247,8 @@ def monochrome_indicator(group: Group, arity: int) -> QFunction:
 
 
 def zero_sum_indicator(group: Group, arity: int) -> QFunction:
-    total = reduce(lambda s, x: group.add[s, x], np.indices((group.q,) * arity), 0)
+    coords = np.indices((group.q,) * arity, sparse=True)
+    total = reduce(lambda s, x: group.add[s, x], coords, 0)
     return QFunction(group, arity, np.ravel(total == 0))
 
 
@@ -256,7 +257,7 @@ def orthogonal_submodule(C: QFunction, max_scan: int = 1 << 20) -> QFunction:
     group, d = C.group, C.arity
     if group.q**d > max_scan:
         raise ValueError(f"scan size {group.q**d} exceeds cap {max_scan}")
-    a = np.indices((group.q,) * d)
+    a = np.indices((group.q,) * d, sparse=True)
     perp = np.ones((group.q,) * d, dtype=bool)
     for c in C.support():
         # a . c for every a at once: mul[a_i, c_i] summed over i

@@ -12,8 +12,8 @@ is fixed by its values on the |E|-|V|+k edges outside the forest (k
 components), a tension by a vertex colouring with each component's root at
 0, so the term caps count q^(|E|-|V|+k) and q^(|V|-k) candidates, every one
 of them kept.  The sets come in blocks; ``enumerate_flows`` and
-``enumerate_tensions`` join and sort them for callers that want the rows in
-order.
+``enumerate_tensions`` join and sort them, for the only callers that want
+the rows in order: the benchmark's oracle-sweep and the tests.
 
 Weight enumerators depend on a set only through its colour compositions
 (how many coordinates take each colour).  A ``CompositionHistogram`` holds
@@ -21,10 +21,11 @@ each distinct composition with its multiplicity: each row's colour counts
 come from one bincount and fold into one integer key, and one 1-D unique
 groups the keys.  ``flow_compositions`` and ``tension_compositions`` group
 block by block as the set is listed and merge the small per-block
-histograms, so the set is never joined or sorted, and each enumerator the
-battery reads is an evaluation of a histogram.  ``complete_weight_enum``
-groups the rows it is given the same way; ``hamming_weight_enum`` counts
-zeros row by row, which is cheaper than grouping.
+histograms, so the set is never joined or sorted; each enumerator that the
+battery and the command line read is an evaluation of a histogram, taken
+under the document's orientation.  ``complete_weight_enum`` groups the rows
+it is given the same way; ``hamming_weight_enum`` counts zeros row by row,
+which is cheaper than grouping.
 ``monochrome_polynomial`` likewise evaluates one histogram of
 monochromatic-edge counts over all vertex colourings.  These deliberately
 share no code path with the model evaluators they verify.
@@ -427,24 +428,32 @@ class CompositionHistogram:
 
 
 def flow_compositions(
-    g: Multigraph, group: Group, max_terms: int = DEFAULT_MAX_TERMS
+    g: Multigraph,
+    group: Group,
+    orient: Orientation | None = None,
+    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> CompositionHistogram:
-    """The composition histogram of the flows under the default
-    orientation, grouped block by block as they are listed, never
-    concatenated or sorted."""
+    """The composition histogram of the flows under ``orient`` (the
+    default orientation when None), grouped block by block as they are
+    listed, never concatenated or sorted."""
+    orient = orient or default_orientation(g)
     return CompositionHistogram.merged(
         CompositionHistogram.of_rows(Y, group.q)
-        for Y in _flow_blocks(g, group, default_orientation(g), max_terms)
+        for Y in _flow_blocks(g, group, orient, max_terms)
     )
 
 
 def tension_compositions(
-    g: Multigraph, group: Group, max_terms: int = DEFAULT_MAX_TERMS
+    g: Multigraph,
+    group: Group,
+    orient: Orientation | None = None,
+    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> CompositionHistogram:
     """The composition histogram of the tensions, as ``flow_compositions``."""
+    orient = orient or default_orientation(g)
     return CompositionHistogram.merged(
         CompositionHistogram.of_rows(Y, group.q)
-        for Y in _tension_blocks(g, group, default_orientation(g), max_terms)
+        for Y in _tension_blocks(g, group, orient, max_terms)
     )
 
 

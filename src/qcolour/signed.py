@@ -80,14 +80,15 @@ def parity_sign_table(q: int, k: int, K=None) -> np.ndarray:
     """(q,)*k table: sign of the tuple when injective (into K when given),
     else 0.  The sign is the product over pairs l < m of sign(b_m - b_l),
     which is (-1)^inversions on injective tuples and 0 on any repeat."""
-    idx = np.indices((q,) * k)
+    idx = np.indices((q,) * k, sparse=True)
     tbl = np.ones((q,) * k, dtype=np.float64)
     for l, m in itertools.combinations(range(k), 2):
         tbl *= np.sign(idx[m] - idx[l])
     if K is not None:
         members = set(K)
         allowed = np.array([c in members for c in range(q)], dtype=bool)
-        tbl *= allowed[idx].all(axis=0)
+        for i in idx:
+            tbl *= allowed[i]
     return tbl
 
 
@@ -129,11 +130,12 @@ def character_matrix_det(q: int) -> complex:
     return 1j ** (((q - 1) * (3 * q - 2) // 2) % 4) * q ** (q / 2)
 
 
-def _sine_product(b: np.ndarray, q: int) -> np.ndarray:
-    """prod over l < m of 2 sin(pi (b_m - b_l)/q), over the last axis of b."""
-    prod = np.ones(b.shape[:-1])
-    for l, m in itertools.combinations(range(b.shape[-1]), 2):
-        prod *= 2.0 * np.sin(np.pi * (b[..., m] - b[..., l]) / q)
+def _sine_product(b, q: int) -> np.ndarray:
+    """prod over l < m of 2 sin(pi (b_m - b_l)/q), over a sequence b of
+    broadcastable coordinate arrays."""
+    prod = np.ones(np.broadcast_shapes(*(np.shape(x) for x in b)))
+    for l, m in itertools.combinations(range(len(b)), 2):
+        prod *= 2.0 * np.sin(np.pi * (b[m] - b[l]) / q)
     return prod
 
 
@@ -156,7 +158,7 @@ def parity_transform_closed(k: int, q: int, b) -> complex | np.ndarray:
     b = np.asarray(b, dtype=np.int64) % q
     if b.shape[-1:] != (k,):
         raise ValueError("need a k-tuple")
-    prod = _sine_product(b, q)
+    prod = _sine_product(np.moveaxis(b, -1, 0), q)
     if k % 2:
         value = q ** (-k / 2) * 1j ** ((k * (k - 1) // 2) % 4) * prod
     else:
@@ -343,7 +345,7 @@ def sine_model(
     _regular_degree(g, k)
 
     def tbl():
-        return _sine_product(np.stack(np.indices((q,) * k), axis=-1), q)
+        return _sine_product(np.indices((q,) * k, sparse=True), q)
 
     mv = edge_table_sum(
         g, q, [tbl] * g.num_vertices, rotation=rotation, max_terms=max_terms

@@ -119,15 +119,16 @@ class VerifyContext:
     checks read, each built at most once per call on first use.
 
     The context holds the graph's Tutte polynomial and one composition
-    histogram of its flows and one of its tensions.  The flows and
-    tensions enter the checks only through their colour compositions, so
-    each set is grouped block by block as it is listed, never joined or
-    sorted.  A check declares the quantities it needs (``_check``), and
-    the first of them over its term cap raises before any is built, again
-    for each check that needs it, so each such check skips on its own.
-    Quantities that do not depend on the graph are shared between calls
-    instead (``_orthogonal_draws``, ``_spectral_draws``), and so are the
-    records of the checks that declare what they read (``_check``)."""
+    histogram of its flows and one of its tensions, under the document's
+    orientation.  The flows and tensions enter the checks only through
+    their colour compositions, so each set is grouped block by block as it
+    is listed, never joined or sorted.  A check declares the quantities it
+    needs (``_check``), and the first of them over its term cap raises
+    before any is built, again for each check that needs it, so each such
+    check skips on its own.  Quantities that do not depend on the graph
+    are shared between calls instead (``_orthogonal_draws``,
+    ``_spectral_draws``), and so are the records of the checks that
+    declare what they read (``_check``)."""
 
     doc: GraphDocument
     group: Group
@@ -145,12 +146,14 @@ class VerifyContext:
 
     @functools.cached_property
     def flow_compositions(self) -> oracles.CompositionHistogram:
-        return oracles.flow_compositions(self.graph, self.group, max_terms=self.max_terms)
+        return oracles.flow_compositions(
+            self.graph, self.group, self.doc.orientation_or_default(), self.max_terms
+        )
 
     @functools.cached_property
     def tension_compositions(self) -> oracles.CompositionHistogram:
         return oracles.tension_compositions(
-            self.graph, self.group, max_terms=self.max_terms
+            self.graph, self.group, self.doc.orientation_or_default(), self.max_terms
         )
 
     def rng(self, salt: int = 0):

@@ -28,6 +28,25 @@ def address_space_cap():
     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
+def two_stretch(g: Multigraph) -> Multigraph:
+    """2-stretch of a graph: each edge replaced by a path of length 2.
+
+    Half-edge (e, end) of g becomes edge 2*e + end, from its vertex to edge
+    e's subdivision vertex |V| + e, the head under ``default_orientation``."""
+    n = g.num_vertices
+    new_edges = []
+    for e in range(g.num_edges):
+        for end in (0, 1):
+            new_edges.append((g.endpoint(e, end), n + e))
+    return Multigraph(n + g.num_edges, tuple(new_edges))
+
+
+def disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:
+    shift = a.num_vertices
+    edges = a.edges + tuple((u + shift, v + shift) for u, v in b.edges)
+    return Multigraph(a.num_vertices + b.num_vertices, edges)
+
+
 def graph_of(name):
     return CORPUS[name].graph
 

@@ -236,6 +236,60 @@ def test_cli_hwe_cwe_over_tensions(corpus_files, capsys):
     assert complex(capsys.readouterr().out) == cwe == 1 + 2**3 + 3**3
 
 
+@pytest.mark.parametrize(
+    "orient, want", [("orient 1 0\n", "3.045-4.618j"), ("", "2.556-7.016j")]
+)
+def test_cli_cwe_and_the_battery_read_the_documents_orientation(
+    tmp_path, capsys, orient, want
+):
+    import qcolour.verify as verify_mod
+    from qcolour import oracles
+    from qcolour.cli import _format_number
+
+    path = tmp_path / "triangle.g"
+    path.write_text("vertices 3\nedge 0 1\nedge 1 2\nedge 2 0\n" + orient)
+    doc = parse_graph(path.read_text())
+    G = cyclic_group(3)
+    weights = "0.3,1-0.2j,1.7-0.8j"
+    assert main(["cwe", "--graph", str(path), "--q", "3", "--weights", weights]) == 0
+    assert capsys.readouterr().out == want + "\n"
+    # the histogram of the document's own orientation, None for the default
+    hist = oracles.flow_compositions(doc.graph, G, doc.orientation)
+    w = [complex(x) for x in weights.split(",")]
+    assert _format_number(hist.complete_weight_enum(w)) == want
+    ctx = verify_mod.VerifyContext(doc, G, 1e-7, 10**8, 0)
+    assert np.array_equal(ctx.flow_compositions.comps, hist.comps)
+    assert np.array_equal(ctx.flow_compositions.mults, hist.mults)
+    assert main(["verify", "--graph", str(path), "--q", "3"]) == 0
+    assert "69 checks: 69 passed, 0 failed, 0 skipped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "2x2", "f4"])
+@pytest.mark.parametrize("which", ["flows", "tensions"])
+def test_cli_hwe_cwe_equal_the_listed_set(tmp_path, capsys, spec, which):
+    from qcolour import oracles
+    from qcolour.cli import _format_number
+
+    # a loop, parallel edges in both directions and two edges reversed
+    doc = parse_graph(
+        "vertices 4\nedge 0 1\nedge 1 0\nedge 1 2\nedge 2 2\nedge 2 3\nedge 3 0\n"
+        "orient 0 0\norient 4 0\n"
+    )
+    path = tmp_path / "g.g"
+    path.write_text(serialize_graph(doc))
+    G = group_from_name(spec)
+    listing = oracles.enumerate_flows if which == "flows" else oracles.enumerate_tensions
+    rows = listing(doc.graph, G, doc.orientation)
+    w = np.random.default_rng(G.q).standard_normal(2 * G.q).view(complex)
+    args = ["--graph", str(path), "--group", spec, "--set", which]
+    assert main(["hwe", *args, "--s", "0.7-1.3j"]) == 0
+    hwe = oracles.hamming_weight_enum(rows, 0.7 - 1.3j, doc.graph.num_edges)
+    assert capsys.readouterr().out == _format_number(hwe) + "\n"
+    assert main(["cwe", *args, "--weights", ",".join(map(str, w))]) == 0
+    cwe = oracles.complete_weight_enum(rows, w)
+    assert capsys.readouterr().out == _format_number(cwe) + "\n"
+
+
 def test_cli_vertex_and_edge_model(corpus_files, capsys):
     path, _ = corpus_files["triangle"]
     w = "0,1,1,1,0,1,1,1,0"  # proper-colouring interaction over Z3

@@ -15,16 +15,14 @@ from qcolour.graphs import (
     components,
     default_orientation,
     default_rotation,
-    disjoint_union,
     line_graph,
     rank,
-    two_stretch,
 )
 import qcolour.graphs
 from qcolour.groups import cyclic_group
 from qcolour.oracles import enumerate_flows
 
-from conftest import graph_of
+from conftest import disjoint_union, graph_of, two_stretch
 
 
 def test_half_edge_partition():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcolour.enumeration import TermCapExceeded
-from qcolour.graphs import Multigraph, disjoint_union
+from qcolour.graphs import Multigraph
 from qcolour.groups import (
     QFunction,
     cyclic_group,
@@ -23,7 +23,7 @@ from qcolour.models import (
     vertex_partition,
 )
 
-from conftest import assert_close, complex_vec, graph_of
+from conftest import assert_close, complex_vec, disjoint_union, graph_of
 
 
 def proper_vertex_model(q):

@@ -517,16 +517,24 @@ def _row_cwe(rows, weights):
     multigraphs(),
     st.sampled_from(("2", "3", "4", "2x2", "f4")),
     st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 1), min_size=5, max_size=5),
 )
-@example(Multigraph(0, ()), "3", 0)
-@example(Multigraph(3, ()), "2x2", 1)
-@example(Multigraph(4, ((0, 1), (1, 0), (0, 0), (2, 2), (1, 2))), "f4", 2)
-def test_composition_histograms_evaluate_as_sorted_sets(g, spec, seed):
+@example(Multigraph(0, ()), "3", 0, [0] * 5)
+@example(Multigraph(3, ()), "2x2", 1, [0] * 5)
+@example(Multigraph(4, ((0, 1), (1, 0), (0, 0), (2, 2), (1, 2))), "f4", 2, [1, 0, 0, 1, 0])
+@example(Multigraph(3, ((0, 1), (1, 2), (2, 0))), "3", 3, [0, 1, 1, 1, 1])
+def test_composition_histograms_evaluate_as_sorted_sets(g, spec, seed, heads):
     G = group_from_name(spec)
     rng = np.random.default_rng(seed)
+    # the sets, and so the histograms, depend on the orientation
+    orient = Orientation(tuple(heads[: g.num_edges]))
     with _small_blocks(3):
-        streamed = (flow_compositions(g, G), tension_compositions(g, G))
-    for rows, hist in zip((enumerate_flows(g, G), enumerate_tensions(g, G)), streamed):
+        streamed = (
+            flow_compositions(g, G, orient),
+            tension_compositions(g, G, orient),
+        )
+    listed = (enumerate_flows(g, G, orient), enumerate_tensions(g, G, orient))
+    for rows, hist in zip(listed, streamed):
         whole = CompositionHistogram.of_rows(rows, G.q)
         assert np.array_equal(hist.comps, whole.comps)
         assert np.array_equal(hist.mults, whole.mults)

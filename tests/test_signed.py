@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -655,3 +656,25 @@ def test_parity_sign_table_matches_sgn_injection(q, k):
         got = parity_sign_table(q, k, K)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want), (q, k, K)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parity_sign_table(7, 7),
+        lambda: parity_sign_table(9, 7, range(7)),
+        lambda: zero_sum_indicator(cyclic_group(7), 7).values,
+    ],
+    ids=["parity-7-7", "parity-9-7-K", "zero-sum-7-7"],
+)
+def test_q_power_builders_peak_within_twice_their_table(build):
+    # the builders read sparse index grids, so what they allocate on the
+    # way is small beside the q^k table they return; a dense grid is k
+    # int64 arrays of q^k entries each
+    tracemalloc.start()
+    try:
+        table = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table.nbytes
