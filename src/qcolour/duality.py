@@ -102,20 +102,19 @@ def boundary_edge_sum(
     Each vector may carry a leading batch axis (see ``models.eliminate``).
     A loop's half-edges cancel in the boundary, so only its edge weight
     reads its label; ``models.edge_table_sum`` would read it at its vertex
-    too, and plan loops at a higher cost.  Each vertex table is built only
-    once the sum is priced (see ``models.eliminate``)."""
+    too, and plan loops at a higher cost.  Each vertex table is a function
+    of its non-loop half-edge colours, called only once the sum is priced
+    (see ``models.eliminate``)."""
+    # one signed sum per tuple of signs: a vertex's distinct edges read one grid
+    boundaries = {}
 
-    @functools.cache  # one per tuple of signs
-    def boundary(signs):
-        # bnd[c_1, ..., c_d]: the signed sum of the non-loop half-edge colours
-        bnd = np.zeros((), dtype=np.int64)
-        for i, sign in enumerate(signs):
-            col = np.arange(group.q).reshape((-1,) + (1,) * (len(signs) - 1 - i))
-            bnd = group.add[bnd, col if sign == 1 else group.neg[col]]
-        return bnd
-
-    def vertex_table(v, signs):
-        return vertex_vecs[v].take(boundary(signs), axis=-1)
+    def vertex_table(v, signs, *coords):
+        if signs not in boundaries:
+            bnd = np.zeros((), dtype=np.int64)
+            for sign, c in zip(signs, coords):
+                bnd = group.add[bnd, c if sign == 1 else group.neg[c]]
+            boundaries[signs] = bnd
+        return vertex_vecs[v].take(boundaries[signs], axis=-1)
 
     factors = []
     for v in range(g.num_vertices):
@@ -171,26 +170,23 @@ def _split_edge_sum(
 ) -> ModelValue:
     """Edge side of the split: sum_y prod_v sum_a f[a] prod over half-edges
     at v of h[a, y_e], over the q colours of h's (q, q) last axes, with one
-    vertex table per distinct degree, built only once the sum is priced.
-    f and h may carry leading batch axes, which broadcast; with no vertices
-    each sum is 1."""
+    vertex table function for all vertices, called only once the sum is
+    priced.  f and h may carry leading batch axes, which broadcast; with no
+    vertices each sum is 1."""
     q = h.shape[-1]
     fb, hb = f.shape[:-1], h.shape[:-2]
     batch = np.broadcast_shapes(fb, hb) if fb and hb else fb or hb
 
-    def table(d):
-        # acc[..., a, c_1, ..., c_d] = f[..., a] prod_i h[..., a, c_i],
-        # then summed over a
-        acc = f.reshape(f.shape + (1,) * d).astype(np.complex128)
-        acc = np.broadcast_to(acc, batch + (q,) * (d + 1)).copy()
-        for i in range(d):
-            shape = [q if j in (0, i + 1) else 1 for j in range(d + 1)]
-            acc *= h.reshape(h.shape[:-2] + tuple(shape))
-        return acc.sum(axis=len(batch))
+    def table(*coords):
+        # acc[..., a, grid] = f[..., a] prod_i h[..., a, c_i], then summed
+        # over a; kept in C order, which fixes the order of that sum
+        grid = np.broadcast_shapes(*map(np.shape, coords))
+        acc = f.reshape(f.shape + (1,) * len(grid)).astype(np.complex128)
+        for c in coords:
+            acc = np.multiply(acc, h[..., :, c], order="C")
+        return acc.sum(axis=-1 - len(grid))
 
-    tables = {d: functools.partial(table, d) for d in g.degrees()}
-    vertex_tables = [tables[d] for d in g.degrees()]
-    return edge_table_sum(g, q, vertex_tables, max_terms=max_terms).broadcast(batch)
+    return edge_table_sum(g, q, [table] * g.num_vertices, max_terms=max_terms).broadcast(batch)
 
 
 def flow_cwe_vertex_model(
@@ -258,8 +254,7 @@ def flow_cubic_edge_model(
     if not g.is_regular(3):
         raise ValueError("graph must be 3-regular")
 
-    def tbl():
-        a, b, c = np.indices((q,) * 3, sparse=True)
+    def tbl(a, b, c):
         equal_pairs = (a == b).astype(int) + (b == c) + (a == c)  # 3, 1 or 0
         return np.where(
             equal_pairs == 3,

@@ -9,17 +9,18 @@ and compiled into einsum steps over numbered table slots, once per label
 structure (a bounded cache keyed by the factors' label tuples alone, so a
 sum repeated with other tables, another radix or a batch only runs the
 steps); its cost is what the term cap bounds and ``ModelValue.terms``
-reports.  A loop repeats its label's subscript, and einsum takes that
-diagonal in the step that first reads it.  A table with one leading axis
-more than its arity carries a batch, the rule that ``groups.transform``
-and the weight tables of every builder follow, so several sums that
-differ only in their tables run as one contraction, at the plan and cap
-of one: the batch rides on the ``...`` that starts every subscript list.
+reports.  A table with one leading axis more than its arity carries a
+batch, the rule that ``groups.transform`` and the weight tables of every
+builder follow, so several sums that differ only in their tables run as
+one contraction, at the plan and cap of one: the batch rides on the
+``...`` that starts every subscript list.
 ``edge_table_sum``, ``vertex_table_sum`` and ``duality.boundary_edge_sum``
 are the only callers of ``factor_sum``; the other models supply tables.
-A table of radix^degree entries is handed over unbuilt, as a function
-that ``eliminate`` calls only once it has priced the sum and that table,
-so an oversized table is refused, never allocated.
+Each table is read on the grid of its factor's distinct labels, a loop's
+two axes at one coordinate, so no table outgrows the plan.  One that grows
+as radix^degree is handed over unbuilt, as a function of one coordinate
+array per axis (a ``VertexWeights`` family is one), and ``eliminate``
+calls it only once it has priced the sum.
 ``vertex_table_sum`` sums over vertex colourings with a weight per vertex
 and a (q, q) interaction per edge.  ``edge_table_sum`` sums over edge
 colourings with a weight per edge and, at each vertex, a weight depending
@@ -96,50 +97,54 @@ class ModelValue:
 
 
 class VertexWeights:
-    """A vertex weight family: one function per arity (vertex degree).
+    """A vertex weight family: one function ``fn`` of the half-edge colours
+    at a vertex, as broadcastable coordinate arrays, one per half-edge (an
+    unbuilt table, see ``eliminate``).  A leading axis more than their
+    broadcast shape holds one family per batch entry."""
 
-    Built either from a function of the arity evaluated on demand or from
-    explicit per-arity tables.  Tables are cached per arity and keep the
-    shape they are given: one with a leading axis more than its arity holds
-    one family per batch entry.
-    """
-
-    def __init__(self, group: Group, table_fn=None, tables=None):
+    def __init__(self, group: Group, fn):
         self.group = group
-        self._table_fn = table_fn
-        self._tables: dict[int, np.ndarray] = dict(tables or {})
+        self.fn = fn
 
     def table(self, arity: int) -> np.ndarray:
-        if arity not in self._tables:
-            if self._table_fn is None:
-                raise ValueError(f"no vertex weight for arity {arity}")
-            self._tables[arity] = np.asarray(self._table_fn(arity), dtype=np.complex128)
-        return self._tables[arity]
+        """The family at one arity: ``fn`` on the whole (q,)*arity grid."""
+        grid = np.indices((self.group.q,) * arity, sparse=True)
+        return np.asarray(self.fn(*grid), dtype=np.complex128)
+
+    @classmethod
+    def per_arity(cls, group: Group, table_of) -> "VertexWeights":
+        """The family read off ``table_of(d)``, built on its first read."""
+        tables = {}
+
+        def read(*coords):
+            d = len(coords)
+            if d not in tables:
+                tables[d] = np.asarray(table_of(d), dtype=np.complex128)
+            return tables[d][(..., *coords)]
+
+        return cls(group, read)
 
     @classmethod
     def uniform(cls, group: Group) -> "VertexWeights":
-        return cls(group, lambda d: np.ones((group.q,) * d))
+        return cls(group, lambda *c: np.ones(np.broadcast_shapes(*map(np.shape, c))))
 
     @classmethod
     def from_tuple_function(cls, group: Group, fn) -> "VertexWeights":
-        return cls(group, lambda d: QFunction.from_function(group, d, fn).as_tensor())
+        return cls.per_arity(group, lambda d: QFunction.from_function(group, d, fn).as_tensor())
 
     @classmethod
     def from_tables(cls, group: Group, tables: dict[int, np.ndarray]) -> "VertexWeights":
-        return cls(group, None, tables)
+        def table_of(d):
+            if d not in tables:
+                raise ValueError(f"no vertex weight for arity {d}")
+            return tables[d]
+
+        return cls.per_arity(group, table_of)
 
     @classmethod
     def perfect_matching(cls, group: Group) -> "VertexWeights":
         """Weight 1 on tuples with exactly one colour equal to 1."""
-        is_one = np.arange(group.q) == 1
-
-        def table(d):
-            ones = np.zeros((group.q,) * d, dtype=np.min_scalar_type(d))
-            for axis in range(d):
-                ones += is_one.reshape((-1,) + (1,) * (d - 1 - axis))
-            return ones == 1
-
-        return cls(group, table)
+        return cls(group, lambda *c: sum(x == 1 for x in c) == 1)
 
 
 def _same_group(a: Group, b: Group):
@@ -191,9 +196,9 @@ def factor_sum(
     ``factors`` (a list of (table, labels) pairs) of table[c[labels]].  A
     label repeated within one factor reads its colour on several axes, as a
     loop does at its vertex; a factor with no labels is a constant.  A
-    table with one leading axis more than its labels carries a batch (see
-    ``eliminate``), and the value is then one sum per batch entry.  The cap
-    and ``ModelValue.terms`` are the planned cost of one entry."""
+    table may be unbuilt, and one with an axis more than its labels carries
+    a batch (see ``eliminate``), and the value is then one sum per batch
+    entry.  The cap and ``ModelValue.terms`` are the planned cost of one."""
     return ModelValue.of(*eliminate(radix, length, factors, max_terms))
 
 
@@ -203,11 +208,11 @@ _PLAN_CACHE_SIZE = 512
 
 class _Plan(NamedTuple):
     """A contraction compiled from the factors' labels alone.  Slots
-    0..n-1 hold the n factors' tables, and step i writes slot n + i.
-    Every subscript list starts with ``...``, so a leading batch axis
-    rides through each step, and a loop's repeated subscript makes einsum
-    take its diagonal in the step that first reads it."""
+    0..n-1 hold the n factors' tables, each read on its distinct labels,
+    and step i writes slot n + i.  Every subscript list starts with
+    ``...``, so a leading batch axis rides through each step."""
 
+    grids: tuple  # per factor: distinct labels, and the index of each label
     constants: tuple  # slots of the factors with no labels
     read: int  # distinct labels any factor reads
     scopes: tuple  # labels read at each step
@@ -218,11 +223,12 @@ class _Plan(NamedTuple):
 def _plan(label_tuples: tuple) -> _Plan:
     """Each step sums out the label whose factors together read the fewest
     distinct labels (ties to the smallest label); a step closes when it
-    leaves no label.  A table keeps its labels as given, repeats included,
-    until a step reads it."""
-    constants = tuple(i for i, labels in enumerate(label_tuples) if not labels)
+    leaves no label.  No step sees a factor's repeated label twice."""
+    distinct = [tuple(dict.fromkeys(labels)) for labels in label_tuples]
+    grids = tuple((len(d), tuple(map(d.index, ls))) for d, ls in zip(distinct, label_tuples))
+    constants = tuple(i for i, labels in enumerate(distinct) if not labels)
     # (slot, labels) of each table still to be summed
-    live = [(i, labels) for i, labels in enumerate(label_tuples) if labels]
+    live = [(i, labels) for i, labels in enumerate(distinct) if labels]
     read = len({label for _slot, labels in live for label in labels})
     scopes, steps = [], []
     while live:
@@ -248,7 +254,7 @@ def _plan(label_tuples: tuple) -> _Plan:
                 not out,
             )
         )
-    return _Plan(constants, read, tuple(scopes), tuple(steps))
+    return _Plan(grids, constants, read, tuple(scopes), tuple(steps))
 
 
 def _capped_cost(radix: int, plan: _Plan, max_terms: int) -> int:
@@ -264,31 +270,36 @@ def eliminate(
     """The sum of ``factor_sum`` by variable elimination, and its planned
     cost: the sum over steps of radix^(labels read at that step).  The plan
     is cached per label structure, the factors' label tuples alone; a cost
-    over ``max_terms`` raises before any table is converted or summed.
+    over ``max_terms`` raises before any table is read or summed.
 
-    A table may be given unbuilt, as a function of no arguments.  Past the
-    plan's cap, the largest such table, radix^(its labels) entries with a
-    repeated label counted once per axis, is held to the cap, and then
-    each distinct function is called once, in factor order.
+    Tables are read on the sparse index grid of their factor's distinct
+    labels, one coordinate array per axis, a loop's two axes sharing one.
+    So no table outgrows the plan, whose cost is the one cap.  An unbuilt
+    table is a function of those arrays (no longer of no arguments, which
+    built a loop's every axis and needed a cap of its own), called once
+    per distinct function and pattern of repeats, in factor order.
 
-    A table with ``ndim == len(labels) + 1`` carries a leading batch axis
-    of size B, the same for every such table; the other tables are shared
-    by all entries.  The batch rides on each step's ``...``, so the sum is
-    then a (B,) complex array whose entry b is the sum over the b-th
-    tables, and a complex when no table carries a batch.  The plan, the
-    cost and the cap are those of one entry, as ``ModelValue.terms`` is."""
-    tables, label_tuples = [], []
+    A table with one leading axis more than its factor's labels carries a
+    batch of size B, the same for every such table, on each step's ``...``:
+    the sum is then a (B,) complex array, entry b the sum over the b-th
+    tables and the unbatched ones, and else a complex.  The plan, the cost
+    and the cap are those of one entry, as ``ModelValue.terms`` is."""
+    tables, label_tuples, read = [], [], {}
     for table, labels in factors:
-        tables.append(table)
+        tables.append(table if callable(table) else np.asarray(table))
         label_tuples.append(tuple(labels))
     plan = _plan(tuple(label_tuples))
     cost = _capped_cost(radix, plan, max_terms)
-    axes = [len(ls) for t, ls in zip(tables, label_tuples) if callable(t)]
-    if axes:
-        count_terms(radix, max(axes), max_terms)
-    built = {fn: fn() for fn in dict.fromkeys(filter(callable, tables))}
-    tables = [np.asarray(built[t] if callable(t) else t) for t in tables]
+    for i, (table, (width, axes)) in enumerate(zip(tables, plan.grids)):
+        if callable(table) or width < len(axes):
+            key = (table, axes) if callable(table) else i
+            if key not in read:
+                grid = np.indices((radix,) * width, sparse=True)
+                coords = [grid[axis] for axis in axes]
+                read[key] = table(*coords) if callable(table) else table[(..., *coords)]
+            tables[i] = read[key]
     # integer tables sum in floating point, as products of ints can wrap
+    tables = [np.asarray(t) for t in tables]
     tables = [t.astype(np.result_type(t, np.float64), copy=False) for t in tables]
     total = 1.0 + 0.0j
     for slot in plan.constants:
@@ -366,7 +377,7 @@ def edge_partition(
     rotation: RotationSystem | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
-    tables = [functools.partial(model.vertex_weights.table, d) for d in g.degrees()]
+    tables = [model.vertex_weights.fn] * g.num_vertices
     vecs = None
     if model.edge_weight is not None:
         vecs = [model.edge_weight.values] * g.num_edges
@@ -383,9 +394,9 @@ def halfedge_inner(
 ) -> ModelValue:
     """Real-bilinear pairing of the vertex weight family against an arity-2
     weight applied to each edge's half-edge pair: the edge table sum over
-    the support pairs of that weight, each vertex table re-indexed from
-    half-edge colours onto them.  Batched vertex tables give one pairing
-    per batch entry, from one contraction (see ``eliminate``)."""
+    the support pairs of that weight, read at their half-edge colours.
+    Batched vertex weights give one pairing per batch entry, from one
+    contraction (see ``eliminate``)."""
     if pair_weight.arity != 2:
         raise ValueError("pair weight must have arity 2")
     _same_group(weights.group, pair_weight.group)
@@ -393,16 +404,12 @@ def halfedge_inner(
     supp = np.nonzero(np.abs(pair_weight.values) > 0)[0]
     ends = (supp // q, supp % q)  # colours at end 0 and end 1 of each pair
 
-    def vertex_table(order):
-        # ``weights`` builds its tables at the group's order, not the support's
-        count_terms(q, len(order), max_terms)
-        table = weights.table(len(order))
-        # the index of every entry of the batch, if the table has one
-        batch = (slice(None),) * (table.ndim - len(order))
-        return table[batch + np.ix_(*(ends[end] for _e, end in order))]
+    @functools.cache  # one per tuple of half-edge ends, which its vertices share
+    def vertex_table(ends_at):
+        return lambda *coords: weights.fn(*(ends[end][c] for end, c in zip(ends_at, coords)))
 
     orders = _vertex_orders(g, rotation)
-    tables = [functools.partial(vertex_table, order) for order in orders]
+    tables = [vertex_table(tuple(end for _e, end in order)) for order in orders]
     edge_vecs = [pair_weight.values[supp]] * g.num_edges
     return edge_table_sum(g, supp.size, tables, edge_vecs, rotation, max_terms)
 
@@ -419,7 +426,7 @@ def orthogonal_invariance_check(
     the vertex weights.  Each test applies every U at once; the unchanged
     weights and those of every U that passes the first test are paired in
     one batched contraction, and only if some U passes; each weight table is
-    built only once that pairing is priced."""
+    built only once that pairing is priced, and refused over the cap."""
     group = weights.group
     mono = monochrome_indicator(group, 2)
     Us = np.asarray(Us).reshape(-1, group.q, group.q)
@@ -431,11 +438,12 @@ def orthogonal_invariance_check(
     kept = Us[fixed]
 
     def stacked_table(d):
-        # the unchanged table and then its change by each kept U
+        # the unchanged table and its change by each U, whole at q^d entries
+        count_terms(group.q, d, max_terms)
         table = weights.table(d)
         return np.concatenate([table[None], transform(kept, table, d)])
 
-    stacked = VertexWeights(group, stacked_table)
+    stacked = VertexWeights.per_arity(group, stacked_table)
     mv = halfedge_inner(g, stacked, mono, max_terms=max_terms)
     # with no vertices no table carries the batch, and all pair alike
     lhs, *rhs = mv.broadcast((len(kept) + 1,)).value

@@ -76,26 +76,29 @@ def sgn_edge_colouring(g: Multigraph, rotation: RotationSystem, y) -> int:
     return sign
 
 
+def _parity_sign(*c, allowed=None) -> np.ndarray:
+    """Sign of the colour tuple held by broadcastable coordinate arrays:
+    the product over pairs l < m of sign(c_m - c_l), which is
+    (-1)^inversions on injective tuples and 0 on any repeat, times
+    ``allowed`` (a boolean per colour, when given) at every coordinate."""
+    sign = np.ones(np.broadcast_shapes(*map(np.shape, c)))
+    for l, m in itertools.combinations(range(len(c)), 2):
+        sign *= np.sign(c[m] - c[l])
+    if allowed is not None:
+        for x in c:
+            sign *= allowed[x]
+    return sign
+
+
 def parity_sign_table(q: int, k: int, K=None) -> np.ndarray:
-    """(q,)*k table: sign of the tuple when injective (into K when given),
-    else 0.  The sign is the product over pairs l < m of sign(b_m - b_l),
-    which is (-1)^inversions on injective tuples and 0 on any repeat."""
-    idx = np.indices((q,) * k, sparse=True)
-    tbl = np.ones((q,) * k, dtype=np.float64)
-    for l, m in itertools.combinations(range(k), 2):
-        tbl *= np.sign(idx[m] - idx[l])
-    if K is not None:
-        members = set(K)
-        allowed = np.array([c in members for c in range(q)], dtype=bool)
-        for i in idx:
-            tbl *= allowed[i]
-    return tbl
+    """(q,)*k table: sign of the tuple when injective (into K if given), else 0."""
+    allowed = None if K is None else np.array([c in K for c in range(q)])
+    return _parity_sign(*np.indices((q,) * k, sparse=True), allowed=allowed)
 
 
 def parity_function(group: Group, k: int, K=None) -> QFunction:
     """Even-minus-odd indicator of injective k-tuples (into K when given)."""
-    tbl = parity_sign_table(group.q, k, K)
-    return QFunction(group, k, tbl.reshape(-1))
+    return QFunction(group, k, parity_sign_table(group.q, k, K).reshape(-1))
 
 
 def canonical_symmetric_set(q: int, k: int) -> tuple[int, ...]:
@@ -130,10 +133,10 @@ def character_matrix_det(q: int) -> complex:
     return 1j ** (((q - 1) * (3 * q - 2) // 2) % 4) * q ** (q / 2)
 
 
-def _sine_product(b, q: int) -> np.ndarray:
-    """prod over l < m of 2 sin(pi (b_m - b_l)/q), over a sequence b of
-    broadcastable coordinate arrays."""
-    prod = np.ones(np.broadcast_shapes(*(np.shape(x) for x in b)))
+def _sine_product(*b, q: int) -> np.ndarray:
+    """prod over l < m of 2 sin(pi (b_m - b_l)/q), over broadcastable
+    coordinate arrays b."""
+    prod = np.ones(np.broadcast_shapes(*map(np.shape, b)))
     for l, m in itertools.combinations(range(len(b)), 2):
         prod *= 2.0 * np.sin(np.pi * (b[m] - b[l]) / q)
     return prod
@@ -158,7 +161,7 @@ def parity_transform_closed(k: int, q: int, b) -> complex | np.ndarray:
     b = np.asarray(b, dtype=np.int64) % q
     if b.shape[-1:] != (k,):
         raise ValueError("need a k-tuple")
-    prod = _sine_product(np.moveaxis(b, -1, 0), q)
+    prod = _sine_product(*np.moveaxis(b, -1, 0), q=q)
     if k % 2:
         value = q ** (-k / 2) * 1j ** ((k * (k - 1) // 2) % 4) * prod
     else:
@@ -188,7 +191,7 @@ def parity_transform_kplus1(k: int, b) -> complex | np.ndarray:
     b = np.asarray(b, dtype=np.int64) % q
     if b.shape[-1:] != (k,):
         raise ValueError("need a k-tuple")
-    sign = parity_sign_table(q, k)[tuple(np.moveaxis(b, -1, 0))]
+    sign = _parity_sign(*np.moveaxis(b, -1, 0))
     if k % 2:
         value = q ** (-0.5) * 1j ** ((k * (k - 1) // 2) % 4) * sign
     else:
@@ -219,8 +222,8 @@ def _parity_pairing(
     """Pair the parity weight on colour set K against a pair weight over the
     half-edges of a regular graph."""
     _regular_degree(g)  # raises unless g is regular
-    # built by ``halfedge_inner`` once the pairing is within the cap
-    weights = VertexWeights(group, lambda k: parity_sign_table(group.q, k, K))
+    allowed = np.array([c in K for c in range(group.q)])
+    weights = VertexWeights(group, functools.partial(_parity_sign, allowed=allowed))
     return halfedge_inner(g, weights, pair, rotation=rotation, max_terms=max_terms)
 
 
@@ -299,20 +302,18 @@ def factorization_sign_sum(
         used[:, v] |= head_bit[c]
         Z = np.column_stack([Z[row], c])[ok]
         used = used[ok]
-    table = parity_sign_table(q, k).astype(np.int64)
-    sign = np.ones(len(Z), dtype=np.int64)
+    sign = np.ones(len(Z))
     for order in rotation.orders:
-        sign *= table[tuple((K if end else neg)[Z[:, e]] for e, end in order)]
+        sign *= _parity_sign(*((K if end else neg)[Z[:, e]] for e, end in order))
     return int(sign.sum())
 
 
 def _signed_edge_sum(
     g: Multigraph, rotation: RotationSystem, q: int, max_terms: int
 ) -> ModelValue:
-    tbl = functools.partial(parity_sign_table, q, _regular_degree(g))
-    return edge_table_sum(
-        g, q, [tbl] * g.num_vertices, rotation=rotation, max_terms=max_terms
-    )
+    _regular_degree(g)  # raises unless g is regular
+    tables = [_parity_sign] * g.num_vertices
+    return edge_table_sum(g, q, tables, rotation=rotation, max_terms=max_terms)
 
 
 def proper_colouring_sign_sum(
@@ -344,12 +345,8 @@ def sine_model(
         raise ValueError("need q >= k")
     _regular_degree(g, k)
 
-    def tbl():
-        return _sine_product(np.indices((q,) * k, sparse=True), q)
-
-    mv = edge_table_sum(
-        g, q, [tbl] * g.num_vertices, rotation=rotation, max_terms=max_terms
-    )
+    tbl = functools.partial(_sine_product, q=q)
+    mv = edge_table_sum(g, q, [tbl] * g.num_vertices, rotation=rotation, max_terms=max_terms)
     return ModelValue.of(float(q) ** (-g.num_edges) * mv.value, mv.terms)
 
 

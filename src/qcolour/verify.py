@@ -395,7 +395,7 @@ def _check_orthogonal_invariance(ctx: VerifyContext):
 
     # one table per degree, drawn once the pairing is priced, in the order
     # the vertices first show it
-    weights = VertexWeights(G, draw)
+    weights = VertexWeights.per_arity(G, draw)
     Us = _orthogonal_draws(G.q, ctx.seed)
     oks = orthogonal_invariance_check(
         g, weights, Us, tol=max(ctx.tol, 1e-8), max_terms=ctx.max_terms

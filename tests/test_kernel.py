@@ -101,6 +101,7 @@ def _halfedge_brute(g, weights, pair_weight):
     q = weights.group.q
     pw = pair_weight.values.reshape(q, q)
     pairs = [(a, b) for a in range(q) for b in range(q) if pw[a, b] != 0]
+    tables = [weights.table(d) for d in g.degrees()]
     total = 0j
     for choice in itertools.product(pairs, repeat=g.num_edges):
         w = 1 + 0j
@@ -108,7 +109,7 @@ def _halfedge_brute(g, weights, pair_weight):
             w *= pw[a, b]
         for v in range(g.num_vertices):
             colours = tuple(choice[e][end] for e, end in g.halfedges_at(v))
-            w *= weights.table(g.degree(v))[colours]
+            w *= tables[v][colours]
         total += w
     return total
 
@@ -230,12 +231,37 @@ PLANNED_COST = {
 }
 
 
-@pytest.mark.parametrize("case", list(_factor_cases()))
+# the cases that read a label twice in one table, run again with that
+# table unbuilt: a function of one coordinate array per axis
+UNBUILT = ("label three times", "loop beside an edge")
+
+
+@pytest.mark.parametrize(
+    "case", list(_factor_cases()) + [f"{name}, unbuilt" for name in UNBUILT]
+)
 def test_factor_sum_edge_cases(case):
-    radix, length, factors = _factor_cases()[case]
-    mv = factor_sum(radix, length, factors)
-    assert mv.terms == PLANNED_COST[case]
+    name = case.removesuffix(", unbuilt")
+    radix, length, factors = _factor_cases()[name]
+    calls = []
+
+    def unbuilt(table):
+        def read(*coords):
+            grid = np.broadcast_shapes(*map(np.shape, coords))
+            calls.append((len(coords), int(np.prod(grid))))
+            return table[coords]
+
+        return read
+
+    run, repeats = factors, []
+    if case != name:
+        repeats = [ls for _t, ls in factors if len(set(ls)) < len(ls)]
+        run = [(unbuilt(t) if ls in repeats else t, ls) for t, ls in factors]
+    mv = factor_sum(radix, length, run)
+    assert mv.terms == PLANNED_COST[name]
     assert_close(mv.value, _factor_brute(radix, length, factors), TOL, case)
+    # each function is read once, an array per axis spanning the grid of
+    # its distinct labels
+    assert calls == [(len(ls), radix ** len(set(ls))) for ls in repeats]
 
 
 def test_cap_fires_before_any_einsum(monkeypatch):
@@ -245,7 +271,7 @@ def test_cap_fires_before_any_einsum(monkeypatch):
     monkeypatch.setattr(np, "einsum", no_einsum)
     t3 = np.ones((3, 3, 3))
     with pytest.raises(enumeration.TermCapExceeded) as err:
-        # a loop at label 0, whose diagonal is itself taken by einsum
+        # a loop at label 0, read on its diagonal only once the cap passes
         factor_sum(3, 3, [(t3, (0, 1, 0)), (t3, (1, 2, 2))], max_terms=20)
     assert (err.value.estimate, err.value.cap) == (3**2 + 3**2 + 3, 20)
     # these two adapters stop at the plan before they build their tables
@@ -396,14 +422,6 @@ KEEP_BATCH = (
     "split_edge_sum",
     "tutte_edge_model",
 )
-# builders that also refuse a vertex table over the cap: q^degree entries,
-# more than the plan's cost only at a vertex with loops
-PRICES_TABLES = (
-    "halfedge_inner",
-    "split_edge_sum",
-    "flow_cwe_edge_model",
-    "tutte_edge_model",
-)
 
 
 def _picker(i):
@@ -549,14 +567,8 @@ def test_batched_sums_equal_their_entries(g, spec, seed, B, flags, heads):
         if name in KEEP_BATCH:
             assert all(np.shape(whole) == (B,) for whole in values), name
         if cost:
-            # the cap is per entry: the batch passes at the cost of one, or
-            # at the entries of one vertex table where a loop makes it larger
-            largest = G.q ** max(g.degrees(), default=0)
-            run(None, max(cost, largest) if name in PRICES_TABLES else cost)
-            if name in PRICES_TABLES and largest > cost:
-                with pytest.raises(enumeration.TermCapExceeded) as err:
-                    run(None, largest - 1)
-                assert err.value.estimate == largest, name
+            # the cap is per entry: the batch passes at the cost of one
+            run(None, cost)
             with pytest.raises(enumeration.TermCapExceeded) as err:
                 run(None, cost - 1)
             assert err.value.estimate == cost, name

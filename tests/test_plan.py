@@ -109,18 +109,30 @@ structures, real = set(), models.eliminate
 
 def recording(radix, length, factors, max_terms=models.DEFAULT_MAX_TERMS):
     factors = [(t, tuple(ls)) for t, ls in factors]
-    # a table given unbuilt is kept as the sum builds it; one it never
-    # builds, over its cap, counts as unbatched
-    built = {}
-    keep = {t: lambda t=t: built.setdefault(t, t()) for t, _ls in factors if callable(t)}
+    # a table given unbuilt is called with one coordinate array per axis,
+    # and is batched when it returns an axis more than they span; one it
+    # never calls, over its cap, counts as unbatched
+    batched = {}
+
+    def keep(t):
+        def call(*coords):
+            table = t(*coords)
+            batched[t] = np.ndim(table) > len(np.broadcast_shapes(*map(np.shape, coords)))
+            return table
+
+        return call
+
+    kept = {t: keep(t) for t, _ls in factors if callable(t)}
     try:
         return real(
-            radix, length, [(keep[t] if callable(t) else t, ls) for t, ls in factors], max_terms
+            radix, length, [(kept[t] if callable(t) else t, ls) for t, ls in factors], max_terms
         )
     finally:
-        tables = [built.get(t) if callable(t) else t for t, _ls in factors]
         labels = tuple(ls for _t, ls in factors)
-        structures.add((labels, tuple(np.ndim(t) > len(ls) for t, ls in zip(tables, labels))))
+        flags = tuple(
+            batched.get(t, False) if callable(t) else np.ndim(t) > len(ls) for t, ls in factors
+        )
+        structures.add((labels, flags))
 
 models.eliminate = recording
 for item in workloads.corpus_battery(0):
