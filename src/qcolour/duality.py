@@ -177,14 +177,27 @@ def _split_edge_sum(
     fb, hb = f.shape[:-1], h.shape[:-2]
     batch = np.broadcast_shapes(fb, hb) if fb and hb else fb or hb
 
+    fq = np.moveaxis(f.astype(np.complex128), -1, 0)  # fq[a] is f[..., a]
+    hq = np.moveaxis(h, -2, 0)  # hq[a] is h[..., a, :]
+
     def table(*coords):
-        # acc[..., a, grid] = f[..., a] prod_i h[..., a, c_i], then summed
-        # over a; kept in C order, which fixes the order of that sum
+        # f[..., a] prod_i h[..., a, c_i], one colour a at a time and added
+        # in the order of a, so it holds two tables, not q; each product
+        # grows over the sparse coordinates, and only its last factor makes
+        # a whole table, written into one buffer
         grid = np.broadcast_shapes(*map(np.shape, coords))
-        acc = f.reshape(f.shape + (1,) * len(grid)).astype(np.complex128)
-        for c in coords:
-            acc = np.multiply(acc, h[..., :, c], order="C")
-        return acc.sum(axis=-1 - len(grid))
+        fs = fq.reshape(fq.shape + (1,) * len(grid))
+        hs = [hq[..., c] for c in coords]  # hs[i][a] is h[..., a, c_i]
+        total = np.zeros(batch + grid, np.complex128)
+        term = np.empty_like(total)
+        for a in range(q):
+            part = fs[a]
+            for hc in hs[:-1]:
+                part = part * hc[a]
+            if hs:
+                part = np.multiply(part, hs[-1][a], out=term)
+            total += part
+        return total
 
     return edge_table_sum(g, q, [table] * g.num_vertices, max_terms=max_terms).broadcast(batch)
 

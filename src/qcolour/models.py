@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded, count_terms
+from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from .graphs import Multigraph, Orientation, RotationSystem, default_orientation
 from .groups import Group, QFunction, monochrome_indicator, transform
 
@@ -426,7 +426,9 @@ def orthogonal_invariance_check(
     the vertex weights.  Each test applies every U at once; the unchanged
     weights and those of every U that passes the first test are paired in
     one batched contraction, and only if some U passes; each weight table is
-    built only once that pairing is priced, and refused over the cap."""
+    built only once that pairing is priced.  A vertex of degree d is priced
+    at the multiply-adds of its stack, q^d for the table and d q^(d+1) for
+    each U's change of it, and refused over the cap."""
     group = weights.group
     mono = monochrome_indicator(group, 2)
     Us = np.asarray(Us).reshape(-1, group.q, group.q)
@@ -439,7 +441,9 @@ def orthogonal_invariance_check(
 
     def stacked_table(d):
         # the unchanged table and its change by each U, whole at q^d entries
-        count_terms(group.q, d, max_terms)
+        cost = (1 + len(kept) * d * group.q) * group.q**d
+        if cost > max_terms:
+            raise TermCapExceeded(cost, max_terms)
         table = weights.table(d)
         return np.concatenate([table[None], transform(kept, table, d)])
 

@@ -473,10 +473,11 @@ def flow_polynomial(
 ) -> int:
     """Number of nowhere-zero flows over a group of order q, the flow
     enumerator of the subset histogram at s = 0, cross-checked by direct
-    enumeration when within cap.  ``max_terms`` caps both."""
+    enumeration when within cap.  ``max_terms`` caps both.  At q <= 0 it is
+    the flow polynomial's value, with no flows to list."""
     T = tutte(g, max_terms)
     value = T.flow_enumerator(q, 0)
-    if cross_check and q ** (g.num_edges - T.full_rank) <= max_terms:
+    if cross_check and q >= 1 and q ** (g.num_edges - T.full_rank) <= max_terms:
         direct = flow_count(g, cyclic_group(q), max_terms=max_terms)
         if direct != value:
             raise ConsistencyError(
@@ -495,9 +496,10 @@ def chromatic(
     histogram at t = 0, cross-checked when within cap by brute force: the
     colourings with no monochromatic edge, the monochrome polynomial at
     t = 0 (a loop is always monochromatic, so a graph with one has none).
-    ``max_terms`` caps both."""
+    ``max_terms`` caps both.  At q <= 0 it is the chromatic polynomial's
+    value, with no colourings to list."""
     value = tutte(g, max_terms).potts(q, 0)
-    if cross_check and q**g.num_vertices <= max_terms:
+    if cross_check and q >= 1 and q**g.num_vertices <= max_terms:
         direct = monochrome_polynomial(g, q, 0, max_terms)
         if direct != value:
             raise ConsistencyError(

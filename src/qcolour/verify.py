@@ -3,14 +3,16 @@
 Every identity the package implements is checked here against its
 independent route (brute-force oracle, dual expansion, or closed form) and
 reported as one machine-readable record per check.  Checks are grouped into
-three suites.  A check declares in one ``@_check`` line when it applies,
-which oracle quantities it needs and, if it shares its records, what it
-reads of its context.  A check runs when the structural precondition of
-its identity holds (regularity, Pfaffian assertion); the only cost gate is
-the term cap of each sum or oracle it calls, and a check over that cap
-leaves a skip record rather than nothing.  A check refuses every quantity
-it needs before it builds any, and a model sum is priced before any of
-its tables is built, so a skip costs no listing and no allocation.
+three suites.  A check declares in its one ``@_check`` line, and nowhere
+else, its suite, when it applies, which oracle quantities it needs and, if
+it shares its records, what it reads of its context; a suite runs its
+checks in the order they are defined.  A check runs when the structural
+precondition of its identity holds (regularity, Pfaffian assertion); the
+only cost gate is the term cap of each sum or oracle it calls, and a check
+over that cap leaves a skip record rather than nothing.  A check refuses
+every quantity it needs before it builds any, and a model sum is priced
+before any of its tables is built, so a skip costs no listing and no
+allocation.
 
 A check that draws several random weights passes them to each model as one
 stack, so every model is contracted once per check, not once per draw.  A
@@ -201,15 +203,22 @@ _NEEDS = {
 }
 
 
-def _check(reads=None, applies=None, needs=()):
-    """Declare when a check applies and what it reads.  Where the
-    precondition ``applies(ctx)`` fails, the check returns no record.
-    Before it runs, the first of the oracle quantities it ``needs`` (keys
-    of ``_NEEDS``) that is over its cap raises TermCapExceeded.  A check
-    that reads only the fields ``reads`` (keys of ``_READS``) shares its
-    records between the calls that agree on them, while they are among the
-    last ``_SHARED_CACHE_SIZE`` keys used; a check that raises keeps
-    nothing.  ``uncached`` is then the check without sharing."""
+# the checks of each suite, in the order their ``@_check`` lines register them
+SUITES: dict[str, list] = {"fourier": [], "duality": [], "signed": []}
+
+
+def _check(suite, reads=None, applies=None, needs=()):
+    """Declare a check: this one line is all the battery knows of it.  The
+    check runs in ``suite`` (a key of ``SUITES``), after the checks defined
+    before it.  Where the precondition ``applies(ctx)`` fails, the check
+    returns no record.  Before it runs, the first of the oracle quantities
+    it ``needs`` (keys of ``_NEEDS``) that is over its cap raises
+    TermCapExceeded.  A check that reads only the fields ``reads`` (keys of
+    ``_READS``) shares its records between the calls that agree on them,
+    while they are among the last ``_SHARED_CACHE_SIZE`` keys used; a check
+    that raises keeps nothing.  ``uncached`` is then the check without
+    sharing."""
+    checks = SUITES[suite]
 
     def wrap(body):
         def check(ctx: VerifyContext):
@@ -221,6 +230,7 @@ def _check(reads=None, applies=None, needs=()):
 
         check.__name__ = check.__qualname__ = body.__name__
         if reads is None:
+            checks.append(check)
             return check
         cache: dict = {}  # in order of last use
 
@@ -236,6 +246,7 @@ def _check(reads=None, applies=None, needs=()):
 
         shared.__name__ = shared.__qualname__ = body.__name__
         shared.uncached = check
+        checks.append(shared)
         return shared
 
     return wrap
@@ -256,7 +267,7 @@ def _regular(ctx: VerifyContext) -> bool:
 # ---------------------------------------------------------------- fourier
 
 
-@_check(reads=("group", "seed", "tol"))
+@_check("fourier", reads=("group", "seed", "tol"))
 def _check_unitarity(ctx: VerifyContext):
     out = []
     rng = ctx.rng(1)
@@ -270,7 +281,7 @@ def _check_unitarity(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("group", "seed", "tol"))
+@_check("fourier", reads=("group", "seed", "tol"))
 def _check_involution(ctx: VerifyContext):
     out = []
     rng = ctx.rng(2)
@@ -299,7 +310,7 @@ def _check_involution(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("group", "seed", "tol"))
+@_check("fourier", reads=("group", "seed", "tol"))
 def _check_convolution(ctx: VerifyContext):
     rng = ctx.rng(3)
     G = ctx.group
@@ -318,7 +329,7 @@ def _check_convolution(ctx: VerifyContext):
     ]
 
 
-@_check(reads=("group", "seed", "tol"))
+@_check("fourier", reads=("group", "seed", "tol"))
 def _check_subgroup_transform(ctx: VerifyContext):
     out = []
     G = ctx.group
@@ -368,7 +379,7 @@ def _check_subgroup_transform(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("group", "seed", "tol"))
+@_check("fourier", reads=("group", "seed", "tol"))
 def _check_character_bijection(ctx: VerifyContext):
     G = ctx.group
     rows = {tuple(np.round(G.chi[G.mul[a]], 9)) for a in range(G.q)}
@@ -383,7 +394,7 @@ def _check_character_bijection(ctx: VerifyContext):
     ]
 
 
-@_check(reads=("graph", "order", "seed", "tol", "cap"))
+@_check("fourier", reads=("graph", "order", "seed", "tol", "cap"))
 def _check_orthogonal_invariance(ctx: VerifyContext):
     g = ctx.graph
     G = ctx.group
@@ -421,20 +432,11 @@ def _orthogonal_draws(q: int, seed: int) -> tuple[np.ndarray, ...]:
     return Us
 
 
-FOURIER_CHECKS = [
-    _check_unitarity,
-    _check_involution,
-    _check_convolution,
-    _check_subgroup_transform,
-    _check_character_bijection,
-    _check_orthogonal_invariance,
-]
-
 
 # ---------------------------------------------------------------- duality
 
 
-@_check(needs=("flow_compositions", "tutte"))
+@_check("duality", needs=("flow_compositions", "tutte"))
 def _check_hwe_tutte(ctx: VerifyContext):
     out = []
     q = ctx.group.q
@@ -447,7 +449,7 @@ def _check_hwe_tutte(ctx: VerifyContext):
     return out
 
 
-@_check(needs=("tension_compositions", "tutte"))
+@_check("duality", needs=("tension_compositions", "tutte"))
 def _check_monochrome(ctx: VerifyContext):
     out = []
     q = ctx.group.q
@@ -463,7 +465,7 @@ def _check_monochrome(ctx: VerifyContext):
     return out
 
 
-@_check(needs=("flow_compositions", "tension_compositions"))
+@_check("duality", needs=("flow_compositions", "tension_compositions"))
 def _check_macwilliams(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -486,6 +488,7 @@ def _check_macwilliams(ctx: VerifyContext):
     return out
 
 
+@_check("duality")
 def _check_general_duality(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -508,7 +511,7 @@ def _check_general_duality(ctx: VerifyContext):
     return out
 
 
-@_check(needs=("flow_compositions", "tension_compositions"))
+@_check("duality", needs=("flow_compositions", "tension_compositions"))
 def _check_flow_cwe_routes(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -543,7 +546,7 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap", "order"))
+@_check("duality", reads=("graph", "tol", "cap", "order"))
 def _check_tutte_edge_model(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -559,7 +562,7 @@ def _check_tutte_edge_model(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap", "order"), applies=_cubic, needs=("tutte",))
+@_check("duality", reads=("graph", "tol", "cap", "order"), applies=_cubic, needs=("tutte",))
 def _check_cubic_flow_model(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -570,7 +573,7 @@ def _check_cubic_flow_model(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap"), applies=_cubic, needs=("tutte",))
+@_check("duality", reads=("graph", "tol", "cap"), applies=_cubic, needs=("tutte",))
 def _check_gf4_identity(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -582,7 +585,7 @@ def _check_gf4_identity(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap", "order", "seed"))
+@_check("duality", reads=("graph", "tol", "cap", "order", "seed"))
 def _check_spectral(ctx: VerifyContext):
     g = ctx.graph
     G = ctx.group
@@ -631,6 +634,7 @@ def _spectral_draws(q: int, seed: int):
     return records, gm, fv
 
 
+@_check("duality")
 def _check_xq(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -675,24 +679,11 @@ def _check_xq(ctx: VerifyContext):
     return out
 
 
-DUALITY_CHECKS = [
-    _check_hwe_tutte,
-    _check_monochrome,
-    _check_macwilliams,
-    _check_general_duality,
-    _check_flow_cwe_routes,
-    _check_tutte_edge_model,
-    _check_cubic_flow_model,
-    _check_gf4_identity,
-    _check_spectral,
-    _check_xq,
-]
-
 
 # ---------------------------------------------------------------- signed
 
 
-@_check(reads=())
+@_check("signed", reads=())
 def _check_character_det(ctx: VerifyContext):
     out = []
     worst = 0.0
@@ -705,7 +696,7 @@ def _check_character_det(ctx: VerifyContext):
     return out
 
 
-@_check(reads=())
+@_check("signed", reads=())
 def _check_parity_transforms(ctx: VerifyContext):
     out = []
     for k, q in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5)):
@@ -739,7 +730,7 @@ def _check_parity_transforms(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap"), applies=_regular)
+@_check("signed", reads=("graph", "tol", "cap"), applies=_regular)
 def _check_zero_sum_chain(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -785,7 +776,7 @@ def _check_zero_sum_chain(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap"), applies=_regular)
+@_check("signed", reads=("graph", "tol", "cap"), applies=_regular)
 def _check_sine_and_kplus1(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -817,7 +808,7 @@ def _check_sine_and_kplus1(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap"), applies=_cubic_pfaffian, needs=("tutte",))
+@_check("signed", reads=("graph", "tol", "cap"), applies=_cubic_pfaffian, needs=("tutte",))
 def _check_even_odd_proper4(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -832,7 +823,7 @@ def _check_even_odd_proper4(ctx: VerifyContext):
     return out
 
 
-@_check(reads=("graph", "tol", "cap"), applies=_regular)
+@_check("signed", reads=("graph", "tol", "cap"), applies=_regular)
 def _check_rotation_covariance(ctx: VerifyContext):
     out = []
     g = ctx.graph
@@ -849,22 +840,6 @@ def _check_rotation_covariance(ctx: VerifyContext):
     )
     return out
 
-
-SIGNED_CHECKS = [
-    _check_character_det,
-    _check_parity_transforms,
-    _check_zero_sum_chain,
-    _check_sine_and_kplus1,
-    _check_even_odd_proper4,
-    _check_rotation_covariance,
-]
-
-
-SUITES = {
-    "fourier": FOURIER_CHECKS,
-    "duality": DUALITY_CHECKS,
-    "signed": SIGNED_CHECKS,
-}
 
 
 def run_battery(

@@ -188,6 +188,15 @@ def test_cli_chromatic(corpus_files, capsys):
     assert capsys.readouterr().out.strip() == "6"
 
 
+def test_cli_counts_at_nonpositive_q(corpus_files, capsys):
+    path, _ = corpus_files["triangle"]
+    assert main(["chromatic", "--graph", path, "--q", "-1"]) == 0
+    assert capsys.readouterr().out.strip() == "-6"
+    path, _ = corpus_files["k4"]
+    assert main(["flow", "--graph", path, "--q", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "-6"
+
+
 def test_cli_sine_model(corpus_files, capsys):
     path, _ = corpus_files["k4"]
     assert main(["sine-model", "--graph", path, "--q", "4", "--k", "3"]) == 0
@@ -561,6 +570,70 @@ def test_verify_suite_counts_guard():
     assert len(SUITES) == 3 and all(SUITES.values())
 
 
+SUITE_CHECKS = {
+    "fourier": [
+        "unitarity",
+        "involution",
+        "convolution",
+        "subgroup_transform",
+        "character_bijection",
+        "orthogonal_invariance",
+    ],
+    "duality": [
+        "hwe_tutte",
+        "monochrome",
+        "macwilliams",
+        "general_duality",
+        "flow_cwe_routes",
+        "tutte_edge_model",
+        "cubic_flow_model",
+        "gf4_identity",
+        "spectral",
+        "xq",
+    ],
+    "signed": [
+        "character_det",
+        "parity_transforms",
+        "zero_sum_chain",
+        "sine_and_kplus1",
+        "even_odd_proper4",
+        "rotation_covariance",
+    ],
+}
+
+
+def test_suites_hold_every_declared_check_in_order():
+    import qcolour.verify as verify_mod
+
+    names = {
+        suite: [fn.__name__.removeprefix("_check_") for fn in fns]
+        for suite, fns in SUITES.items()
+    }
+    assert names == SUITE_CHECKS
+    # each entry is the module's own check, as its ``@_check`` line made it
+    for fns in SUITES.values():
+        for fn in fns:
+            assert getattr(verify_mod, fn.__name__) is fn
+
+
+def test_a_declared_check_runs_in_its_suite(monkeypatch):
+    import qcolour.verify as verify_mod
+
+    monkeypatch.setitem(SUITES, "signed", list(SUITES["signed"]))
+
+    @verify_mod._check("signed", applies=lambda ctx: ctx.group.q == 3)
+    def _check_probe(ctx):
+        return [verify_mod._record("probe", "probe", 1, 1, 0)]
+
+    assert SUITES["signed"][-1] is _check_probe
+    names = [rec.name for rec in run_battery(CORPUS["theta"], cyclic_group(3), ("signed",))]
+    assert names[-1] == "probe"
+    names = [rec.name for rec in run_battery(CORPUS["theta"], cyclic_group(2), ("signed",))]
+    assert "probe" not in names
+    with pytest.raises(KeyError):
+        verify_mod._check("nosuch")
+
+
 def test_verify_detects_failure(monkeypatch, corpus_files, capsys):
     # sabotage one oracle so the battery must report a failure and exit
     # nonzero: the zero tension counted twice.  No check that shares its
@@ -745,9 +818,10 @@ def test_shared_records_are_evicted_past_the_cache_size(monkeypatch):
     import qcolour.verify as verify_mod
 
     monkeypatch.setattr(verify_mod, "_SHARED_CACHE_SIZE", 2)
+    monkeypatch.setitem(SUITES, "signed", [])
     runs = []
 
-    @verify_mod._check(reads=("tol",))
+    @verify_mod._check("signed", reads=("tol",))
     def _check_probe(ctx):
         runs.append(ctx.tol)
         return [ctx.tol]
@@ -934,6 +1008,39 @@ def test_signed_suite_on_k5_pins_the_vanishing_zero_sum_side():
     assert len(records) == 13 and all(rec.passed is True for rec in records)
     (zero_sum,) = [r for r in records if r.name == "sign.zero-sum-vs-monochrome-transform"]
     assert zero_sum.rhs == "0"
+
+
+def test_orthogonal_check_is_priced_at_its_transforms(tmp_path, capsys, address_space_cap):
+    # one vertex with five loops at q=5: the stack of the 5^10 table and its
+    # change by each of the five U costs (1 + 5 * 10 * 5) * 5^10 multiply-adds
+    path = tmp_path / "loops.g"
+    path.write_text(serialize_graph(GraphDocument(Multigraph(1, ((0, 0),) * 5))))
+    assert main(["verify", "--graph", str(path), "--q", "5", "--suite", "fourier"]) == 0
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    (skip,) = [rec for rec in records if rec["pass"] is None]
+    assert (skip["name"], skip["lhs"], skip["rhs"]) == (
+        "skip.orthogonal_invariance",
+        str(251 * 5**10),
+        str(10**8),
+    )
+    assert err.strip() == "13 checks: 12 passed, 0 failed, 1 skipped"
+
+
+def test_orthogonal_check_runs_at_its_price():
+    from qcolour.enumeration import TermCapExceeded
+    from qcolour.models import VertexWeights, orthogonal_invariance_check
+    from qcolour.groups import random_orthogonal
+
+    # one vertex with three loops at q=3 and five U: (1 + 5 * 6 * 3) * 3^6
+    g = Multigraph(1, ((0, 0),) * 3)
+    weights = VertexWeights.uniform(cyclic_group(3))
+    Us = [random_orthogonal(3, i) for i in range(5)]
+    cost = 91 * 3**6
+    assert orthogonal_invariance_check(g, weights, Us, max_terms=cost) == (True,) * 5
+    with pytest.raises(TermCapExceeded) as err:
+        orthogonal_invariance_check(g, weights, Us, max_terms=cost - 1)
+    assert err.value.estimate == cost
 
 
 def test_bundle_skips_and_refuses_within_the_address_space(

@@ -184,6 +184,18 @@ def test_chromatic_examples():
     assert chromatic(graph_of("single_loop"), 5) == 0
 
 
+def test_tutte_route_counts_at_nonpositive_q():
+    # no colourings or flows to list at q <= 0, so no cross-check; the
+    # polynomials still have values there: P(G; -1) = (-1)^|V| times the
+    # number of acyclic orientations (Stanley), 4! for K4
+    assert chromatic(graph_of("k4"), -1) == 24
+    assert chromatic(graph_of("triangle"), -1) == -6
+    assert chromatic(graph_of("triangle"), 0) == 0
+    # F(K4; q) = (q - 1)(q - 2)(q - 3)
+    assert flow_polynomial(graph_of("k4"), 0) == -6
+    assert flow_polynomial(graph_of("k4"), -1) == -24
+
+
 def test_enumerate_flows_examples():
     Z3 = cyclic_group(3)
     assert len(enumerate_flows(graph_of("single_loop"), Z3)) == 3

@@ -678,3 +678,32 @@ def test_q_power_builders_peak_within_twice_their_table(build):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * table.nbytes
+
+
+def test_split_edge_table_peaks_within_three_tables(monkeypatch):
+    # the edge side of the split builds its vertex table one colour at a
+    # time, not as a stack of the q colours' products
+    from qcolour import duality
+
+    tables, real_sum = [], duality.edge_table_sum
+
+    def edge_table_sum(g, q, vertex_tables, *args, **kwargs):
+        tables.extend(vertex_tables)
+        return real_sum(g, q, vertex_tables, *args, **kwargs)
+
+    monkeypatch.setattr(duality, "edge_table_sum", edge_table_sum)
+    G = cyclic_group(7)
+    bundle = Multigraph(2, ((0, 1),) * 6)
+    gv = np.random.default_rng(0).standard_normal(7)
+    want = duality.flow_cwe_edge_model(bundle, G, gv).value
+    coords = np.indices((7,) * 6, sparse=True)
+    tracemalloc.start()
+    try:
+        table = tables[0](*coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (7,) * 6
+    assert peak <= 3 * table.nbytes
+    # the two vertices read one table on the bundle's edges
+    assert_close(np.sum(table * table) * 7.0**-2, want)
