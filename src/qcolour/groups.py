@@ -252,11 +252,11 @@ def zero_sum_indicator(group: Group, arity: int) -> QFunction:
     return QFunction(group, arity, np.ravel(total == 0))
 
 
-def orthogonal_submodule(C: QFunction, max_scan: int = 1 << 20) -> QFunction:
-    """Indicator of C-perp = {a : a . c = 0 for all c in C} (ring dot product)."""
+def orthogonal_submodule(C: QFunction) -> QFunction:
+    """Indicator of C-perp = {a : a . c = 0 for all c in C} (ring dot
+    product): |C| scans of the q^d entries, which its callers price, as
+    they price ``transform``."""
     group, d = C.group, C.arity
-    if group.q**d > max_scan:
-        raise ValueError(f"scan size {group.q**d} exceeds cap {max_scan}")
     a = np.indices((group.q,) * d, sparse=True)
     perp = np.ones((group.q,) * d, dtype=bool)
     for c in C.support():

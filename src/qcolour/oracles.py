@@ -56,6 +56,8 @@ __all__ = [
     "tutte_terms",
     "flow_terms",
     "tension_terms",
+    "flow_composition_terms",
+    "tension_composition_terms",
     "flow_polynomial",
     "flow_count",
     "chromatic",
@@ -161,6 +163,23 @@ def flow_terms(g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS) -> int
 def tension_terms(g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS) -> int:
     """The q^r(E) tensions listed, as ``flow_terms``."""
     return count_terms(q, rank(g), max_terms)
+
+
+def flow_composition_terms(
+    g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS
+) -> int:
+    """The q^(|E|-r(E)+1) colour counts, q per flow, that
+    ``flow_compositions`` fills, raising TermCapExceeded, as it does before
+    it lists any flow, over max_terms."""
+    return count_terms(q, g.num_edges - rank(g) + 1, max_terms)
+
+
+def tension_composition_terms(
+    g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS
+) -> int:
+    """The q^(r(E)+1) colour counts of the tensions, as
+    ``flow_composition_terms``."""
+    return count_terms(q, rank(g) + 1, max_terms)
 
 
 def tutte(g: Multigraph, max_terms: int = DEFAULT_MAX_TERMS) -> TuttePolynomial:
@@ -435,7 +454,10 @@ def flow_compositions(
 ) -> CompositionHistogram:
     """The composition histogram of the flows under ``orient`` (the
     default orientation when None), grouped block by block as they are
-    listed, never concatenated or sorted."""
+    listed, never concatenated or sorted.  Grouping counts each flow's q
+    colours, so the q^(|E|-r(E)+1) counts, not the flows, are held to
+    max_terms (``flow_composition_terms``)."""
+    flow_composition_terms(g, group.q, max_terms)
     orient = orient or default_orientation(g)
     return CompositionHistogram.merged(
         CompositionHistogram.of_rows(Y, group.q)
@@ -449,7 +471,9 @@ def tension_compositions(
     orient: Orientation | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> CompositionHistogram:
-    """The composition histogram of the tensions, as ``flow_compositions``."""
+    """The composition histogram of the tensions, as ``flow_compositions``,
+    held to max_terms at ``tension_composition_terms``."""
+    tension_composition_terms(g, group.q, max_terms)
     orient = orient or default_orientation(g)
     return CompositionHistogram.merged(
         CompositionHistogram.of_rows(Y, group.q)

@@ -4,15 +4,15 @@ Every identity the package implements is checked here against its
 independent route (brute-force oracle, dual expansion, or closed form) and
 reported as one machine-readable record per check.  Checks are grouped into
 three suites.  A check declares in its one ``@_check`` line, and nowhere
-else, its suite, when it applies, which oracle quantities it needs and, if
+else, its suite, when it applies, which quantities it needs priced and, if
 it shares its records, what it reads of its context; a suite runs its
 checks in the order they are defined.  A check runs when the structural
 precondition of its identity holds (regularity, Pfaffian assertion); the
-only cost gate is the term cap of each sum or oracle it calls, and a check
-over that cap leaves a skip record rather than nothing.  A check refuses
-every quantity it needs before it builds any, and a model sum is priced
-before any of its tables is built, so a skip costs no listing and no
-allocation.
+only cost gate is the term cap, held to each sum or oracle it calls and to
+the q x q matrix work it declares, and a check over that cap leaves a skip
+record rather than nothing.  A check refuses every quantity it needs
+before it builds any, and a model sum is priced before any of its tables
+is built, so a skip costs no listing and no allocation.
 
 A check that draws several random weights passes them to each model as one
 stack, so every model is contracted once per check, not once per draw.  A
@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import duality, oracles, signed
-from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
+from .enumeration import DEFAULT_MAX_TERMS, TermCapExceeded, count_terms
 from .graphio import GraphDocument
 from .groups import (
     Group,
@@ -83,7 +83,7 @@ class CheckRecord:
 
 def _fmt(x) -> str:
     if isinstance(x, complex):
-        if abs(x.imag) < 1e-12:
+        if abs(x.imag) < 1e-12 * max(1.0, abs(x)):
             x = x.real
         else:
             return f"{x.real:.12g}{x.imag:+.12g}j"
@@ -193,13 +193,16 @@ _READS = {
     "cap": lambda ctx: ctx.max_terms,
 }
 
-# for each oracle quantity of the context that a check may declare in
-# ``needs``, the count that its oracle holds to the cap before it starts,
-# as a function of the graph, the group's order and the cap
+# for each quantity that a check may declare in ``needs``, the count held
+# to the cap before the check starts, as a function of the graph, the
+# group's order and the cap: each oracle quantity of the context at what
+# its oracle fills, and "basis" at the q^3 multiply-adds of a change of
+# basis, a draw or a split of a q x q matrix, work that no sum prices
 _NEEDS = {
     "tutte": lambda g, q, cap: oracles.tutte_terms(g, cap),
-    "flow_compositions": oracles.flow_terms,
-    "tension_compositions": oracles.tension_terms,
+    "flow_compositions": oracles.flow_composition_terms,
+    "tension_compositions": oracles.tension_composition_terms,
+    "basis": lambda g, q, cap: count_terms(q, 3, cap),
 }
 
 
@@ -211,8 +214,8 @@ def _check(suite, reads=None, applies=None, needs=()):
     """Declare a check: this one line is all the battery knows of it.  The
     check runs in ``suite`` (a key of ``SUITES``), after the checks defined
     before it.  Where the precondition ``applies(ctx)`` fails, the check
-    returns no record.  Before it runs, the first of the oracle quantities
-    it ``needs`` (keys of ``_NEEDS``) that is over its cap raises
+    returns no record.  Before it runs, the first of the quantities it
+    ``needs`` (keys of ``_NEEDS``) that is over its cap raises
     TermCapExceeded.  A check that reads only the fields ``reads`` (keys of
     ``_READS``) shares its records between the calls that agree on them,
     while they are among the last ``_SHARED_CACHE_SIZE`` keys used; a check
@@ -267,7 +270,7 @@ def _regular(ctx: VerifyContext) -> bool:
 # ---------------------------------------------------------------- fourier
 
 
-@_check("fourier", reads=("group", "seed", "tol"))
+@_check("fourier", reads=("group", "seed", "tol", "cap"), needs=("basis",))
 def _check_unitarity(ctx: VerifyContext):
     out = []
     rng = ctx.rng(1)
@@ -281,7 +284,7 @@ def _check_unitarity(ctx: VerifyContext):
     return out
 
 
-@_check("fourier", reads=("group", "seed", "tol"))
+@_check("fourier", reads=("group", "seed", "tol", "cap"), needs=("basis",))
 def _check_involution(ctx: VerifyContext):
     out = []
     rng = ctx.rng(2)
@@ -329,7 +332,7 @@ def _check_convolution(ctx: VerifyContext):
     ]
 
 
-@_check("fourier", reads=("group", "seed", "tol"))
+@_check("fourier", reads=("group", "seed", "tol", "cap"), needs=("basis",))
 def _check_subgroup_transform(ctx: VerifyContext):
     out = []
     G = ctx.group
@@ -394,7 +397,7 @@ def _check_character_bijection(ctx: VerifyContext):
     ]
 
 
-@_check("fourier", reads=("graph", "order", "seed", "tol", "cap"))
+@_check("fourier", reads=("graph", "order", "seed", "tol", "cap"), needs=("basis",))
 def _check_orthogonal_invariance(ctx: VerifyContext):
     g = ctx.graph
     G = ctx.group
@@ -585,7 +588,7 @@ def _check_gf4_identity(ctx: VerifyContext):
     return out
 
 
-@_check("duality", reads=("graph", "tol", "cap", "order", "seed"))
+@_check("duality", reads=("graph", "tol", "cap", "order", "seed"), needs=("basis",))
 def _check_spectral(ctx: VerifyContext):
     g = ctx.graph
     G = ctx.group
@@ -647,7 +650,8 @@ def _check_xq(ctx: VerifyContext):
     # symmetric edge model's, then each principal specialization's
     svecs, tvecs = [s, s], [t, tsym]
     principal = G.flavour == "cyclic" and len(G.factors) == 1
-    specs = ((3.0, 2.0), (1.0, 3.0)) if principal else ()
+    # s0 = 0.5 is no root of unity, and its powers stay in float range
+    specs = ((0.5, 2.0), (1.0, 3.0)) if principal else ()
     for s0, t0 in specs:
         svecs.append(np.array([s0**a for a in range(G.q)], dtype=complex))
         tvec = np.ones(G.q, dtype=complex)

@@ -756,18 +756,63 @@ def test_checks_refuse_every_oracle_quantity_before_building_any(monkeypatch):
         records = run_battery(doc, cyclic_group(3), ("duality",), max_terms=max_terms)
         return {rec.name: rec.lhs for rec in records if rec.passed is None}
 
-    # 3^4 flows fit under 100; the 3^5 tensions and the Tutte pass's 2^9
-    # subsets do not, so every check that reads the flows skips unbuilt
+    # a histogram is priced at its rows times the q colours it counts:
+    # 3^4 flows fill 3^5 counts and 3^5 tensions 3^6.  Past several caps,
+    # the record names the first quantity declared
     over = skips(100)
     assert calls == []
+    assert over["skip.hwe_tutte"] == "243"
+    assert over["skip.monochrome"] == "729"
+    assert over["skip.macwilliams"] == over["skip.flow_cwe_routes"] == "243"
+    # the flows' 3^5 counts fit under 300; the tensions' 3^6 and the Tutte
+    # pass's 2^9 subsets do not, so every check that reads the flows skips
+    # unbuilt
+    over = skips(300)
     assert over["skip.hwe_tutte"] == "512"
-    assert over["skip.monochrome"] == over["skip.macwilliams"] == "243"
-    assert over["skip.flow_cwe_routes"] == "243"
-    # past several caps, the record names the first quantity declared
-    over = skips(50)
-    assert over["skip.hwe_tutte"] == over["skip.macwilliams"] == "81"
-    assert over["skip.monochrome"] == "243"
+    assert over["skip.monochrome"] == over["skip.macwilliams"] == "729"
+    assert over["skip.flow_cwe_routes"] == "729"
     assert calls == []
+
+
+def test_checks_of_q_cubed_work_skip_at_the_term_cap():
+    # q^2 = 1,600 fits under the cap and q^3 = 64,000 does not: the five
+    # checks that change basis, draw or split q x q matrices skip, and the
+    # group's own q^2 checks still run
+    records = run_battery(CORPUS["single_edge"], cyclic_group(40), max_terms=10**4)
+    skipped = {rec.name: (rec.lhs, rec.rhs) for rec in records if rec.passed is None}
+    basis = (
+        "unitarity",
+        "involution",
+        "subgroup_transform",
+        "orthogonal_invariance",
+        "spectral",
+    )
+    assert skipped == {f"skip.{name}": ("64000", "10000") for name in basis}
+    names = {rec.name for rec in records if rec.passed}
+    assert "fourier.product-to-convolution" in names
+    assert "fourier.generating-character-bijection" in names
+    assert all(rec.passed is not False for rec in records)
+
+
+def test_xq_principal_specialization_stays_in_float_range():
+    import qcolour.verify as verify_mod
+
+    # the generic point's powers s0^a, a < q, stay finite at large q
+    ctx = verify_mod.VerifyContext(CORPUS["triangle"], cyclic_group(300), 1e-7, 10**8, 0)
+    records = verify_mod._check_xq(ctx)
+    assert [rec.name for rec in records][2:] == [
+        "xq.principal-specialization.s0.5",
+        "xq.principal-specialization.s1",
+    ]
+    assert all(rec.passed for rec in records)
+
+
+def test_fmt_drops_imaginary_parts_below_relative_round_off():
+    from qcolour.verify import _fmt
+
+    assert _fmt(complex(6115849220, 2.9e-06)) == "6115849220"
+    assert _fmt(1 + 1e-06j) == "1+1e-06j"
+    assert _fmt(complex(2.5, 1e-13)) == "2.5"
 
 
 def test_orthogonal_invariance_draws_each_table_within_the_cap(monkeypatch):

@@ -232,12 +232,6 @@ def test_orthogonal_submodule_examples():
     assert np.allclose(orthogonal_submodule(full).values, zero.values)
 
 
-def test_orthogonal_submodule_cap():
-    Z4 = cyclic_group(4)
-    with pytest.raises(ValueError):
-        orthogonal_submodule(monochrome_indicator(Z4, 2), max_scan=3)
-
-
 def test_transform_by_examples():
     Z3 = cyclic_group(3)
     rng = np.random.default_rng(1)
