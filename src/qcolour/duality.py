@@ -6,7 +6,8 @@ hyperbola edge model, spectral conversion of symmetric vertex models to
 edge models, the two-variable boundary generating function and its
 principal specialization, and the GF(4) flow identity for cubic graphs.
 The duality's coboundary side ``tension_vertex_sum`` is a vertex table sum;
-its boundary side ``boundary_edge_sum`` is the one sum here with own factors.
+its boundary side ``boundary_edge_sum`` and the split's edge side are the
+sums here with own factors.
 
 Six of the models rest on one split (the relationship behind Szegedy's
 edge-colouring result): a vertex model whose edge interaction factors as
@@ -14,7 +15,11 @@ g = h h^T equals the edge model whose vertex weight is
 sum_a f(a) prod over half-edges of h(a, y_e).  ``_split_vertex_sum`` is its
 vertex side (f uniform) and ``_split_edge_sum`` its edge side; the flow and
 tension weight-enumerator routes, the Tutte, spectral and X_Q edge models
-only choose f, h and a prefactor.
+only choose f, h and a prefactor.  The edge side gives each vertex's colour
+a a label of its own, read by f and by h at each half-edge, so the plan
+prices the sum over a with the rest.  It usually sums each edge colour
+first, against the colours a of its two ends: that contraction is the
+vertex side's h h^T.
 
 The sums take stacked weights: a weight vector or matrix with one leading
 axis more than it needs holds one weight per batch entry, and the sum
@@ -169,37 +174,20 @@ def _split_edge_sum(
     g: Multigraph, f: np.ndarray, h: np.ndarray, max_terms: int
 ) -> ModelValue:
     """Edge side of the split: sum_y prod_v sum_a f[a] prod over half-edges
-    at v of h[a, y_e], over the q colours of h's (q, q) last axes, with one
-    vertex table function for all vertices, called only once the sum is
-    priced.  f and h may carry leading batch axes, which broadcast; with no
-    vertices each sum is 1."""
-    q = h.shape[-1]
+    at v of h[a, y_e], over the q colours of h's (q, q) last axes.  Each
+    vertex v has a label a_v after the edge labels, read by f on (a_v,) and
+    by h on (a_v, e) at each of its half-edges, so ``eliminate`` plans and
+    prices the sum over a with the rest.  f and h may carry leading batch
+    axes, which broadcast; with no vertices each sum is 1."""
     fb, hb = f.shape[:-1], h.shape[:-2]
     batch = np.broadcast_shapes(fb, hb) if fb and hb else fb or hb
-
-    fq = np.moveaxis(f.astype(np.complex128), -1, 0)  # fq[a] is f[..., a]
-    hq = np.moveaxis(h, -2, 0)  # hq[a] is h[..., a, :]
-
-    def table(*coords):
-        # f[..., a] prod_i h[..., a, c_i], one colour a at a time and added
-        # in the order of a, so it holds two tables, not q; each product
-        # grows over the sparse coordinates, and only its last factor makes
-        # a whole table, written into one buffer
-        grid = np.broadcast_shapes(*map(np.shape, coords))
-        fs = fq.reshape(fq.shape + (1,) * len(grid))
-        hs = [hq[..., c] for c in coords]  # hs[i][a] is h[..., a, c_i]
-        total = np.zeros(batch + grid, np.complex128)
-        term = np.empty_like(total)
-        for a in range(q):
-            part = fs[a]
-            for hc in hs[:-1]:
-                part = part * hc[a]
-            if hs:
-                part = np.multiply(part, hs[-1][a], out=term)
-            total += part
-        return total
-
-    return edge_table_sum(g, q, [table] * g.num_vertices, max_terms=max_terms).broadcast(batch)
+    factors = []
+    for v in range(g.num_vertices):
+        a = g.num_edges + v
+        factors.append((f, (a,)))
+        factors += [(h, (a, e)) for e, _end in g.halfedges_at(v)]
+    length = g.num_edges + g.num_vertices
+    return factor_sum(h.shape[-1], length, factors, max_terms).broadcast(batch)
 
 
 def flow_cwe_vertex_model(

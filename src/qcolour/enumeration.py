@@ -1,8 +1,7 @@
 """Term caps, and chunked exhaustive enumeration over colouring spaces.
 
 ``count_terms`` caps the radix^length configurations that the oracles
-list, and the whole q^degree tables of the orthogonal-invariance check; a
-model sum caps the planned cost of its contraction alone
+list; a model sum caps the planned cost of its contraction alone
 (``models.eliminate``), and ``signed.factorization_sign_sum`` the rows of
 each step of its frontier.  Configurations of
 range(radix)^length are produced in mixed-radix ascending order (first

@@ -34,7 +34,6 @@ __all__ = [
     "gf4",
     "group_from_name",
     "fourier",
-    "inverse_fourier",
     "negate",
     "convolve",
     "pointwise",
@@ -209,10 +208,6 @@ def transform_by(f: QFunction, U: np.ndarray) -> QFunction:
 
 def fourier(f: QFunction) -> QFunction:
     return transform_by(f, f.group.fourier_matrix())
-
-
-def inverse_fourier(f: QFunction) -> QFunction:
-    return transform_by(f, f.group.fourier_matrix().conj())
 
 
 def negate(f: QFunction) -> QFunction:

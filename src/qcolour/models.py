@@ -14,8 +14,13 @@ batch, the rule that ``groups.transform`` and the weight tables of every
 builder follow, so several sums that differ only in their tables run as
 one contraction, at the plan and cap of one: the batch rides on the
 ``...`` that starts every subscript list.
-``edge_table_sum``, ``vertex_table_sum`` and ``duality.boundary_edge_sum``
-are the only callers of ``factor_sum``; the other models supply tables.
+``edge_table_sum``, ``vertex_table_sum``, ``duality.boundary_edge_sum``,
+the split's edge side (``duality._split_edge_sum``) and
+``orthogonal_invariance_check`` call ``factor_sum``; the other models
+supply tables.  A (q, q) matrix on a half-edge, the h of a split g = h h^T
+or an orthogonal change of basis U, is a factor of its own on the
+half-edge's edge label and one more label, so the plan prices it with the
+rest and no transformed q^degree table is built.
 Each table is read on the grid of its factor's distinct labels, a loop's
 two axes at one coordinate, so no table outgrows the plan.  One that grows
 as radix^degree is handed over unbuilt, as a function of one coordinate
@@ -131,15 +136,6 @@ class VertexWeights:
     @classmethod
     def from_tuple_function(cls, group: Group, fn) -> "VertexWeights":
         return cls.per_arity(group, lambda d: QFunction.from_function(group, d, fn).as_tensor())
-
-    @classmethod
-    def from_tables(cls, group: Group, tables: dict[int, np.ndarray]) -> "VertexWeights":
-        def table_of(d):
-            if d not in tables:
-                raise ValueError(f"no vertex weight for arity {d}")
-            return tables[d]
-
-        return cls.per_arity(group, table_of)
 
     @classmethod
     def perfect_matching(cls, group: Group) -> "VertexWeights":
@@ -425,10 +421,13 @@ def orthogonal_invariance_check(
     and the monochrome pairing is invariant under that orthogonal change of
     the vertex weights.  Each test applies every U at once; the unchanged
     weights and those of every U that passes the first test are paired in
-    one batched contraction, and only if some U passes; each weight table is
-    built only once that pairing is priced.  A vertex of degree d is priced
-    at the multiply-adds of its stack, q^d for the table and d q^(d+1) for
-    each U's change of it, and refused over the cap."""
+    one batched sum, and only if some U passes.  The change of basis is a
+    factor of that sum: each half-edge h of edge e has its own label x_h,
+    the weights read the labels of their vertex's half-edges, and the stack
+    of the identity and the kept U sits on (y_e, x_h), so that entry b sums
+    prod_v w_v(x) prod_h U_b[y_e, x_h] over x and y.  ``eliminate`` plans,
+    prices and runs it, and reads each weight table only once it is
+    priced."""
     group = weights.group
     mono = monochrome_indicator(group, 2)
     Us = np.asarray(Us).reshape(-1, group.q, group.q)
@@ -438,17 +437,16 @@ def orthogonal_invariance_check(
     if not any(fixed):
         return tuple(fixed)
     kept = Us[fixed]
-
-    def stacked_table(d):
-        # the unchanged table and its change by each U, whole at q^d entries
-        cost = (1 + len(kept) * d * group.q) * group.q**d
-        if cost > max_terms:
-            raise TermCapExceeded(cost, max_terms)
-        table = weights.table(d)
-        return np.concatenate([table[None], transform(kept, table, d)])
-
-    stacked = VertexWeights.per_arity(group, stacked_table)
-    mv = halfedge_inner(g, stacked, mono, max_terms=max_terms)
+    stack = np.concatenate([np.eye(group.q)[None], kept])
+    # half-edge labels follow the edge labels, numbered in vertex order
+    factors, length = [], g.num_edges
+    for v in range(g.num_vertices):
+        edges = [e for e, _end in g.halfedges_at(v)]
+        labels = range(length, length + len(edges))
+        factors.append((weights.fn, labels))
+        factors += [(stack, (e, x)) for e, x in zip(edges, labels)]
+        length += len(edges)
+    mv = factor_sum(group.q, length, factors, max_terms)
     # with no vertices no table carries the batch, and all pair alike
     lhs, *rhs = mv.broadcast((len(kept) + 1,)).value
     rhs = iter(rhs)

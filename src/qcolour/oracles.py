@@ -446,6 +446,22 @@ class CompositionHistogram:
         return complex(re / scale, im / scale) if is_complex else re / scale
 
 
+def _streamed_histogram(blocks, q: int) -> CompositionHistogram:
+    """The composition histogram of the blocks' rows, merged as they
+    stream: the blocks grouped since the last merge join the histogram once
+    they hold as many compositions as it does, so what waits never
+    outgrows the histogram by more than one block.  A single block's
+    histogram is returned as it is."""
+    parts = (CompositionHistogram.of_rows(Y, q) for Y in blocks)
+    hist, waiting, held = next(parts), [], 0
+    for part in parts:
+        waiting.append(part)
+        held += len(part.comps)
+        if held >= len(hist.comps):
+            hist, waiting, held = CompositionHistogram.merged([hist, *waiting]), [], 0
+    return CompositionHistogram.merged([hist, *waiting]) if waiting else hist
+
+
 def flow_compositions(
     g: Multigraph,
     group: Group,
@@ -454,15 +470,12 @@ def flow_compositions(
 ) -> CompositionHistogram:
     """The composition histogram of the flows under ``orient`` (the
     default orientation when None), grouped block by block as they are
-    listed, never concatenated or sorted.  Grouping counts each flow's q
-    colours, so the q^(|E|-r(E)+1) counts, not the flows, are held to
-    max_terms (``flow_composition_terms``)."""
+    listed and merged as they stream, never concatenated or sorted.
+    Grouping counts each flow's q colours, so the q^(|E|-r(E)+1) counts,
+    not the flows, are held to max_terms (``flow_composition_terms``)."""
     flow_composition_terms(g, group.q, max_terms)
     orient = orient or default_orientation(g)
-    return CompositionHistogram.merged(
-        CompositionHistogram.of_rows(Y, group.q)
-        for Y in _flow_blocks(g, group, orient, max_terms)
-    )
+    return _streamed_histogram(_flow_blocks(g, group, orient, max_terms), group.q)
 
 
 def tension_compositions(
@@ -475,10 +488,7 @@ def tension_compositions(
     held to max_terms at ``tension_composition_terms``."""
     tension_composition_terms(g, group.q, max_terms)
     orient = orient or default_orientation(g)
-    return CompositionHistogram.merged(
-        CompositionHistogram.of_rows(Y, group.q)
-        for Y in _tension_blocks(g, group, orient, max_terms)
-    )
+    return _streamed_histogram(_tension_blocks(g, group, orient, max_terms), group.q)
 
 
 def flow_count(g: Multigraph, group: Group, max_terms: int = DEFAULT_MAX_TERMS) -> int:

@@ -797,8 +797,11 @@ def test_checks_of_q_cubed_work_skip_at_the_term_cap():
 def test_xq_principal_specialization_stays_in_float_range():
     import qcolour.verify as verify_mod
 
-    # the generic point's powers s0^a, a < q, stay finite at large q
-    ctx = verify_mod.VerifyContext(CORPUS["triangle"], cyclic_group(300), 1e-7, 10**8, 0)
+    # the generic point's powers s0^a, a < q, stay finite at large q; the
+    # edge model's plan reads (a_u, a_v, y_e) at each edge, 3 * 300^3 terms
+    ctx = verify_mod.VerifyContext(
+        CORPUS["triangle"], cyclic_group(300), 1e-7, 2 * 10**8, 0
+    )
     records = verify_mod._check_xq(ctx)
     assert [rec.name for rec in records][2:] == [
         "xq.principal-specialization.s0.5",
@@ -1055,21 +1058,17 @@ def test_signed_suite_on_k5_pins_the_vanishing_zero_sum_side():
     assert zero_sum.rhs == "0"
 
 
-def test_orthogonal_check_is_priced_at_its_transforms(tmp_path, capsys, address_space_cap):
-    # one vertex with five loops at q=5: the stack of the 5^10 table and its
-    # change by each of the five U costs (1 + 5 * 10 * 5) * 5^10 multiply-adds
+def test_orthogonal_check_runs_at_its_plan(tmp_path, capsys, address_space_cap):
+    # one vertex with five loops at q=5: each half-edge has its own label,
+    # so the change of basis is a factor of the plan, not a transformed
+    # 5^10 table, and the plan fits the default cap
     path = tmp_path / "loops.g"
     path.write_text(serialize_graph(GraphDocument(Multigraph(1, ((0, 0),) * 5))))
     assert main(["verify", "--graph", str(path), "--q", "5", "--suite", "fourier"]) == 0
     out, err = capsys.readouterr()
     records = [json.loads(line) for line in out.splitlines()]
-    (skip,) = [rec for rec in records if rec["pass"] is None]
-    assert (skip["name"], skip["lhs"], skip["rhs"]) == (
-        "skip.orthogonal_invariance",
-        str(251 * 5**10),
-        str(10**8),
-    )
-    assert err.strip() == "13 checks: 12 passed, 0 failed, 1 skipped"
+    assert [rec["name"] for rec in records if rec["pass"] is None] == []
+    assert err.strip() == "17 checks: 17 passed, 0 failed, 0 skipped"
 
 
 def test_orthogonal_check_runs_at_its_price():
@@ -1077,11 +1076,13 @@ def test_orthogonal_check_runs_at_its_price():
     from qcolour.models import VertexWeights, orthogonal_invariance_check
     from qcolour.groups import random_orthogonal
 
-    # one vertex with three loops at q=3 and five U: (1 + 5 * 6 * 3) * 3^6
+    # one vertex with three loops at q=3 and five U: each edge is summed
+    # against its two half-edges, 3 * 3^3, then the six half-edge labels,
+    # 3^6 + 3^5 + ... + 3
     g = Multigraph(1, ((0, 0),) * 3)
     weights = VertexWeights.uniform(cyclic_group(3))
     Us = [random_orthogonal(3, i) for i in range(5)]
-    cost = 91 * 3**6
+    cost = 3 * 3**3 + sum(3**i for i in range(1, 7))
     assert orthogonal_invariance_check(g, weights, Us, max_terms=cost) == (True,) * 5
     with pytest.raises(TermCapExceeded) as err:
         orthogonal_invariance_check(g, weights, Us, max_terms=cost - 1)
@@ -1093,12 +1094,13 @@ def test_bundle_skips_and_refuses_within_the_address_space(
 ):
     # two vertices joined by 13 edges: every 13-colour vertex table has
     # 13^13 entries, so each check that would build one leaves a skip
-    # record, and the edge model exits 3 naming its planned cost
+    # record, and the edge model exits 3 naming its planned cost; the
+    # split's edge side builds none, and its checks run
     path = tmp_path / "bundle.g"
     path.write_text(serialize_graph(GraphDocument(Multigraph(2, ((0, 1),) * 13))))
     assert main(["verify", "--graph", str(path), "--q", "13"]) == 0
     _out, err = capsys.readouterr()
-    assert err.strip() == "34 checks: 23 passed, 0 failed, 11 skipped"
+    assert err.strip() == "37 checks: 28 passed, 0 failed, 9 skipped"
     assert main(["edge-model", "--graph", str(path), "--q", "13"]) == 3
     assert "328114698808273" in capsys.readouterr().err
 

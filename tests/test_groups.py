@@ -14,7 +14,6 @@ from qcolour.groups import (
     fourier,
     gf4,
     group_from_name,
-    inverse_fourier,
     monochrome_indicator,
     negate,
     orthogonal_submodule,
@@ -104,7 +103,6 @@ def test_fourier_involution(spec):
         assert np.allclose(
             fourier(fourier(fourier(fourier(f)))).values, f.values, atol=1e-9
         )
-        assert np.allclose(inverse_fourier(fourier(f)).values, f.values, atol=1e-9)
         # N commutes with F
         assert np.allclose(
             fourier(negate(f)).values, negate(fourier(f)).values, atol=1e-9

@@ -149,7 +149,7 @@ def test_kernel_sums_match_brute_force(g, spec, seed, heads):
     tables = {
         d: complex_vec(rng, G.q**d).reshape((G.q,) * d) for d in set(g.degrees())
     }
-    weights = VertexWeights.from_tables(G, tables)
+    weights = VertexWeights.per_arity(G, tables.__getitem__)
     for pair in (monochrome_indicator(G, 2), zero_sum_indicator(G, 2)):
         assert_close(
             halfedge_inner(g, weights, pair).value,
@@ -304,8 +304,6 @@ BUNDLE_SUMS = {
     "zero_sum_parity_sum": lambda: signed.zero_sum_parity_sum(
         BUNDLE, BUNDLE_ROT, Z13, range(13)
     ),
-    "tutte_edge_model": lambda: duality.tutte_edge_model(BUNDLE, 13, 2.0),
-    "flow_cwe_edge_model": lambda: duality.flow_cwe_edge_model(BUNDLE, Z13, ONES),
     "edge_partition.uniform": lambda: models.edge_partition(
         BUNDLE, EdgeModel(VertexWeights.uniform(Z13))
     ),
@@ -316,12 +314,14 @@ BUNDLE_SUMS = {
         BUNDLE, Z13, BUNDLE_ORIENT, [ONES] * 2, [ONES] * 13
     ),
     "xq_dual": lambda: duality.xq_dual(BUNDLE, Z13, BUNDLE_ORIENT, ONES, ONES),
-    "principal_specialization": lambda: duality.principal_specialization(
-        BUNDLE, BUNDLE_ORIENT, 13, 2.0, 3.0
-    ),
+    "tutte_edge_model": lambda: duality.tutte_edge_model(BUNDLE, 13, 2.0),
+    "flow_cwe_edge_model": lambda: duality.flow_cwe_edge_model(BUNDLE, Z13, ONES),
     "xq_edge_model": lambda: duality.xq_edge_model(BUNDLE, Z13, ONES, ONES),
     "spectral_edge_model": lambda: duality.spectral_edge_model(
         BUNDLE, ONES, np.eye(13)
+    ),
+    "principal_specialization": lambda: duality.principal_specialization(
+        BUNDLE, BUNDLE_ORIENT, 13, 2.0, 3.0
     ),
     "orthogonal_invariance_check": lambda: models.orthogonal_invariance_check(
         BUNDLE, VertexWeights.uniform(Z13), [np.eye(13)]
@@ -332,12 +332,25 @@ BUNDLE_SUMS = {
     ),
 }
 # the plan's cost: summing out each edge of the bundle reads all the edges
-# still left; K4's steps read 5, 5, 4, 3, 2 and 1 of its 6 edges
-REFUSED_ESTIMATE = {"flow_cubic_edge_model": 64_016_008_004_002_000}
+# still left; K4's steps read 5, 5, 4, 3, 2 and 1 of its 6 edges; the
+# orthogonal check's half-edge labels make each vertex read 13 of its own
+REFUSED_ESTIMATE = {
+    "flow_cubic_edge_model": 64_016_008_004_002_000,
+    "orthogonal_invariance_check": 51_514_007_712_927_591,
+}
+# the split's edge side builds no vertex table: each vertex colour a_v is a
+# label, and the plan sums each edge against (a_0, a_1), then a_0, then a_1
+SPLIT_COST = dict.fromkeys(
+    ("tutte_edge_model", "flow_cwe_edge_model", "xq_edge_model", "spectral_edge_model"),
+    13 * 13**3 + 13**2 + 13,
+)
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLE_SUMS))
 def test_oversized_tables_refuse_before_they_are_built(name, address_space_cap):
+    if name in SPLIT_COST:
+        assert BUNDLE_SUMS[name]().terms == SPLIT_COST[name]
+        return
     with pytest.raises(enumeration.TermCapExceeded) as err:
         BUNDLE_SUMS[name]()
     assert err.value.estimate == REFUSED_ESTIMATE.get(
@@ -459,9 +472,7 @@ def _batched_cases(g, G, orient, draw, B):
         return [value], cost
 
     def halfedge(pick, cap):
-        weights = VertexWeights.from_tables(
-            G, {d: pick(x, (q,) * d) for d, x in vt.items()}
-        )
+        weights = VertexWeights.per_arity(G, lambda d: pick(vt[d], (q,) * d))
         pairs = (monochrome_indicator(G, 2), zero_sum_indicator(G, 2))
         mvs = [halfedge_inner(g, weights, pair, max_terms=cap) for pair in pairs]
         return [mv.value for mv in mvs], max(mv.terms for mv in mvs)

@@ -89,13 +89,6 @@ def test_models_refuse_weights_of_two_groups(specs):
         EdgeModel(VertexWeights.uniform(A), QFunction(A, 1, np.ones(A.q)))
 
 
-def test_edge_partition_missing_arity():
-    G = cyclic_group(2)
-    model = EdgeModel(VertexWeights.from_tables(G, {2: np.ones((2, 2))}))
-    with pytest.raises(ValueError):
-        edge_partition(graph_of("k4"), model)
-
-
 def test_halfedge_inner_monochrome_collapses_to_edge_model():
     from qcolour.corpus import CORPUS
 
@@ -243,27 +236,36 @@ def test_orthogonal_invariance_pairs_the_unchanged_weights_once(monkeypatch):
     for v in range(g.num_vertices):
         w.table(g.degree(v))
     calls = []
-    real = models_mod.halfedge_inner
+    real = models_mod.factor_sum
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counted(radix, length, factors, *args, **kwargs):
+        calls.append(factors)
+        return real(radix, length, factors, *args, **kwargs)
 
-    monkeypatch.setattr(models_mod, "halfedge_inner", counted)
+    def stack_of(factors):
+        # the weights read each vertex's own half-edge labels, after the
+        # edge labels, and one stack sits on (edge, half-edge) at each
+        assert [labels for t, labels in factors if t is w.fn] == [
+            range(6 + 3 * v, 9 + 3 * v) for v in range(4)
+        ]
+        stacks = [(t, labels) for t, labels in factors if t is not w.fn]
+        assert sorted(e for _t, (e, _x) in stacks) == sorted([0, 1, 2, 3, 4, 5] * 2)
+        assert sorted(x for _t, (_e, x) in stacks) == list(range(6, 18))
+        assert all(t is stacks[0][0] for t, _labels in stacks)
+        return stacks[0][0]
+
+    monkeypatch.setattr(models_mod, "factor_sum", counted)
     Us = [random_orthogonal(3, i) for i in range(5)]
     assert orthogonal_invariance_check(g, w, Us) == (True,) * 5
-    # one batched pairing: the unchanged table, then its change by each U
+    # one batched sum: the identity on each half-edge, then each U
     assert len(calls) == 1
-    table = calls[0].table(3)
-    assert table.shape == (6, 3, 3, 3)
-    assert np.array_equal(table[0], w.table(3))
-    for U, moved in zip(Us, table[1:]):
-        assert np.allclose(moved, transform(U, w.table(3), 3), rtol=0, atol=1e-13)
+    stack = stack_of(calls[0])
+    assert np.array_equal(stack, [np.eye(3), *Us])
     # a U that fails the first test adds no entry to the batch
     calls.clear()
     assert orthogonal_invariance_check(g, w, [Us[0], 2 * np.eye(3)]) == (True, False)
-    assert len(calls) == 1 and calls[0].table(3).shape == (2, 3, 3, 3)
-    assert np.array_equal(calls[0].table(3)[0], w.table(3))
+    assert len(calls) == 1
+    assert np.array_equal(stack_of(calls[0]), [np.eye(3), Us[0]])
     # none at all when no U fixes the monochrome indicator
     calls.clear()
     assert orthogonal_invariance_check(g, w, [2 * np.eye(3)]) == (False,)

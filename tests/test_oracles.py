@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -606,6 +607,25 @@ def test_histogram_groups_compositions_past_int64_keys():
     rng = np.random.default_rng(23)
     for weights in ([int(w) for w in rng.integers(-9, 10, size=23)], complex_vec(rng, 23)):
         assert hist.complete_weight_enum(weights) == complete_weight_enum(rows, weights)
+
+
+def test_tension_histogram_merges_its_blocks_as_they_stream():
+    # the triangle's q^2 tensions pass one block, so they are listed in q
+    # blocks of q rows, as at q = 363 with the default block of 2^17; what
+    # waits to be merged never outgrows the histogram, and a merge of every
+    # block at once peaks at 7.2 times the result
+    q = 150
+    with _small_blocks(2**13):
+        assert q**2 > enumeration.DEFAULT_BLOCK
+        tracemalloc.start()
+        try:
+            hist = tension_compositions(graph_of("triangle"), cyclic_group(q))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # all three edges nonzero, one zero edge, or the zero tension
+    assert hist.hwe_coefficients() == [(q - 1) * (q - 2), 3 * (q - 1), 0, 1]
+    assert peak <= 6 * hist.comps.nbytes
 
 
 def test_histogram_edge_cases():

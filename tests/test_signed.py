@@ -244,8 +244,8 @@ def test_zero_sum_route_equals_monochrome_of_transform():
             G = cyclic_group(q)
             K = canonical_symmetric_set(q, k) if q > k else tuple(range(k))
             f = parity_function(G, k, K)
-            w = VertexWeights.from_tables(G, {k: f.as_tensor()})
-            wF = VertexWeights.from_tables(G, {k: fourier(f).as_tensor()})
+            w = VertexWeights.per_arity(G, lambda d: f.as_tensor())
+            wF = VertexWeights.per_arity(G, lambda d: fourier(f).as_tensor())
             zs = halfedge_inner(g, w, zero_sum_indicator(G, 2), rotation=rot).value
             mono = halfedge_inner(g, wF, monochrome_indicator(G, 2), rotation=rot).value
             assert_close(zs, mono, 1e-8, f"{name} q={q}")
@@ -680,30 +680,21 @@ def test_q_power_builders_peak_within_twice_their_table(build):
     assert peak <= 2 * table.nbytes
 
 
-def test_split_edge_table_peaks_within_three_tables(monkeypatch):
-    # the edge side of the split builds its vertex table one colour at a
-    # time, not as a stack of the q colours' products
+def test_split_edge_side_is_planned_without_a_vertex_table():
+    # the edge side of the split sums each vertex's colour a as a label of
+    # its own: the bundle's steps read (a_0, a_1, y_e) for each edge, then
+    # (a_0, a_1), so no 11^6 vertex table is built, nor any of its terms
     from qcolour import duality
 
-    tables, real_sum = [], duality.edge_table_sum
-
-    def edge_table_sum(g, q, vertex_tables, *args, **kwargs):
-        tables.extend(vertex_tables)
-        return real_sum(g, q, vertex_tables, *args, **kwargs)
-
-    monkeypatch.setattr(duality, "edge_table_sum", edge_table_sum)
-    G = cyclic_group(7)
+    G = cyclic_group(11)
     bundle = Multigraph(2, ((0, 1),) * 6)
-    gv = np.random.default_rng(0).standard_normal(7)
-    want = duality.flow_cwe_edge_model(bundle, G, gv).value
-    coords = np.indices((7,) * 6, sparse=True)
+    gv = np.random.default_rng(0).standard_normal(11)
     tracemalloc.start()
     try:
-        table = tables[0](*coords)
+        mv = duality.flow_cwe_edge_model(bundle, G, gv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.shape == (7,) * 6
-    assert peak <= 3 * table.nbytes
-    # the two vertices read one table on the bundle's edges
-    assert_close(np.sum(table * table) * 7.0**-2, want)
+    assert mv.terms <= 10**4
+    assert peak < 2**20
+    assert_close(mv.value, duality.flow_cwe_vertex_model(bundle, G, gv).value)
