@@ -4,7 +4,8 @@ Subcommands compute single invariants from a graph file or run the
 cross-verification battery; `verify` emits one JSON record per check on
 stdout.  Every subcommand takes `--max-terms`, the cap on the work of its
 sums and oracles; only `verify` takes `--tol` and `--seed`.  Exit codes:
-0 ok, 1 a failed check, 2 a usage or parse error, 3 over a cap.
+0 ok, 1 a failed check, 2 a usage or parse error, 3 over a cap or a model
+value that is not finite in float64.
 """
 
 from __future__ import annotations
@@ -152,10 +153,17 @@ def _format_number(val) -> str:
     return f"{val.real:.12g}{val.imag:+.12g}j"
 
 
-def _print_model_value(mv):
+def _print_model_value(mv) -> int:
+    """Print a model value and return the exit code: 3 for a sum that is
+    not finite in float64, which has no digits to print."""
+    if not np.isfinite(mv.value):
+        print(f"error: the float64 sum is not finite ({mv.value}, terms {mv.terms})",
+              file=sys.stderr)
+        return 3
     print(_format_number(mv.value))
     print(f"magnitude {abs(mv.value):.12g}  imag-residual {abs(mv.value.imag):.3g}  terms {mv.terms}",
           file=sys.stderr)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -199,7 +207,7 @@ def main(argv=None) -> int:
                 else np.ones(group.q, dtype=complex)
             )
             model = VertexModel(QFunction(group, 1, fw), QFunction(group, 2, gw))
-            _print_model_value(
+            return _print_model_value(
                 vertex_partition(g, model, doc.orientation_or_default(), max_terms)
             )
         elif args.command == "edge-model":
@@ -215,19 +223,19 @@ def main(argv=None) -> int:
                 else None
             )
             model = EdgeModel(family, ew)
-            _print_model_value(
+            return _print_model_value(
                 edge_partition(g, model, doc.rotation_or_default(), max_terms)
             )
         elif args.command == "sine-model":
             mv = signed.sine_model(
                 g, doc.rotation_or_default(), args.q, args.k, max_terms=max_terms
             )
-            _print_model_value(mv)
+            return _print_model_value(mv)
         elif args.command == "kplus1":
             mv = signed.kplus1_sign_sum(
                 g, doc.rotation_or_default(), args.k, max_terms=max_terms
             )
-            _print_model_value(mv)
+            return _print_model_value(mv)
         elif args.command == "xq":
             group = _group_of(args)
             s = _parse_weights(args.s, group.q, "--s")

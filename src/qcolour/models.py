@@ -39,6 +39,7 @@ so monochrome or zero-sum pairings range over q^|E| colourings.
 from __future__ import annotations
 
 import functools
+import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -118,14 +119,20 @@ class VertexWeights:
 
     @classmethod
     def per_arity(cls, group: Group, table_of) -> "VertexWeights":
-        """The family read off ``table_of(d)``, built on its first read."""
+        """The family read off ``table_of(d)``, built on its first read.  A
+        read of the whole grid, each axis its own coordinate, is the stored
+        table itself, not a copy."""
         tables = {}
 
         def read(*coords):
             d = len(coords)
             if d not in tables:
                 tables[d] = np.asarray(table_of(d), dtype=np.complex128)
-            return tables[d][(..., *coords)]
+            table = tables[d]
+            whole = np.indices(table.shape[table.ndim - d :], sparse=True)
+            if all(map(np.array_equal, coords, whole)):
+                return table
+            return table[(..., *coords)]
 
         return cls(group, read)
 
@@ -219,37 +226,69 @@ class _Plan(NamedTuple):
 def _plan(label_tuples: tuple) -> _Plan:
     """Each step sums out the label whose factors together read the fewest
     distinct labels (ties to the smallest label); a step closes when it
-    leaves no label.  No step sees a factor's repeated label twice."""
+    leaves no label.  No step sees a factor's repeated label twice.
+
+    This is the elimination game of minimum-degree ordering: each live
+    label keeps the labels its tables read (its closed neighbourhood) and
+    those tables' slots in ascending order, and a step updates only the
+    labels left in its scope, so planning is near-linear in the labels at
+    bounded width."""
     distinct = [tuple(dict.fromkeys(labels)) for labels in label_tuples]
     grids = tuple((len(d), tuple(map(d.index, ls))) for d, ls in zip(distinct, label_tuples))
     constants = tuple(i for i, labels in enumerate(distinct) if not labels)
-    # (slot, labels) of each table still to be summed
-    live = [(i, labels) for i, labels in enumerate(distinct) if labels]
-    read = len({label for _slot, labels in live for label in labels})
+    # the labels of each table still to be summed, by slot
+    live = {i: labels for i, labels in enumerate(distinct) if labels}
+    near: dict[int, set] = {}
+    slots: dict[int, dict] = {}  # a dict keeps its slots in ascending order
+    for slot, labels in live.items():
+        for label in labels:
+            if label in near:
+                near[label].update(labels)
+                slots[label][slot] = None
+            else:
+                near[label] = set(labels)
+                slots[label] = {slot: None}
+    read = len(near)
+    # (neighbourhood size, label): an entry whose label is summed or whose
+    # size is no longer its label's is skipped
+    heap = [(len(ls), lb) for lb, ls in near.items()]
+    heapq.heapify(heap)
     scopes, steps = [], []
-    while live:
-        joint: dict[int, set] = {}
-        for _slot, labels in live:
-            for label in labels:
-                joint.setdefault(label, set()).update(labels)
-        _size, label = min((len(ls), lb) for lb, ls in joint.items())
-        scope = sorted(joint[label])
+    new = len(label_tuples)  # the slot of the next step's table
+    while near:
+        size, label = heapq.heappop(heap)
+        joint = near.get(label)
+        if joint is None or len(joint) != size:
+            continue
+        del near[label]
+        scope = sorted(joint)
         # einsum takes at most 52 axis letters, so number the scope locally
-        ids = {lb: i for i, lb in enumerate(scope)}
-        out = tuple(lb for lb in scope if lb != label)
-        used = [f for f in live if label in f[1]]
-        live = [f for f in live if label not in f[1]]
+        ids = dict(zip(scope, range(size)))
+        at = ids[label]
+        del scope[at]
+        out = tuple(scope)
+        used = tuple(slots.pop(label))
+        subscripts = []
+        for slot in used:
+            labels = live.pop(slot)
+            subscripts.append((..., *map(ids.__getitem__, labels)))
+            for lb in labels:
+                if lb != label:
+                    del slots[lb][slot]
         if out:
-            live.append((len(label_tuples) + len(steps), out))
-        scopes.append(len(scope))
-        steps.append(
-            (
-                tuple(slot for slot, _labels in used),
-                tuple((...,) + tuple(ids[lb] for lb in labels) for _slot, labels in used),
-                (...,) + tuple(ids[lb] for lb in out),
-                not out,
-            )
-        )
+            live[new] = out
+        for lb in out:
+            slots[lb][new] = None
+            ls = near[lb]
+            before = len(ls)
+            ls |= joint
+            ls.discard(label)
+            after = len(ls)
+            if after != before:
+                heapq.heappush(heap, (after, lb))
+        new += 1
+        scopes.append(size)
+        steps.append((used, tuple(subscripts), (..., *range(at), *range(at + 1, size)), not out))
     return _Plan(grids, constants, read, tuple(scopes), tuple(steps))
 
 

@@ -856,16 +856,27 @@ def run_battery(
 ) -> list[CheckRecord]:
     """One record per check that ran.  A check whose sum or oracle exceeds
     its term cap yields a single skip record instead: name ``skip.<check>``,
-    anchor ``term-cap``, lhs/rhs the estimate and the cap, pass None."""
+    anchor ``term-cap``, lhs/rhs the estimate and the cap, pass None.  A
+    check that raises anything else yields a single failed error record,
+    and the battery goes on: name ``error.<check>``, anchor ``error``,
+    lhs/rhs the exception's class and message, residual nan, pass False."""
     ctx = VerifyContext(doc, group, tol, max_terms, seed)
     records = []
     for suite in suites:
         for check in SUITES[suite]:
+            name = check.__name__.removeprefix("_check_")
             try:
                 records.extend(check(ctx))
             except TermCapExceeded as exc:
-                name = "skip." + check.__name__.removeprefix("_check_")
                 records.append(
-                    CheckRecord(name, "term-cap", str(exc.estimate), str(exc.cap), 0.0, None)
+                    CheckRecord(
+                        "skip." + name, "term-cap", str(exc.estimate), str(exc.cap), 0.0, None
+                    )
+                )
+            except Exception as exc:
+                records.append(
+                    CheckRecord(
+                        "error." + name, "error", type(exc).__name__, str(exc), math.nan, False
+                    )
                 )
     return records

@@ -20,7 +20,7 @@ from qcolour.graphio import (
     serialize_graph,
 )
 from qcolour.groups import cyclic_group, group_from_name
-from qcolour.verify import SUITES, run_battery
+from qcolour.verify import SUITES, VerifyContext, run_battery
 
 from conftest import multigraphs
 
@@ -1137,3 +1137,59 @@ def test_over_cap_group_free_checks_skip_on_every_call():
         G = group_from_name(spec)
         records = run_battery(doc, G, ("signed",), max_terms=50, seed=0)
         assert skips <= {rec.name for rec in records if rec.passed is None}
+
+
+def test_a_check_that_raises_leaves_an_error_record_and_the_battery_goes_on(
+    corpus_files, monkeypatch, capsys
+):
+    path, doc = corpus_files["k4"]
+    G = cyclic_group(3)
+    want = run_battery(doc, G, ("fourier",), seed=0)
+    checks = SUITES["fourier"]
+    (target,) = [c for c in checks if c.__name__ == "_check_convolution"]
+    dropped = target(VerifyContext(doc, G, 1e-7, 10**8, 0))
+
+    def raising(ctx):
+        raise ValueError("no convolution today")
+
+    raising.__name__ = target.__name__
+    monkeypatch.setitem(SUITES, "fourier", [raising if c is target else c for c in checks])
+    records = run_battery(doc, G, ("fourier",), seed=0)
+    # one failed error record in the check's place, and every other check ran
+    at = want.index(dropped[0])
+    error = records[at]
+    assert (error.name, error.anchor, error.lhs, error.rhs, error.passed) == (
+        "error.convolution",
+        "error",
+        "ValueError",
+        "no convolution today",
+        False,
+    )
+    assert records[:at] + records[at + 1 :] == [r for r in want if r not in dropped]
+    assert main(["verify", "--graph", path, "--q", "3", "--suite", "fourier"]) == 1
+    out, err = capsys.readouterr()
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines[at] == {
+        "name": "error.convolution",
+        "anchor": "error",
+        "lhs": "ValueError",
+        "rhs": "no convolution today",
+        "residual": None,
+        "pass": False,
+    }
+    assert err.strip() == f"{len(records)} checks: {len(records) - 1} passed, 1 failed, 0 skipped"
+
+
+def test_cli_refuses_a_model_value_that_is_not_finite(tmp_path, capsys):
+    # the signed 3-colouring sum of a 6000-cycle is +-2, but its float64
+    # terms overflow; the vertex model on the same cycle stays finite
+    n = 6000
+    path = tmp_path / "cycle.g"
+    cycle = Multigraph(n, tuple((v, (v + 1) % n) for v in range(n)))
+    path.write_text(serialize_graph(GraphDocument(cycle)))
+    assert main(["kplus1", "--graph", str(path), "--k", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "error: the float64 sum is not finite" in out.err
+    args = ["--graph", str(path), "--q", "2", "--weights", "0.5,0.5,0.5,0.5"]
+    assert main(["vertex-model", *args]) == 0
+    assert capsys.readouterr().out.strip() == "1"

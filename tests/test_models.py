@@ -270,3 +270,20 @@ def test_orthogonal_invariance_pairs_the_unchanged_weights_once(monkeypatch):
     calls.clear()
     assert orthogonal_invariance_check(g, w, [2 * np.eye(3)]) == (False,)
     assert calls == []
+
+
+def test_per_arity_reads_the_whole_grid_as_the_stored_table():
+    G = cyclic_group(3)
+    rng = np.random.default_rng(5)
+    # a batch of two families, at arities 0, 2 and 3
+    tables = {d: complex_vec(rng, 2 * 3**d).reshape((2,) + (3,) * d) for d in (0, 2, 3)}
+    w = VertexWeights.per_arity(G, tables.__getitem__)
+    for d in (0, 2, 3):
+        whole = w.fn(*np.indices((3,) * d, sparse=True))
+        assert np.shares_memory(whole, tables[d]) and np.array_equal(whole, tables[d])
+    # a loop reads the diagonal of its two axes, and swapped axes transpose
+    i, j = np.indices((3, 3), sparse=True)
+    loop = w.fn(i, i, j)
+    assert not np.shares_memory(loop, tables[3])
+    assert np.array_equal(loop, np.einsum("biij->bij", tables[3]))
+    assert np.array_equal(w.fn(j, i), tables[2].swapaxes(1, 2))

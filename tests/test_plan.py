@@ -178,3 +178,48 @@ def test_pricing_and_a_batched_sum_share_one_plan():
         assert one.terms == mv.terms
         assert_close(mv.value[b], one.value, 1e-12)
     assert models._plan.cache_info().misses == 1
+
+
+def _assert_same_unbatched_plan(label_tuples):
+    """``_assert_same_plan`` with no table batched, where the reference's
+    subscripts are the plan's after its ``...``."""
+    _assert_same_plan(label_tuples, (False,) * len(label_tuples))
+    *_rest, steps = _plan_reference(label_tuples, (False,) * len(label_tuples))
+    for (_slots, subs, _out, _closed), (_ref_slots, ref_subs, _ref_out, _c) in zip(
+        models._plan(label_tuples).steps, steps
+    ):
+        assert subs == tuple((...,) + s for s in ref_subs)
+
+
+def _prism_edge_structure(n: int) -> tuple:
+    """The label tuples of an edge model on C_n x K2: each vertex reads its
+    three edges, 3n labels in all."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    at = [[] for _ in range(2 * n)]
+    for e, (u, v) in enumerate(edges):
+        at[u].append(e)
+        at[v].append(e)
+    return tuple(map(tuple, at))
+
+
+def test_plan_matches_the_reference_far_past_einsum_letters():
+    # 600 edge labels of C200 x K2, and a vertex model on a 500-cycle: a
+    # weight per vertex and a table per edge
+    _assert_same_unbatched_plan(_prism_edge_structure(200))
+    n = 500
+    cycle = tuple((v,) for v in range(n)) + tuple((v, (v + 1) % n) for v in range(n))
+    _assert_same_unbatched_plan(cycle)
+    assert max(models._plan(cycle).scopes) == 3
+
+
+WIDE_LABEL_TUPLES = st.lists(
+    st.lists(st.integers(0, 299), max_size=4).map(tuple), min_size=150, max_size=200
+).map(tuple)
+
+
+@settings(max_examples=10, deadline=None)
+@given(WIDE_LABEL_TUPLES)
+def test_plan_matches_the_reference_on_wide_structures(label_tuples):
+    _assert_same_unbatched_plan(label_tuples)
