@@ -25,7 +25,11 @@ histograms, so the set is never joined or sorted; each enumerator that the
 battery and the command line read is an evaluation of a histogram, taken
 under the document's orientation.  ``complete_weight_enum`` groups the rows
 it is given the same way; ``hamming_weight_enum`` counts zeros row by row,
-which is cheaper than grouping.
+which is cheaper than grouping.  The complete enumerator takes a stack of
+weight rows, and a single row is a stack of one: the histogram keeps each
+composition's nonzero colour counts as Python ints, and for each row builds
+every colour's powers and multiplies over those counts alone, so a check
+that draws several weights reads its histogram once, not once per draw.
 ``monochrome_polynomial`` likewise evaluates one histogram of
 monochromatic-edge counts over all vertex colourings.  These deliberately
 share no code path with the model evaluators they verify.
@@ -33,7 +37,9 @@ share no code path with the model evaluators they verify.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -341,7 +347,8 @@ class CompositionHistogram:
     are in lexicographic order, colour 0 most significant.  ``length`` is
     the row length and ``rows`` the number of rows.  Both arrays are
     read-only.  Every weight enumerator of the set is a function of this
-    histogram alone."""
+    histogram alone; ``complete_weight_enum`` evaluates one at a (D, q)
+    stack of weight rows in one call."""
 
     comps: np.ndarray
     mults: np.ndarray
@@ -350,11 +357,13 @@ class CompositionHistogram:
 
     @classmethod
     def of_rows(cls, vectors, q: int) -> "CompositionHistogram":
-        """Group rows with values in range(q); any other value raises
-        ValueError."""
+        """Group a (rows, length) array of values in range(q); any other
+        value or shape raises ValueError."""
         rows = np.asarray(vectors, dtype=np.int64)
         if rows.size == 0 and rows.ndim < 2:
             rows = rows.reshape(0, 0)
+        if rows.ndim != 2:
+            raise ValueError(f"rows must form a (rows, length) array, not shape {rows.shape}")
         num_rows, length = rows.shape
         if rows.size and (rows.min() < 0 or rows.max() >= q):
             raise ValueError(f"row values must lie in range({q})")
@@ -381,10 +390,18 @@ class CompositionHistogram:
         return cls(_read_only(comps), _read_only(mults), length, rows)
 
     @functools.cached_property
-    def _lists(self) -> tuple[list[list[int]], list[int]]:
-        """The compositions and multiplicities as Python ints, for exact
-        products."""
-        return self.comps.tolist(), self.mults.tolist()
+    def _terms(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """Each composition's nonzero counts n_c, in colour order, as the
+        indices offset[c] + n_c into the powers w_c^0..w_c^top[c] of all
+        colours laid end to end; the multiplicities; and top, each
+        colour's largest count.  Python ints, for exact products."""
+        tops = self.comps.max(axis=0, initial=0)
+        offsets = np.concatenate([[0], np.cumsum(tops[:-1] + 1)])
+        at, colours = np.nonzero(self.comps)
+        flat = (offsets[colours] + self.comps[at, colours]).tolist()
+        ends = np.cumsum(np.count_nonzero(self.comps, axis=1)).tolist()
+        terms = [flat[a:b] for a, b in zip([0, *ends], ends)]
+        return terms, self.mults.tolist(), tops.tolist()
 
     def hwe_coefficients(self) -> list[int]:
         """Entry w counts the rows with exactly w coordinates at colour 0."""
@@ -398,52 +415,86 @@ class CompositionHistogram:
         return count_polynomial(self.hwe_coefficients(), s)
 
     def complete_weight_enum(self, weights):
-        """As the module's ``complete_weight_enum`` of the rows; ``weights``
-        has one entry per colour."""
-        if len(weights) != self.comps.shape[1]:
-            raise ValueError(
-                f"{len(weights)} weights for {self.comps.shape[1]} colours"
-            )
+        """As the module's ``complete_weight_enum`` of the rows: ``weights``
+        has one entry per colour, or is a (D, q) stack of such rows, which
+        gives a list of D values, entry i the value row i alone gives."""
+        shape = np.shape(weights)
+        if len(shape) not in (1, 2) or shape[-1] != self.comps.shape[1]:
+            raise ValueError(f"weights of shape {shape} for {self.comps.shape[1]} colours")
+        stacked = len(shape) == 2
+        rows = weights if stacked else [weights]
         if self.rows == 0:
-            return 0
-        comps, mults = self._lists
-        exact = all(isinstance(w, (int, np.integer, Fraction)) for w in weights)
-        if exact:
-            ws = [w if isinstance(w, Fraction) else int(w) for w in weights]
+            values = [0] * len(rows)
+        elif isinstance(weights, np.ndarray) and weights.dtype in _BINARY and shape[-1]:
+            # a float or complex array converts whole, every row one kind
+            kind = "complex" if weights.dtype.kind == "c" else "real"
+            rows = np.reshape(weights, (-1, shape[-1])).tolist()
+            values = [self._weight_sum(ws, kind) for ws in rows]
         else:
-            zs = [complex(w) for w in weights]
-            is_complex = any(isinstance(w, (complex, np.complexfloating)) for w in weights)
-            ws = zs if is_complex else [z.real for z in zs]
-        if exact or not np.isfinite(zs).all():
-            # each composition multiplied out in the weights' own type, as a
-            # row's product would be: exact for int and Fraction weights, and
-            # complex inf ** n would overflow in Python
+            values = [self._weight_sum(*_weight_row(w)) for w in rows]
+        return values if stacked else values[0]
+
+    def _weight_sum(self, ws: list, kind: str):
+        """The enumerator at one row of weights, Python numbers of a
+        ``_weight_row`` kind."""
+        terms, mults, tops = self._terms
+        if kind == "exact" or not all(map(cmath.isfinite, ws)):
+            slots = [(c, n) for c, top in enumerate(tops) for n in range(top + 1)]
+            if kind == "exact":
+                powers = [ws[c] ** n for c, n in slots]
+                return sum(m * math.prod(powers[i] for i in at) for at, m in zip(terms, mults))
+            # each composition multiplied out factor by factor in the
+            # weights' own type, as a row's product would be: complex
+            # inf ** n would overflow in Python, and the order of the
+            # factors decides inf * 0
+            factors = [(ws[c],) * n for c, n in slots]
             return sum(
-                m * math.prod(ws[c] for c, n in enumerate(comp) for _ in range(n))
-                for comp, m in zip(comps, mults)
+                m * math.prod(itertools.chain.from_iterable(factors[i] for i in at))
+                for at, m in zip(terms, mults)
             )
-        ratios = [x.as_integer_ratio() for z in zs for x in (z.real, z.imag)]
+        ratios = [x.as_integer_ratio() for w in ws for x in (w.real, w.imag)]
         den = max(d for _n, d in ratios)
         parts = [n * (den // d) for n, d in ratios]
-        # each colour's powers, as Gaussian integers over den, up to its
-        # largest count in the histogram
-        powers = [[(1, 0)] for _ in zs]
-        tops = np.max(self.comps, axis=0).tolist()
-        for row, a, b, top in zip(powers, parts[::2], parts[1::2], tops):
+        # each colour's powers a + bi, as Gaussian integers over den, up to
+        # its largest count in the histogram, laid end to end, each held as
+        # (a, b - a, a + b) so that a product takes three multiplications
+        powers = []
+        for a, b, top in zip(parts[::2], parts[1::2], tops):
+            x, y = 1, 0
+            powers.append((1, -1, 1))
             for _ in range(top):
-                x, y = row[-1]
-                row.append((x * a - y * b, x * b + y * a))
+                x, y = x * a - y * b, x * b + y * a
+                powers.append((x, y - x, x + y))
         # exact products, so the order of multiplication does not matter
         re = im = 0
-        for comp, m in zip(comps, mults):
+        for at, m in zip(terms, mults):
             x, y = m, 0
-            for c, n in enumerate(comp):
-                if n:
-                    a, b = powers[c][n]
-                    x, y = x * a - y * b, x * b + y * a
+            for i in at:
+                a, d, s = powers[i]
+                k = a * (x + y)
+                x, y = k - y * s, k + x * d
             re, im = re + x, im + y
         scale = den**self.length
-        return complex(re / scale, im / scale) if is_complex else re / scale
+        return complex(re / scale, im / scale) if kind == "complex" else re / scale
+
+
+# the dtypes whose tolist() gives each entry exactly as a Python float or
+# complex, as iterating over them and converting would
+_BINARY = frozenset(
+    np.dtype(t) for t in (np.float16, np.float32, np.float64, np.complex64, np.complex128)
+)
+
+
+def _weight_row(weights) -> tuple[list, str]:
+    """One row of weights as Python numbers, with its kind: "exact" when
+    every entry is an int or Fraction, else "complex" when any entry is
+    complex, else "real"."""
+    if all(isinstance(w, (int, np.integer, Fraction)) for w in weights):
+        return [w if isinstance(w, Fraction) else int(w) for w in weights], "exact"
+    zs = [complex(w) for w in weights]
+    if any(isinstance(w, (complex, np.complexfloating)) for w in weights):
+        return zs, "complex"
+    return [z.real for z in zs], "real"
 
 
 def _streamed_histogram(blocks, q: int) -> CompositionHistogram:
@@ -576,9 +627,14 @@ def complete_weight_enum(vectors, weights):
     Int and Fraction weights give the exact value.  Float and complex
     weights are exact binary fractions over one power-of-two denominator D,
     so the sum is taken in Gaussian integers over D^length and rounded once:
-    a float for real weights, a complex for complex ones.
+    a float for real weights, a complex for complex ones.  A row holding a
+    non-finite weight is multiplied out factor by factor in its own type.
+    ``weights`` may also be a (D, q) stack of rows, q its last axis: the
+    rows are grouped once and the result is a list of D values, entry i
+    bit for bit what row i alone gives.
     """
-    hist = CompositionHistogram.of_rows(vectors, len(weights))
+    shape = np.shape(weights)
+    hist = CompositionHistogram.of_rows(vectors, shape[-1] if shape else 0)
     return hist.complete_weight_enum(weights)
 
 

@@ -14,11 +14,12 @@ record rather than nothing.  A check refuses every quantity it needs
 before it builds any, and a model sum is priced before any of its tables
 is built, so a skip costs no listing and no allocation.
 
-A check that draws several random weights passes them to each model as one
-stack, so every model is contracted once per check, not once per draw.  A
-check that reads nothing of the group (the signed and GF(4) checks, and
-those that read only its order) shares its records between the battery
-calls on one graph, so a graph's first group carries them.
+A check that draws several random weights passes them as one stack to each
+model and to each exact weight-enumerator oracle, so every model is
+contracted, and every composition histogram read, once per check, not once
+per draw.  A check that reads nothing of the group (the signed and GF(4)
+checks, and those that read only its order) shares its records between the
+battery calls on one graph, so a graph's first group carries them.
 """
 
 from __future__ import annotations
@@ -477,14 +478,11 @@ def _check_macwilliams(ctx: VerifyContext):
     tensions = ctx.tension_compositions
     rng = ctx.rng(5)
     F = G.fourier_matrix()
-    for i in range(5):
-        h = ctx.cvec(rng, G.q)
-        lhs = flows.complete_weight_enum(h)
-        rhs = (
-            G.q ** (-g.num_edges / 2)
-            * flows.rows
-            * tensions.complete_weight_enum(F @ h)
-        )
+    hs = ctx.cvec(rng, (5, G.q))
+    lhss = flows.complete_weight_enum(hs)
+    duals = tensions.complete_weight_enum(np.stack([F @ h for h in hs]))
+    for i, (lhs, dual) in enumerate(zip(lhss, duals)):
+        rhs = G.q ** (-g.num_edges / 2) * flows.rows * dual
         out.append(
             _record(f"macwilliams.cwe-dual.draw{i}", "macwilliams.poisson", lhs, rhs, 1e-8)
         )
@@ -526,17 +524,19 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
     v1s = duality.flow_cwe_vertex_model(g, G, gvs, max_terms=ctx.max_terms).value
     v2s = duality.flow_cwe_edge_model(g, G, gvs, max_terms=ctx.max_terms).value
     v3s = duality.tension_cwe_expectation(g, G, gvs, max_terms=ctx.max_terms).value
-    for i, (gv, v1, v2, v3) in enumerate(zip(gvs, v1s, v2s, v3s)):
-        oracle = flows.complete_weight_enum(gv * gv[G.neg])
+    foracles = flows.complete_weight_enum(gvs * gvs[:, G.neg])
+    # each draw's convolution g * g^N: sum over b of g(a - b) g(-b)
+    convs = (gvs[:, G.sub] * gvs[:, G.neg][:, None, :]).sum(-1)
+    toracles = tensions.complete_weight_enum(convs)
+    for i, (v1, v2, v3, oracle, toracle) in enumerate(
+        zip(v1s, v2s, v3s, foracles, toracles)
+    ):
         out.append(
             _record(f"flow-cwe.vertex-route.draw{i}", "flow-cwe.vertex", v1, oracle, ctx.tol)
         )
         out.append(
             _record(f"flow-cwe.edge-route.draw{i}", "flow-cwe.edge", v2, oracle, ctx.tol)
         )
-        fq = QFunction(G, 1, gv)
-        conv = convolve(fq, negate(fq)).values
-        toracle = tensions.complete_weight_enum(conv)
         out.append(
             _record(
                 f"tension-cwe.expectation-route.draw{i}",

@@ -739,6 +739,29 @@ def test_battery_lists_flows_and_tensions_once(monkeypatch):
             hist.mults[0] = 1
 
 
+def test_cwe_checks_pass_their_draws_to_each_histogram_as_one_stack(monkeypatch):
+    import qcolour.verify as verify_mod
+
+    # each check calls the exact oracle once on the flows and once on the
+    # tensions with all five draws, where one call per draw would make 10
+    Histogram = verify_mod.oracles.CompositionHistogram
+    real = Histogram.complete_weight_enum
+    calls = []
+
+    def counted(hist, weights):
+        calls.append(np.shape(weights))
+        return real(hist, weights)
+
+    monkeypatch.setattr(Histogram, "complete_weight_enum", counted)
+    G = cyclic_group(3)
+    ctx = VerifyContext(CORPUS["prism"], G, 1e-7, 10**8, 0)
+    for check in (verify_mod._check_macwilliams, verify_mod._check_flow_cwe_routes):
+        calls.clear()
+        records = check(ctx)
+        assert calls == [(5, G.q), (5, G.q)]
+        assert records and all(rec.passed is True for rec in records)
+
+
 def test_checks_refuse_every_oracle_quantity_before_building_any(monkeypatch):
     import qcolour.verify as verify_mod
 

@@ -467,6 +467,124 @@ def test_complete_weight_enum_takes_non_finite_weights():
     assert isinstance(complete_weight_enum(rows, [complex(math.inf, 1.0), 1j]), complex)
 
 
+def _same(a, b):
+    """One type and one value bit for bit (nan equal to nan)."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def _value_or_overflow(f):
+    try:
+        return f()
+    except OverflowError:
+        return OverflowError
+
+
+def _multiplied_out(hist, weights):
+    """The non-finite semantics: each composition's weights multiplied one
+    coordinate at a time in colour order, times its multiplicity, summed
+    in composition order."""
+    return sum(
+        m * math.prod(weights[c] for c, n in enumerate(comp) for _ in range(n))
+        for comp, m in zip(hist.comps.tolist(), hist.mults.tolist())
+    )
+
+
+def _signed(magnitudes):
+    return st.builds(lambda m, neg: -m if neg else m, magnitudes, st.booleans())
+
+
+# from 1e-300 to 1e300 and subnormal, in each float width
+_WEIGHTS = {
+    64: _signed(
+        st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(5e-324, 2.2e-308))
+    ),
+    32: _signed(
+        st.one_of(
+            st.just(0.0),
+            st.floats(2.0**-126, 2.0**126, width=32),
+            st.floats(2.0**-149, 2.0**-127, width=32),
+        )
+    ),
+}
+
+
+@st.composite
+def _cwe_stacks(draw):
+    """Rows with values in range(q), possibly none or of length 0, and a
+    (D, q) stack of float or complex weights, at most one row of which
+    holds a non-finite entry."""
+    q = draw(st.sampled_from([1, 2, 3, 40]))
+    length = draw(st.integers(0, 3 if q == 40 else 5))
+    row = st.lists(st.integers(0, q - 1), min_size=length, max_size=length)
+    rows = draw(st.lists(row, max_size=8))
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+    dtypes = [np.float64, np.float32, np.complex128, np.complex64]
+    dtype = np.dtype(draw(st.sampled_from(dtypes)))
+    d = draw(st.integers(1, 4))
+    parts = 2 if dtype.kind == "c" else 1
+    width = 64 if dtype.itemsize // parts == 8 else 32
+    values = draw(st.lists(_WEIGHTS[width], min_size=parts * d * q, max_size=parts * d * q))
+    W = np.array(values, dtype=dtype.char.lower()).reshape(parts, d, q)
+    W = W[0] + 1j * W[1] if parts == 2 else W[0]
+    W = W.astype(dtype)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, d - 1)), draw(st.integers(0, q - 1))
+        W[at] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return rows, W
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cwe_stacks())
+@example((np.zeros((0, 3), dtype=np.int64), np.ones((2, 2))))
+@example((np.zeros((4, 0), dtype=np.int64), np.array([[1.5], [math.inf]])))
+@example((np.array([[0, 39, 39]]), np.full((1, 40), 1e300, dtype=complex)))
+def test_cwe_stack_entries_are_the_single_rows_exactly(case):
+    rows, W = case
+    hist = CompositionHistogram.of_rows(rows, W.shape[1])
+    singles = [_value_or_overflow(lambda: hist.complete_weight_enum(w)) for w in W]
+    stack = _value_or_overflow(lambda: hist.complete_weight_enum(W))
+    if any(v is OverflowError for v in singles):
+        assert stack is OverflowError
+    else:
+        assert len(stack) == len(W)
+        assert all(map(_same, stack, singles))
+        assert all(map(_same, complete_weight_enum(rows, W), singles))
+    for w, got in zip(W, singles):
+        if len(rows) == 0:
+            assert _same(got, 0)
+        elif not np.isfinite(w).all():
+            assert _same(got, _multiplied_out(hist, w.tolist()))
+        else:
+            re, im = _gauss_exact(rows, w)
+            want = _value_or_overflow(
+                lambda: complex(float(re), float(im)) if W.dtype.kind == "c" else float(re)
+            )
+            assert _same(got, want)
+
+
+def test_cwe_stack_of_exact_rows():
+    S = np.array([[0, 1, 1], [2, 0, 0], [1, 1, 1]])
+    hist = CompositionHistogram.of_rows(S, 3)
+    stack = [[2, 3, 5], [Fraction(1, 2), Fraction(1, 3), 1], [1.5, 2, 0.25]]
+    got = hist.complete_weight_enum(stack)
+    assert got == [hist.complete_weight_enum(w) for w in stack]
+    assert [type(v) for v in got] == [int, Fraction, float]
+    assert complete_weight_enum(S, np.array(stack[:1])) == [2 * 9 + 5 * 4 + 27]
+    assert complete_weight_enum([], np.ones((3, 2))) == [0, 0, 0]
+    assert complete_weight_enum(S, np.ones((0, 3))) == []
+    with pytest.raises(ValueError, match="shape"):
+        hist.complete_weight_enum(np.ones((2, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        hist.complete_weight_enum(np.ones((1, 1, 3)))
+
+
+def test_of_rows_names_the_shape_it_expects():
+    with pytest.raises(ValueError, match=r"\(rows, length\)"):
+        CompositionHistogram.of_rows(np.array([0, 1, 1]), 2)
+    with pytest.raises(ValueError, match=r"\(rows, length\)"):
+        complete_weight_enum([0, 1, 1], [1.0, 2.0])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     multigraphs(),
