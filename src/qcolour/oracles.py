@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -422,14 +421,12 @@ class CompositionHistogram:
         if len(shape) not in (1, 2) or shape[-1] != self.comps.shape[1]:
             raise ValueError(f"weights of shape {shape} for {self.comps.shape[1]} colours")
         stacked = len(shape) == 2
+        if isinstance(weights, np.ndarray) and weights.dtype.kind in "fc":
+            # Python floats or complexes, all at once rather than entry by entry
+            weights = weights.tolist()
         rows = weights if stacked else [weights]
         if self.rows == 0:
             values = [0] * len(rows)
-        elif isinstance(weights, np.ndarray) and weights.dtype in _BINARY and shape[-1]:
-            # a float or complex array converts whole, every row one kind
-            kind = "complex" if weights.dtype.kind == "c" else "real"
-            rows = np.reshape(weights, (-1, shape[-1])).tolist()
-            values = [self._weight_sum(ws, kind) for ws in rows]
         else:
             values = [self._weight_sum(*_weight_row(w)) for w in rows]
         return values if stacked else values[0]
@@ -437,52 +434,37 @@ class CompositionHistogram:
     def _weight_sum(self, ws: list, kind: str):
         """The enumerator at one row of weights, Python numbers of a
         ``_weight_row`` kind."""
-        terms, mults, tops = self._terms
         if kind == "exact" or not all(map(cmath.isfinite, ws)):
-            slots = [(c, n) for c, top in enumerate(tops) for n in range(top + 1)]
-            if kind == "exact":
-                powers = [ws[c] ** n for c, n in slots]
-                return sum(m * math.prod(powers[i] for i in at) for at, m in zip(terms, mults))
-            # each composition multiplied out factor by factor in the
-            # weights' own type, as a row's product would be: complex
-            # inf ** n would overflow in Python, and the order of the
-            # factors decides inf * 0
-            factors = [(ws[c],) * n for c, n in slots]
+            # each composition multiplied out in the weights' own type, as a
+            # row's product would be: exact for int and Fraction weights, and
+            # complex inf ** n would overflow in Python
             return sum(
-                m * math.prod(itertools.chain.from_iterable(factors[i] for i in at))
-                for at, m in zip(terms, mults)
+                m * math.prod(ws[c] for c, n in enumerate(comp) for _ in range(n))
+                for comp, m in zip(self.comps.tolist(), self.mults.tolist())
             )
+        terms, mults, tops = self._terms
         ratios = [x.as_integer_ratio() for w in ws for x in (w.real, w.imag)]
         den = max(d for _n, d in ratios)
         parts = [n * (den // d) for n, d in ratios]
-        # each colour's powers a + bi, as Gaussian integers over den, up to
-        # its largest count in the histogram, laid end to end, each held as
-        # (a, b - a, a + b) so that a product takes three multiplications
+        # each colour's powers, as Gaussian integers over den, up to its
+        # largest count in the histogram, laid end to end
         powers = []
         for a, b, top in zip(parts[::2], parts[1::2], tops):
             x, y = 1, 0
-            powers.append((1, -1, 1))
+            powers.append((x, y))
             for _ in range(top):
                 x, y = x * a - y * b, x * b + y * a
-                powers.append((x, y - x, x + y))
+                powers.append((x, y))
         # exact products, so the order of multiplication does not matter
         re = im = 0
         for at, m in zip(terms, mults):
             x, y = m, 0
             for i in at:
-                a, d, s = powers[i]
-                k = a * (x + y)
-                x, y = k - y * s, k + x * d
+                a, b = powers[i]
+                x, y = x * a - y * b, x * b + y * a
             re, im = re + x, im + y
         scale = den**self.length
         return complex(re / scale, im / scale) if kind == "complex" else re / scale
-
-
-# the dtypes whose tolist() gives each entry exactly as a Python float or
-# complex, as iterating over them and converting would
-_BINARY = frozenset(
-    np.dtype(t) for t in (np.float16, np.float32, np.float64, np.complex64, np.complex128)
-)
 
 
 def _weight_row(weights) -> tuple[list, str]:

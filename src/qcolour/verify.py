@@ -525,9 +525,10 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
     v2s = duality.flow_cwe_edge_model(g, G, gvs, max_terms=ctx.max_terms).value
     v3s = duality.tension_cwe_expectation(g, G, gvs, max_terms=ctx.max_terms).value
     foracles = flows.complete_weight_enum(gvs * gvs[:, G.neg])
-    # each draw's convolution g * g^N: sum over b of g(a - b) g(-b)
-    convs = (gvs[:, G.sub] * gvs[:, G.neg][:, None, :]).sum(-1)
-    toracles = tensions.complete_weight_enum(convs)
+    fqs = [QFunction(G, 1, gv) for gv in gvs]
+    toracles = tensions.complete_weight_enum(
+        np.stack([convolve(fq, negate(fq)).values for fq in fqs])
+    )
     for i, (v1, v2, v3, oracle, toracle) in enumerate(
         zip(v1s, v2s, v3s, foracles, toracles)
     ):
