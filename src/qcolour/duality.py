@@ -109,24 +109,32 @@ def boundary_edge_sum(
     reads its label; ``models.edge_table_sum`` would read it at its vertex
     too, and plan loops at a higher cost.  Each vertex table is a function
     of its non-loop half-edge colours, called only once the sum is priced
-    (see ``models.eliminate``)."""
+    (see ``models.eliminate``).  Vertices that share one weight row object
+    and one tuple of signs share one such function, which ``eliminate``
+    reads once for all of them."""
     # one signed sum per tuple of signs: a vertex's distinct edges read one grid
     boundaries = {}
 
-    def vertex_table(v, signs, *coords):
+    def vertex_table(row, signs, *coords):
         if signs not in boundaries:
             bnd = np.zeros((), dtype=np.int64)
             for sign, c in zip(signs, coords):
                 bnd = group.add[bnd, c if sign == 1 else group.neg[c]]
             boundaries[signs] = bnd
-        return vertex_vecs[v].take(boundaries[signs], axis=-1)
+        return row.take(boundaries[signs], axis=-1)
 
+    # each table holds its row, so no row keyed here is freed and its id
+    # reused by another row, as a fresh view per row of an array would be
+    tables = {}
     factors = []
     for v in range(g.num_vertices):
         hs = [(e, end) for e, end in g.halfedges_at(v) if not g.is_loop(e)]
         signs = tuple(orient.sigma(e, end) for e, end in hs)
-        table = functools.partial(vertex_table, v, signs)
-        factors.append((table, [e for e, _end in hs]))
+        row = vertex_vecs[v]
+        key = (id(row), signs)
+        if key not in tables:
+            tables[key] = functools.partial(vertex_table, row, signs)
+        factors.append((tables[key], [e for e, _end in hs]))
     factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
     return factor_sum(group.q, g.num_edges, factors, max_terms)
 

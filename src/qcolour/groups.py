@@ -128,7 +128,9 @@ def group_from_name(spec: str) -> Group:
 
 @dataclass(frozen=True)
 class QFunction:
-    """Dense complex-valued function on Q^d (d = arity)."""
+    """Dense complex-valued function on Q^d (d = arity).  Axes of
+    ``values`` before its q^d entries are a batch, one function per entry,
+    as in ``transform``."""
 
     group: Group
     arity: int
@@ -137,7 +139,7 @@ class QFunction:
     def __post_init__(self):
         expected = self.group.q**self.arity
         vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (expected,):
+        if vals.shape[-1:] != (expected,):
             raise ValueError(f"expected {expected} values, got {vals.shape}")
         object.__setattr__(self, "values", vals)
 
@@ -158,7 +160,7 @@ class QFunction:
         return cls(group, arity, vals)
 
     def as_tensor(self) -> np.ndarray:
-        return self.values.reshape((self.group.q,) * self.arity)
+        return self.values.reshape(self.values.shape[:-1] + (self.group.q,) * self.arity)
 
     def support(self) -> list[tuple[int, ...]]:
         nonzero = np.argwhere(np.abs(self.as_tensor()) > 1e-12)
@@ -202,7 +204,7 @@ def transform_by(f: QFunction, U: np.ndarray) -> QFunction:
     U = np.asarray(U)
     if U.shape != (q, q):
         raise ValueError(f"matrix must be {q}x{q}, got {U.shape}")
-    values = transform(U, f.as_tensor(), f.arity).reshape(-1)
+    values = transform(U, f.as_tensor(), f.arity).reshape(f.values.shape)
     return QFunction(f.group, f.arity, values)
 
 
@@ -213,9 +215,9 @@ def fourier(f: QFunction) -> QFunction:
 def negate(f: QFunction) -> QFunction:
     """f^N(a) = f(-a), componentwise on tuples."""
     arr = f.as_tensor()
-    for ax in range(f.arity):
-        arr = np.take(arr, f.group.neg, axis=ax)
-    return QFunction(f.group, f.arity, arr.reshape(-1))
+    for ax in range(1, f.arity + 1):
+        arr = np.take(arr, f.group.neg, axis=-ax)
+    return QFunction(f.group, f.arity, arr.reshape(f.values.shape))
 
 
 def pointwise(f: QFunction, g: QFunction) -> QFunction:
@@ -225,7 +227,8 @@ def pointwise(f: QFunction, g: QFunction) -> QFunction:
 
 def convolve(f: QFunction, g: QFunction) -> QFunction:
     """(f * g)(a) = sum_b f(a - b) g(b): f gathered at the index of every
-    difference a - b, then summed against g."""
+    difference a - b, then summed against g.  Batched functions give one
+    convolution per entry of their broadcast batch, in one gather."""
     _check_same(f, g)
     q, d = f.group.q, f.arity
     diff = np.zeros((1, 1), dtype=np.int64)
@@ -233,7 +236,12 @@ def convolve(f: QFunction, g: QFunction) -> QFunction:
         # the index of (a, a') - (b, b') from that of a - b and a' - b'
         diff = diff[:, None, :, None] * q + f.group.sub[None, :, None, :]
         diff = diff.reshape(diff.shape[0] * q, -1)
-    return QFunction(f.group, d, (f.values[diff] * g.values).sum(axis=1))
+    fv, gv = np.broadcast_arrays(f.values, g.values)
+    # multiplied in place, so the terms keep the gather's layout and each
+    # entry of a batch adds them in the order that its own convolution does
+    terms = fv[..., diff]
+    terms *= gv[..., None, :]
+    return QFunction(f.group, d, terms.sum(axis=-1))
 
 
 def monochrome_indicator(group: Group, arity: int) -> QFunction:

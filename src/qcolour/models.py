@@ -7,9 +7,9 @@ at a time, so the cost is exponential in the width of the elimination order,
 not in the number of labels.  The order is planned from the labels alone
 and compiled into einsum steps over numbered table slots, once per label
 structure (a bounded cache keyed by the factors' label tuples alone, so a
-sum repeated with other tables, another radix or a batch only runs the
-steps); its cost is what the term cap bounds and ``ModelValue.terms``
-reports.  A table with one leading axis more than its arity carries a
+sum repeated with other tables, another radix or a batch pays the lookup,
+one pass over its tables and the steps); its cost is what the term cap
+bounds and ``ModelValue.terms`` reports.  A table with one leading axis more than its arity carries a
 batch, the rule that ``groups.transform`` and the weight tables of every
 builder follow, so several sums that differ only in their tables run as
 one contraction, at the plan and cap of one: the batch rides on the
@@ -220,6 +220,7 @@ class _Plan(NamedTuple):
     read: int  # distinct labels any factor reads
     scopes: tuple  # labels read at each step
     steps: tuple  # (operand slots, their subscripts, output subscripts, closed)
+    costs: dict  # radix -> the sum over steps of radix^scope, on first use
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -289,14 +290,30 @@ def _plan(label_tuples: tuple) -> _Plan:
         new += 1
         scopes.append(size)
         steps.append((used, tuple(subscripts), (..., *range(at), *range(at + 1, size)), not out))
-    return _Plan(grids, constants, read, tuple(scopes), tuple(steps))
+    return _Plan(grids, constants, read, tuple(scopes), tuple(steps), {})
 
 
 def _capped_cost(radix: int, plan: _Plan, max_terms: int) -> int:
-    cost = sum(radix**size for size in plan.scopes)
+    cost = plan.costs.get(radix)
+    if cost is None:
+        cost = plan.costs[radix] = sum(radix**size for size in plan.scopes)
     if cost > max_terms:
         raise TermCapExceeded(cost, max_terms)
     return cost
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _grid(radix: int, width: int) -> tuple:
+    """The sparse index grid of ``width`` axes over range(radix), shared by
+    every sum and read-only, so no table function can write into it."""
+    grid = np.indices((radix,) * width, sparse=True)
+    for axis in grid:
+        axis.flags.writeable = False
+    return grid
+
+
+# the dtypes einsum sums in; any other table is promoted to one of them
+_SUMMED = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 def eliminate(
@@ -304,38 +321,42 @@ def eliminate(
 ) -> tuple[complex | np.ndarray, int]:
     """The sum of ``factor_sum`` by variable elimination, and its planned
     cost: the sum over steps of radix^(labels read at that step).  The plan
-    is cached per label structure, the factors' label tuples alone; a cost
-    over ``max_terms`` raises before any table is read or summed.
+    is cached per label structure, the factors' label tuples alone, and its
+    cost per radix; a cost over ``max_terms`` raises before any table is
+    read or summed.  A repeated sum pays the plan lookup, one pass over the
+    factors and the plan's einsum steps.
 
     Tables are read on the sparse index grid of their factor's distinct
-    labels, one coordinate array per axis, a loop's two axes sharing one.
-    So no table outgrows the plan, whose cost is the one cap.  An unbuilt
-    table is a function of those arrays (no longer of no arguments, which
-    built a loop's every axis and needed a cap of its own), called once
-    per distinct function and pattern of repeats, in factor order.
+    labels, one read-only coordinate array per axis, a loop's two axes
+    sharing one.  So no table outgrows the plan, whose cost is the one cap.
+    An unbuilt table is a function of those arrays (no longer of no
+    arguments, which built a loop's every axis and needed a cap of its
+    own), called once per distinct function and pattern of repeats, in
+    factor order.  Integer, boolean and single-precision tables sum in
+    float64 or complex128: products of ints can wrap, and single-precision
+    products round early.
 
     A table with one leading axis more than its factor's labels carries a
     batch of size B, the same for every such table, on each step's ``...``:
     the sum is then a (B,) complex array, entry b the sum over the b-th
     tables and the unbatched ones, and else a complex.  The plan, the cost
     and the cap are those of one entry, as ``ModelValue.terms`` is."""
-    tables, label_tuples, read = [], [], {}
-    for table, labels in factors:
-        tables.append(table if callable(table) else np.asarray(table))
-        label_tuples.append(tuple(labels))
-    plan = _plan(tuple(label_tuples))
+    plan = _plan(tuple([tuple(labels) for _table, labels in factors]))
     cost = _capped_cost(radix, plan, max_terms)
-    for i, (table, (width, axes)) in enumerate(zip(tables, plan.grids)):
-        if callable(table) or width < len(axes):
-            key = (table, axes) if callable(table) else i
-            if key not in read:
-                grid = np.indices((radix,) * width, sparse=True)
-                coords = [grid[axis] for axis in axes]
-                read[key] = table(*coords) if callable(table) else table[(..., *coords)]
-            tables[i] = read[key]
-    # integer tables sum in floating point, as products of ints can wrap
-    tables = [np.asarray(t) for t in tables]
-    tables = [t.astype(np.result_type(t, np.float64), copy=False) for t in tables]
+    tables, read = [], {}
+    for (table, _labels), (width, axes) in zip(factors, plan.grids):
+        if callable(table):
+            key = (table, axes)
+            t = read.get(key)
+            if t is None:
+                grid = _grid(radix, width)
+                t = read[key] = _summed(table(*[grid[axis] for axis in axes]))
+        elif width < len(axes):
+            grid = _grid(radix, width)
+            t = _summed(np.asarray(table)[(..., *[grid[axis] for axis in axes])])
+        else:
+            t = _summed(table)
+        tables.append(t)
     total = 1.0 + 0.0j
     for slot in plan.constants:
         total *= tables[slot][()]
@@ -349,6 +370,15 @@ def eliminate(
         if closed:
             total *= tables[-1][()]
     return (total if isinstance(total, np.ndarray) else complex(total)), cost
+
+
+def _summed(table) -> np.ndarray:
+    """A table as an array of a dtype that einsum sums in."""
+    if type(table) is not np.ndarray:
+        table = np.asarray(table)
+    if table.dtype in _SUMMED:
+        return table
+    return table.astype(np.result_type(table, np.float64))
 
 
 def edge_table_sum(

@@ -762,6 +762,24 @@ def test_cwe_checks_pass_their_draws_to_each_histogram_as_one_stack(monkeypatch)
         assert records and all(rec.passed is True for rec in records)
 
 
+def test_flow_cwe_check_convolves_its_draws_as_one_stack(monkeypatch):
+    import qcolour.verify as verify_mod
+
+    real = verify_mod.convolve
+    calls = []
+
+    def counted(f, g):
+        calls.append((f.values.shape, g.values.shape))
+        return real(f, g)
+
+    monkeypatch.setattr(verify_mod, "convolve", counted)
+    G = cyclic_group(4)
+    ctx = VerifyContext(CORPUS["prism"], G, 1e-7, 10**8, 0)
+    records = verify_mod._check_flow_cwe_routes(ctx)
+    assert calls == [((5, G.q), (5, G.q))]
+    assert records and all(rec.passed is True for rec in records)
+
+
 def test_checks_refuse_every_oracle_quantity_before_building_any(monkeypatch):
     import qcolour.verify as verify_mod
 

@@ -155,6 +155,29 @@ def test_convolve_matches_the_shift_loop(spec, d):
     assert np.allclose(convolve(f, g).values, want, rtol=0, atol=tol)
 
 
+@pytest.mark.parametrize("spec", ["2", "3", "4", "2x2", "f4"])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_convolve_takes_a_batch(spec, d):
+    G = group_from_name(spec)
+    rng = np.random.default_rng(stable_seed("batch", spec, d))
+    fs = complex_vec(rng, 4 * G.q**d).reshape(4, G.q**d)
+    gs = complex_vec(rng, 4 * G.q**d).reshape(4, G.q**d)
+    f, g = QFunction(G, d, fs), QFunction(G, d, gs)
+    # a batch on both, or on either one against an unbatched function
+    for got, pairs in (
+        (convolve(f, g), zip(fs, gs)),
+        (convolve(f, QFunction(G, d, gs[0])), zip(fs, [gs[0]] * 4)),
+        (convolve(QFunction(G, d, fs[0]), g), zip([fs[0]] * 4, gs)),
+    ):
+        assert got.values.shape == (4, G.q**d)
+        for row, (fv, gv) in zip(got.values, pairs):
+            want = convolve(QFunction(G, d, fv), QFunction(G, d, gv)).values
+            assert np.allclose(row, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    # negation maps each entry of a batch alone
+    rows = [negate(QFunction(G, d, v)).values for v in fs]
+    assert np.array_equal(negate(f).values, np.stack(rows))
+
+
 def _kron_power(M, d):
     out = np.ones((1, 1))
     for _ in range(d):

@@ -61,6 +61,49 @@ def _boundary_brute(g, G, orient, vv, ev):
     return total
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    multigraphs(),
+    st.sampled_from(GROUP_SPECS),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 1), min_size=5, max_size=5),
+)
+# isolated vertices only, and two edges whose tails share a sign pattern
+@example(Multigraph(4, ()), "3", 0, [0, 0, 0, 0, 0])
+@example(Multigraph(4, ((0, 1), (2, 3))), "2x2", 1, [1, 1, 0, 0, 0])
+def test_boundary_vertex_tables_are_shared_by_row_object(g, spec, seed, heads):
+    G = group_from_name(spec)
+    rng = np.random.default_rng(seed)
+    orient = Orientation(tuple(heads[: g.num_edges]))
+    ev = [complex_vec(rng, G.q) for _ in range(g.num_edges)]
+    rows = complex_vec(rng, g.num_vertices * G.q).reshape(g.num_vertices, G.q)
+    one = complex_vec(rng, G.q)
+    signs = {
+        tuple(orient.sigma(e, end) for e, end in g.halfedges_at(v) if not g.is_loop(e))
+        for v in range(g.num_vertices)
+    }
+    tables = []
+    real = duality.factor_sum
+
+    def spy(radix, length, factors, max_terms):
+        tables.append({id(t) for t, _ls in factors if callable(t)})
+        return real(radix, length, factors, max_terms)
+
+    # a 2-D array's rows, a fresh view each, share no table; the vertices
+    # of one row object share one per sign pattern
+    for vv, shared in (
+        (rows, g.num_vertices),
+        ([one] * g.num_vertices, len(signs)),
+        (list(rows), g.num_vertices),
+    ):
+        tables.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(duality, "factor_sum", spy)
+            got = boundary_edge_sum(g, G, orient, vv, ev).value
+        assert_close(got, _boundary_brute(g, G, orient, list(vv), ev), TOL)
+        assert [len(t) for t in tables] == [shared]
+
+
 def _edge_table_brute(g, q, tables, ev):
     total = 0j
     for y in itertools.product(range(q), repeat=g.num_edges):
@@ -262,6 +305,50 @@ def test_factor_sum_edge_cases(case):
     # each function is read once, an array per axis spanning the grid of
     # its distinct labels
     assert calls == [(len(ls), radix ** len(set(ls))) for ls in repeats]
+
+
+def test_table_functions_read_a_grid_they_cannot_write():
+    M = complex_vec(np.random.default_rng(3), 9).reshape(3, 3)
+
+    def reads(i, j):
+        return M[i, j]
+
+    def writes(i, j):
+        i += 1
+        return M[i % 3, j]
+
+    before = factor_sum(3, 2, [(reads, (0, 1))])
+    assert_close(before.value, M.sum(), TOL)
+    # every sum over a radix and width reads one grid, so a write into it
+    # would move the next sum's reads
+    with pytest.raises(ValueError, match="read-only"):
+        factor_sum(3, 2, [(writes, (0, 1))])
+    assert factor_sum(3, 2, [(reads, (0, 1))]) == before
+
+
+# 1 + 2^-12 squares to 1 + 2^-11 + 2^-24 in double precision, and a single
+# precision product drops the last term; 2^40 squared wraps an int64
+NARROW_TABLES = {
+    "bool": np.array([True, True]),
+    "int64": np.array([2**40, 3]),
+    "float32": np.array([1 + 2**-12], dtype=np.float32),
+    "complex64": np.array([1 + 2**-12 + 0j], dtype=np.complex64),
+}
+
+
+@pytest.mark.parametrize("read", ["array", "loop", "unbuilt"])
+@pytest.mark.parametrize("dtype", sorted(NARROW_TABLES))
+def test_narrow_tables_sum_in_double_precision(dtype, read):
+    t = NARROW_TABLES[dtype]
+    assert np.float32(1 + 2**-12) ** 2 != (1 + 2**-12) ** 2
+    first = {
+        "array": (t, (0,)),
+        "loop": (np.diag(t), (0, 0)),
+        "unbuilt": (lambda c: t[c], (0,)),
+    }[read]
+    s = complex(sum(t.tolist()))
+    # t read at each of two labels sums to the square of t's sum
+    assert factor_sum(t.size, 2, [first, (t, (1,))]).value == s * s
 
 
 def test_cap_fires_before_any_einsum(monkeypatch):
