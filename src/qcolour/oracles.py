@@ -3,10 +3,13 @@
 The Tutte polynomial is held as its subset histogram, the number of edge
 subsets of each size and rank (no deletion-contraction): the ranks of all
 2^|E| subsets come from one pass over the subset lattice, one edge at a
-time, holding a component label per vertex for 2^(|E|-1) subsets.  The
-caller's term cap bounds that pass, up to a fixed ceiling of 2^22 subsets
-that keeps the labels in memory.  T(x, y), the Potts count and the flow
-enumerator are exact sums over the histogram.
+time, holding for each vertex one contiguous row of component labels over
+2^(|E|-1) subsets.  The caller's term cap bounds that pass, up to a fixed
+ceiling of 2^22 subsets that keeps the labels in memory, and is priced on
+every call before a bounded per-process memo of finished passes is read:
+equal graphs share one entry, so its ``TuttePolynomial`` is shared and its
+mappings are read-only.  T(x, y), the Potts count and the flow enumerator
+are exact sums over the histogram.
 Flows and tensions are listed explicitly from a BFS spanning forest: a flow
 is fixed by its values on the |E|-|V|+k edges outside the forest (k
 components), a tension by a vertex colouring with each component's root at
@@ -31,7 +34,8 @@ composition's nonzero colour counts as Python ints, and for each row builds
 every colour's powers and multiplies over those counts alone, so a check
 that draws several weights reads its histogram once, not once per draw.
 ``monochrome_polynomial`` likewise evaluates one histogram of
-monochromatic-edge counts over all vertex colourings.  These deliberately
+monochromatic-edge counts over all vertex colourings, priced on every call
+and kept in a bounded memo per graph and q.  These deliberately
 share no code path with the model evaluators they verify.
 """
 
@@ -40,6 +44,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,15 +89,32 @@ class ConsistencyError(RuntimeError):
     """Two supposedly-equal oracle routes disagreed."""
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every write with TypeError, for a value that
+    the memo shares between callers; it reads and compares as a dict and
+    pickles as one."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a memoized Tutte polynomial is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class TuttePolynomial:
     """The Tutte polynomial held as its subset histogram: ``subsets`` maps
     (|A|, r(A)) to the number of edge subsets A of that size and rank.
 
     T(x, y), the Potts count and the flow enumerator are exact sums over
-    the histogram; ``coeffs`` maps (i, j) to the x^i y^j coefficient."""
+    the histogram; ``coeffs`` maps (i, j) to the x^i y^j coefficient.
+    ``tutte`` shares one value between equal graphs, so both mappings are
+    read-only."""
 
-    subsets: dict[tuple[int, int], int]
+    subsets: Mapping[tuple[int, int], int]
     num_vertices: int
     num_edges: int
     full_rank: int
@@ -121,7 +143,7 @@ class TuttePolynomial:
         )
 
     @functools.cached_property
-    def coeffs(self) -> dict[tuple[int, int], int]:
+    def coeffs(self) -> Mapping[tuple[int, int], int]:
         """T(x, y) expanded binomially in x and y, zero coefficients dropped."""
         coeffs: dict[tuple[int, int], int] = {}
         for (a, r), c in self.subsets.items():
@@ -131,7 +153,7 @@ class TuttePolynomial:
                     sign = (-1) ** ((i - u) + (j - v))
                     term = c * math.comb(i, u) * math.comb(j, v) * sign
                     coeffs[u, v] = coeffs.get((u, v), 0) + term
-        return {k: v for k, v in coeffs.items() if v != 0}
+        return _ReadOnlyDict((k, v) for k, v in coeffs.items() if v != 0)
 
     def __str__(self):
         def term(i, j, c):
@@ -151,6 +173,10 @@ class TuttePolynomial:
 # the subset pass holds 2^(|E|-1)*|V| label bytes, so however large the
 # caller's cap, it stops at 2^22 subsets (200 MB of labels at 100 vertices)
 _SUBSET_CEILING = 1 << 22
+# finished subset passes and monochrome histograms kept per process, keyed
+# by the graph (and q), so equal graphs share an entry
+_TUTTE_MEMO_SIZE = 64
+_MONOCHROME_MEMO_SIZE = 64
 
 
 def tutte_terms(g: Multigraph, max_terms: int = DEFAULT_MAX_TERMS) -> int:
@@ -190,33 +216,45 @@ def tension_composition_terms(
 def tutte(g: Multigraph, max_terms: int = DEFAULT_MAX_TERMS) -> TuttePolynomial:
     """The subset histogram: how many edge subsets A have each size |A| and
     rank r(A); more than min(max_terms, 2^22) subsets raise
-    TermCapExceeded.
+    TermCapExceeded.  The cap is priced on every call, before the memo of
+    finished passes is read, so a memoized graph is refused under a smaller
+    cap just as a new one is; equal graphs get the same read-only value.
 
     A subset A is the bitmask of its edges.  The subsets holding edge e are
-    those of edges 0..e-1 with e added, so rows [2^e, 2^(e+1)) of the rank,
-    size and vertex component-label arrays are filled from rows [0, 2^e):
-    edge (u, v) raises the rank where u and v carry different labels, then
-    relabels v's component with u's label.  The last edge needs no labels,
-    so the memory is 2^(|E|-1)*|V| label bytes plus the 2^|E| ranks and
-    sizes.
+    those of edges 0..e-1 with e added, so entries [2^e, 2^(e+1)) of the
+    size-and-rank keys and of each vertex's row of component labels are
+    filled from entries [0, 2^e): edge (u, v) raises the size, and the rank
+    where rows u and v differ, then copies the rows, relabelling v's
+    component with u's label in place.  The last edge needs no labels, so
+    the memory is 2^(|E|-1)*|V| label bytes plus the 2^|E| keys.
     """
-    m, n = g.num_edges, g.num_vertices
     tutte_terms(g, max_terms)
-    labels = np.empty((1 << max(m - 1, 0), n), dtype=np.min_scalar_type(max(n - 1, 0)))
-    labels[0] = np.arange(n)
-    ranks = np.zeros(1 << m, dtype=np.intp)
-    sizes = np.zeros(1 << m, dtype=np.intp)
+    return _subset_pass(g)
+
+
+@functools.lru_cache(maxsize=_TUTTE_MEMO_SIZE)
+def _subset_pass(g: Multigraph) -> TuttePolynomial:
+    """``tutte``'s pass, unpriced; its caller prices it."""
+    m, n = g.num_edges, g.num_vertices
+    # labels[x, A]: the component label of vertex x under subset A, one
+    # contiguous row per vertex
+    labels = np.empty((n, 1 << max(m - 1, 0)), dtype=np.min_scalar_type(max(n - 1, 0)))
+    labels[:, 0] = np.arange(n)
+    # keys[A] = |A|*(n+1) + r(A), so that one bincount gives the histogram
+    keys = np.zeros(1 << m, dtype=np.intp)
     for e, (u, v) in enumerate(g.edges):
         h = 1 << e
-        lab = labels[:h]
-        ranks[h : 2 * h] = ranks[:h] + (lab[:, u] != lab[:, v])
-        sizes[h : 2 * h] = sizes[:h] + 1
+        lab = labels[:, :h]
+        keys[h : 2 * h] = keys[:h] + (lab[u] != lab[v]) + (n + 1)
         if e < m - 1:
-            labels[h : 2 * h] = np.where(lab == lab[:, v : v + 1], lab[:, u : u + 1], lab)
-    # hist[a*(n+1) + r] = #{A : |A| = a, r(A) = r}
-    hist = np.bincount(sizes * (n + 1) + ranks)
-    subsets = {divmod(int(k), n + 1): int(hist[k]) for k in np.flatnonzero(hist)}
-    return TuttePolynomial(subsets, n, m, int(ranks[-1]))
+            new = labels[:, h : 2 * h]
+            new[...] = lab
+            np.copyto(new, lab[u], where=lab == lab[v])
+    hist = np.bincount(keys)
+    subsets = _ReadOnlyDict(
+        (divmod(int(k), n + 1), int(hist[k])) for k in np.flatnonzero(hist)
+    )
+    return TuttePolynomial(subsets, n, m, int(keys[-1]) % (n + 1))
 
 
 def _spanning_forest(g: Multigraph):
@@ -637,8 +675,18 @@ def monochrome_histogram(
     return tuple(hist.tolist())
 
 
+@functools.lru_cache(maxsize=_MONOCHROME_MEMO_SIZE)
+def _monochrome_memo(g: Multigraph, q: int) -> tuple[int, ...]:
+    """``monochrome_histogram``, walked once per graph and q; its caller
+    prices the walk."""
+    return monochrome_histogram(g, q, max_terms=q**g.num_vertices)
+
+
 def monochrome_polynomial(
     g: Multigraph, q: int, t, max_terms: int = DEFAULT_MAX_TERMS
 ):
-    """sum over vertex q-colourings of t^(number of monochromatic edges)."""
-    return count_polynomial(monochrome_histogram(g, q, max_terms), t)
+    """sum over vertex q-colourings of t^(number of monochromatic edges).
+    The q^|V| colourings are priced against max_terms on every call, before
+    the memo of histograms is read."""
+    count_terms(q, g.num_vertices, max_terms)
+    return count_polynomial(_monochrome_memo(g, q), t)

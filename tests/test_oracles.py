@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from qcolour import enumeration
+from qcolour import enumeration, oracles
 from qcolour.duality import tension_cwe_expectation
 from qcolour.enumeration import (
     TermCapExceeded,
@@ -101,6 +102,63 @@ def test_tutte_pinned_values():
     assert T(1, 1) == 2000  # spanning trees (Kirchhoff)
     assert T(2, 1) == 22292  # spanning forests
     assert T(1, 2) == 5968  # connected spanning subgraphs
+
+
+# The memo of finished subset passes: the cap is priced on every call, before
+# the memo is read, and equal graphs share one read-only value.
+
+
+def test_memoized_tutte_still_prices_the_cap(monkeypatch):
+    g = graph_of("petersen")
+    assert tutte(g)(2, 2) == 2**15  # memoized at the default cap
+    with pytest.raises(TermCapExceeded) as err:
+        tutte(g, max_terms=1000)
+    assert (err.value.estimate, err.value.cap) == (2**15, 1000)
+    monkeypatch.setattr(oracles, "_subset_pass", pytest.fail)
+    with pytest.raises(TermCapExceeded):
+        tutte(g, max_terms=1000)
+
+
+def test_memoized_monochrome_histogram_still_prices_the_colourings(monkeypatch):
+    g = graph_of("prism")
+    assert monochrome_polynomial(g, 5, 1) == 5**6  # memoized at the default cap
+    monkeypatch.setattr(oracles, "_monochrome_memo", pytest.fail)
+    for cap in (5**6 - 1, 1000):
+        with pytest.raises(TermCapExceeded) as err:
+            monochrome_polynomial(g, 5, 1, max_terms=cap)
+        assert (err.value.estimate, err.value.cap) == (5**6, cap)
+
+
+def test_equal_graphs_share_one_read_only_tutte():
+    edges = ((0, 1), (1, 2), (2, 0), (2, 2), (3, 3))
+    T = tutte(Multigraph(4, edges))
+    assert tutte(Multigraph(4, [list(e) for e in edges])) is T
+    for mapping in (T.subsets, T.coeffs):
+        with pytest.raises(TypeError):
+            mapping[0, 0] = 1
+        with pytest.raises(TypeError):
+            del mapping[next(iter(mapping))]
+        with pytest.raises(TypeError):
+            mapping.update({(0, 0): 1})
+    assert T.coeffs == {(2, 2): 1, (1, 2): 1, (0, 3): 1}  # (x^2 + x + y) y^2
+    assert pickle.loads(pickle.dumps(T)) == T
+
+
+def test_chromatic_then_monochrome_calls_walk_the_colourings_once(monkeypatch):
+    walks = []
+    walk = oracles.monochrome_histogram
+
+    def spy(g, q, max_terms):
+        walks.append((g, q))
+        return walk(g, q, max_terms)
+
+    monkeypatch.setattr(oracles, "monochrome_histogram", spy)
+    oracles._monochrome_memo.cache_clear()
+    g = graph_of("prism")
+    assert chromatic(g, 5) == 1920  # Biggs, Damerell & Sands' closed form
+    assert monochrome_polynomial(g, 5, 2) == _monochrome_walk(g, 5, 2)
+    assert monochrome_polynomial(g, 5, Fraction(1, 3)) == _monochrome_walk(g, 5, Fraction(1, 3))
+    assert walks == [(g, 5)]
 
 
 # Reference: one union-find rank per edge subset, as `tutte` computed before
