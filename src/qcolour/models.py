@@ -8,12 +8,13 @@ not in the number of labels.  The order is planned from the labels alone
 and compiled into einsum steps over numbered table slots, once per label
 structure (a bounded cache keyed by the factors' label tuples alone, so a
 sum repeated with other tables, another radix or a batch pays the lookup,
-one pass over its tables and the steps); its cost is what the term cap
-bounds and ``ModelValue.terms`` reports.  A table with one leading axis more than its arity carries a
-batch, the rule that ``groups.transform`` and the weight tables of every
-builder follow, so several sums that differ only in their tables run as
-one contraction, at the plan and cap of one: the batch rides on the
-``...`` that starts every subscript list.
+its price, one pass over its tables and the steps); its cost is what the
+term cap bounds and ``ModelValue.terms`` reports.  A table with one
+leading axis more than its arity carries a batch, the rule that
+``groups.transform`` and the weight tables of every builder follow, so
+several sums that differ only in their tables run as one contraction, at
+the plan and cap of one: the batch rides on the ``...`` that starts every
+subscript list.
 ``edge_table_sum``, ``vertex_table_sum``, ``duality.boundary_edge_sum``,
 the split's edge side (``duality._split_edge_sum``) and
 ``orthogonal_invariance_check`` call ``factor_sum``; the other models
@@ -196,12 +197,13 @@ def factor_sum(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ModelValue:
     """Sum over colourings c in range(radix)^length of the product over
-    ``factors`` (a list of (table, labels) pairs) of table[c[labels]].  A
-    label repeated within one factor reads its colour on several axes, as a
-    loop does at its vertex; a factor with no labels is a constant.  A
-    table may be unbuilt, and one with an axis more than its labels carries
-    a batch (see ``eliminate``), and the value is then one sum per batch
-    entry.  The cap and ``ModelValue.terms`` are the planned cost of one."""
+    ``factors`` (a list of (table, labels) pairs) of table[c[labels]], each
+    label in range(length), else ValueError.  A label repeated within one
+    factor reads its colour on several axes, as a loop does at its vertex;
+    a factor with no labels is a constant.  A table may be unbuilt, and one
+    with an axis more than its labels carries a batch (see ``eliminate``),
+    and the value is then one sum per batch entry.  The cap and
+    ``ModelValue.terms`` are the planned cost of one."""
     return ModelValue.of(*eliminate(radix, length, factors, max_terms))
 
 
@@ -218,9 +220,9 @@ class _Plan(NamedTuple):
     grids: tuple  # per factor: distinct labels, and the index of each label
     constants: tuple  # slots of the factors with no labels
     read: int  # distinct labels any factor reads
+    bounds: tuple  # the smallest and largest label read, (0, -1) for none
     scopes: tuple  # labels read at each step
     steps: tuple  # (operand slots, their subscripts, output subscripts, closed)
-    costs: dict  # radix -> the sum over steps of radix^scope, on first use
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -250,6 +252,7 @@ def _plan(label_tuples: tuple) -> _Plan:
                 near[label] = set(labels)
                 slots[label] = {slot: None}
     read = len(near)
+    bounds = (min(near), max(near)) if near else (0, -1)
     # (neighbourhood size, label): an entry whose label is summed or whose
     # size is no longer its label's is skipped
     heap = [(len(ls), lb) for lb, ls in near.items()]
@@ -290,13 +293,11 @@ def _plan(label_tuples: tuple) -> _Plan:
         new += 1
         scopes.append(size)
         steps.append((used, tuple(subscripts), (..., *range(at), *range(at + 1, size)), not out))
-    return _Plan(grids, constants, read, tuple(scopes), tuple(steps), {})
+    return _Plan(grids, constants, read, bounds, tuple(scopes), tuple(steps))
 
 
 def _capped_cost(radix: int, plan: _Plan, max_terms: int) -> int:
-    cost = plan.costs.get(radix)
-    if cost is None:
-        cost = plan.costs[radix] = sum(radix**size for size in plan.scopes)
+    cost = sum(radix**size for size in plan.scopes)
     if cost > max_terms:
         raise TermCapExceeded(cost, max_terms)
     return cost
@@ -321,20 +322,19 @@ def eliminate(
 ) -> tuple[complex | np.ndarray, int]:
     """The sum of ``factor_sum`` by variable elimination, and its planned
     cost: the sum over steps of radix^(labels read at that step).  The plan
-    is cached per label structure, the factors' label tuples alone, and its
-    cost per radix; a cost over ``max_terms`` raises before any table is
-    read or summed.  A repeated sum pays the plan lookup, one pass over the
-    factors and the plan's einsum steps.
+    is cached per label structure, the factors' label tuples alone.  A
+    label outside range(length) raises ValueError, and a cost over
+    ``max_terms`` TermCapExceeded, before any table is read or summed.  A
+    repeated sum pays the plan lookup, its price, one pass over the factors
+    and the plan's einsum steps.
 
     Tables are read on the sparse index grid of their factor's distinct
     labels, one read-only coordinate array per axis, a loop's two axes
     sharing one.  So no table outgrows the plan, whose cost is the one cap.
-    An unbuilt table is a function of those arrays (no longer of no
-    arguments, which built a loop's every axis and needed a cap of its
-    own), called once per distinct function and pattern of repeats, in
-    factor order.  Integer, boolean and single-precision tables sum in
-    float64 or complex128: products of ints can wrap, and single-precision
-    products round early.
+    An unbuilt table is a function of those arrays, called once per
+    distinct function and pattern of repeats, in factor order.  Integer,
+    boolean and single-precision tables sum in float64 or complex128:
+    products of ints can wrap, and single-precision products round early.
 
     A table with one leading axis more than its factor's labels carries a
     batch of size B, the same for every such table, on each step's ``...``:
@@ -342,6 +342,9 @@ def eliminate(
     tables and the unbatched ones, and else a complex.  The plan, the cost
     and the cap are those of one entry, as ``ModelValue.terms`` is."""
     plan = _plan(tuple([tuple(labels) for _table, labels in factors]))
+    low, high = plan.bounds
+    if low < 0 or high >= length:
+        raise ValueError(f"labels {low}..{high} outside range({length})")
     cost = _capped_cost(radix, plan, max_terms)
     tables, read = [], {}
     for (table, _labels), (width, axes) in zip(factors, plan.grids):

@@ -7,16 +7,15 @@ time, holding for each vertex one contiguous row of component labels over
 2^(|E|-1) subsets.  The caller's term cap bounds that pass, up to a fixed
 ceiling of 2^22 subsets that keeps the labels in memory, and is priced on
 every call before a bounded per-process memo of finished passes is read:
-equal graphs share one entry, so its ``TuttePolynomial`` is shared and its
-mappings are read-only.  T(x, y), the Potts count and the flow enumerator
-are exact sums over the histogram.
+equal graphs share one entry, so one immutable ``TuttePolynomial`` serves
+them all.  T(x, y), the Potts count and the flow enumerator are exact sums
+over the histogram.
 Flows and tensions are listed explicitly from a BFS spanning forest: a flow
 is fixed by its values on the |E|-|V|+k edges outside the forest (k
 components), a tension by a vertex colouring with each component's root at
 0, so the term caps count q^(|E|-|V|+k) and q^(|V|-k) candidates, every one
 of them kept.  The sets come in blocks; ``enumerate_flows`` and
-``enumerate_tensions`` join and sort them, for the only callers that want
-the rows in order: the benchmark's oracle-sweep and the tests.
+``enumerate_tensions`` join them in listing order.
 
 Weight enumerators depend on a set only through its colour compositions
 (how many coordinates take each colour).  A ``CompositionHistogram`` holds
@@ -44,7 +43,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,8 +62,6 @@ __all__ = [
     "ConsistencyError",
     "tutte",
     "tutte_terms",
-    "flow_terms",
-    "tension_terms",
     "flow_composition_terms",
     "tension_composition_terms",
     "flow_polynomial",
@@ -89,32 +85,18 @@ class ConsistencyError(RuntimeError):
     """Two supposedly-equal oracle routes disagreed."""
 
 
-class _ReadOnlyDict(dict):
-    """A dict that refuses every write with TypeError, for a value that
-    the memo shares between callers; it reads and compares as a dict and
-    pickles as one."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a memoized Tutte polynomial is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
 @dataclass(frozen=True)
 class TuttePolynomial:
-    """The Tutte polynomial held as its subset histogram: ``subsets`` maps
-    (|A|, r(A)) to the number of edge subsets A of that size and rank.
+    """The Tutte polynomial held as its subset histogram: ``subsets`` pairs
+    each (|A|, r(A)), in increasing order, with the number of edge subsets
+    A of that size and rank.
 
     T(x, y), the Potts count and the flow enumerator are exact sums over
     the histogram; ``coeffs`` maps (i, j) to the x^i y^j coefficient.
-    ``tutte`` shares one value between equal graphs, so both mappings are
-    read-only."""
+    ``tutte`` shares one value between equal graphs, so it is immutable:
+    each read of ``coeffs`` builds a fresh dict."""
 
-    subsets: Mapping[tuple[int, int], int]
+    subsets: tuple[tuple[tuple[int, int], int], ...]
     num_vertices: int
     num_edges: int
     full_rank: int
@@ -123,7 +105,7 @@ class TuttePolynomial:
         """sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A))."""
         return sum(
             c * (x - 1) ** (self.full_rank - r) * (y - 1) ** (a - r)
-            for (a, r), c in self.subsets.items()
+            for (a, r), c in self.subsets
         )
 
     def potts(self, q, t):
@@ -131,7 +113,7 @@ class TuttePolynomial:
         of t^(number of monochromatic edges), a loop always monochromatic."""
         return sum(
             c * q ** (self.num_vertices - r) * (t - 1) ** a
-            for (a, r), c in self.subsets.items()
+            for (a, r), c in self.subsets
         )
 
     def flow_enumerator(self, q, s):
@@ -139,21 +121,21 @@ class TuttePolynomial:
         with values in a group of order q of s^(number of edges valued 0)."""
         return sum(
             c * (s - 1) ** (self.num_edges - a) * q ** (a - r)
-            for (a, r), c in self.subsets.items()
+            for (a, r), c in self.subsets
         )
 
-    @functools.cached_property
-    def coeffs(self) -> Mapping[tuple[int, int], int]:
+    @property
+    def coeffs(self) -> dict[tuple[int, int], int]:
         """T(x, y) expanded binomially in x and y, zero coefficients dropped."""
         coeffs: dict[tuple[int, int], int] = {}
-        for (a, r), c in self.subsets.items():
+        for (a, r), c in self.subsets:
             i, j = self.full_rank - r, a - r
             for u in range(i + 1):
                 for v in range(j + 1):
                     sign = (-1) ** ((i - u) + (j - v))
                     term = c * math.comb(i, u) * math.comb(j, v) * sign
                     coeffs[u, v] = coeffs.get((u, v), 0) + term
-        return _ReadOnlyDict((k, v) for k, v in coeffs.items() if v != 0)
+        return {k: v for k, v in coeffs.items() if v != 0}
 
     def __str__(self):
         def term(i, j, c):
@@ -185,17 +167,6 @@ def tutte_terms(g: Multigraph, max_terms: int = DEFAULT_MAX_TERMS) -> int:
     return count_terms(2, g.num_edges, min(max_terms, _SUBSET_CEILING))
 
 
-def flow_terms(g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS) -> int:
-    """The q^(|E|-r(E)) flows listed over a group of order q, raising
-    TermCapExceeded, as the listing does before it starts, over max_terms."""
-    return count_terms(q, g.num_edges - rank(g), max_terms)
-
-
-def tension_terms(g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS) -> int:
-    """The q^r(E) tensions listed, as ``flow_terms``."""
-    return count_terms(q, rank(g), max_terms)
-
-
 def flow_composition_terms(
     g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS
 ) -> int:
@@ -218,7 +189,7 @@ def tutte(g: Multigraph, max_terms: int = DEFAULT_MAX_TERMS) -> TuttePolynomial:
     rank r(A); more than min(max_terms, 2^22) subsets raise
     TermCapExceeded.  The cap is priced on every call, before the memo of
     finished passes is read, so a memoized graph is refused under a smaller
-    cap just as a new one is; equal graphs get the same read-only value.
+    cap just as a new one is; equal graphs get the same immutable value.
 
     A subset A is the bitmask of its edges.  The subsets holding edge e are
     those of edges 0..e-1 with e added, so entries [2^e, 2^(e+1)) of the
@@ -251,9 +222,7 @@ def _subset_pass(g: Multigraph) -> TuttePolynomial:
             new[...] = lab
             np.copyto(new, lab[u], where=lab == lab[v])
     hist = np.bincount(keys)
-    subsets = _ReadOnlyDict(
-        (divmod(int(k), n + 1), int(hist[k])) for k in np.flatnonzero(hist)
-    )
+    subsets = tuple((divmod(int(k), n + 1), int(hist[k])) for k in np.flatnonzero(hist))
     return TuttePolynomial(subsets, n, m, int(keys[-1]) % (n + 1))
 
 
@@ -285,7 +254,7 @@ def _flow_blocks(g: Multigraph, group: Group, orient: Orientation, max_terms: in
     too, because the boundaries of a component sum to zero."""
     _roots, order = _spanning_forest(g)
     free = sorted(set(range(g.num_edges)) - {e for _v, (e, _end) in order})
-    flow_terms(g, group.q, max_terms)
+    count_terms(group.q, len(free), max_terms)
     for chunk in index_blocks(group.q, len(free)):
         Y = np.zeros((chunk.shape[0], g.num_edges), dtype=np.int64)
         Y[:, free] = chunk
@@ -309,18 +278,11 @@ def _tension_blocks(g: Multigraph, group: Group, orient: Orientation, max_terms:
     and give every tension once."""
     roots, _order = _spanning_forest(g)
     free = sorted(set(range(g.num_vertices)) - set(roots))
-    tension_terms(g, group.q, max_terms)
+    count_terms(group.q, len(free), max_terms)
     for chunk in index_blocks(group.q, len(free)):
         X = np.zeros((chunk.shape[0], g.num_vertices), dtype=np.int64)
         X[:, free] = chunk
         yield coboundary_chunk(g, orient, group, X)
-
-
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows in lexicographic order, first coordinate most significant."""
-    if rows.shape[1] == 0:
-        return rows
-    return rows[np.lexsort(rows.T[::-1])]
 
 
 def enumerate_flows(
@@ -330,10 +292,9 @@ def enumerate_flows(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> np.ndarray:
     """All edge colourings with zero boundary, as an (n, |E|) index array in
-    lexicographic order; q^(|E|-|V|+k) rows for k components."""
+    listing order, not sorted; q^(|E|-|V|+k) rows for k components."""
     orient = orient or default_orientation(g)
-    blocks = list(_flow_blocks(g, group, orient, max_terms))
-    return _sorted_rows(np.concatenate(blocks, axis=0))
+    return np.concatenate(list(_flow_blocks(g, group, orient, max_terms)), axis=0)
 
 
 def enumerate_tensions(
@@ -342,11 +303,10 @@ def enumerate_tensions(
     orient: Orientation | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> np.ndarray:
-    """All coboundaries of vertex colourings, in lexicographic order;
+    """All coboundaries of vertex colourings, in listing order, not sorted;
     q^(|V|-k) rows for k components."""
     orient = orient or default_orientation(g)
-    blocks = list(_tension_blocks(g, group, orient, max_terms))
-    return _sorted_rows(np.concatenate(blocks, axis=0))
+    return np.concatenate(list(_tension_blocks(g, group, orient, max_terms)), axis=0)
 
 
 def _group_compositions(counts: np.ndarray, length: int, mults=None):
@@ -629,10 +589,10 @@ def hwe_coefficients(vectors, length: int) -> list[int]:
     vectors with exactly w zero coordinates.  Every vector must have
     ``length`` coordinates."""
     rows = np.asarray(vectors, dtype=np.int64)
-    if len(rows) == 0:
-        return [0] * (length + 1)
-    if rows.shape[1] != length:
-        raise ValueError(f"rows have {rows.shape[1]} coordinates, expected {length}")
+    if rows.size == 0 and rows.ndim < 2:
+        rows = rows.reshape(0, length)
+    if rows.ndim != 2 or rows.shape[1] != length:
+        raise ValueError(f"rows of shape {rows.shape}, expected (rows, {length})")
     zeros = length - np.count_nonzero(rows, axis=1)
     return np.bincount(zeros, minlength=length + 1).tolist()
 

@@ -121,17 +121,18 @@ class VerifyContext:
     """One battery call's inputs, and the oracle quantities that several
     checks read, each built at most once per call on first use.
 
-    The context holds the graph's Tutte polynomial and one composition
-    histogram of its flows and one of its tensions, under the document's
-    orientation.  The flows and tensions enter the checks only through
-    their colour compositions, so each set is grouped block by block as it
-    is listed, never joined or sorted.  A check declares the quantities it
-    needs (``_check``), and the first of them over its term cap raises
-    before any is built, again for each check that needs it, so each such
-    check skips on its own.  Quantities that do not depend on the graph
-    are shared between calls instead (``_orthogonal_draws``,
-    ``_spectral_draws``), and so are the records of the checks that
-    declare what they read (``_check``)."""
+    The context holds one composition histogram of the graph's flows and
+    one of its tensions, under the document's orientation.  The flows and
+    tensions enter the checks only through their colour compositions, so
+    each set is grouped block by block as it is listed, never joined.  The
+    Tutte polynomial is read from ``oracles.tutte``, whose memo already
+    keeps it per graph.  A check declares the quantities it needs
+    (``_check``), and the first of them over its term cap raises before any
+    is built, again for each check that needs it, so each such check skips
+    on its own.  Quantities that do not depend on the graph are shared
+    between calls instead (``_orthogonal_draws``, ``_spectral_draws``), and
+    so are the records of the checks that declare what they read
+    (``_check``)."""
 
     doc: GraphDocument
     group: Group
@@ -142,10 +143,6 @@ class VerifyContext:
     @property
     def graph(self):
         return self.doc.graph
-
-    @functools.cached_property
-    def tutte(self) -> oracles.TuttePolynomial:
-        return oracles.tutte(self.graph, self.max_terms)
 
     @functools.cached_property
     def flow_compositions(self) -> oracles.CompositionHistogram:
@@ -196,9 +193,10 @@ _READS = {
 
 # for each quantity that a check may declare in ``needs``, the count held
 # to the cap before the check starts, as a function of the graph, the
-# group's order and the cap: each oracle quantity of the context at what
-# its oracle fills, and "basis" at the q^3 multiply-adds of a change of
-# basis, a draw or a split of a q x q matrix, work that no sum prices
+# group's order and the cap: the Tutte polynomial and the context's
+# histograms at what their oracles fill, and "basis" at the q^3
+# multiply-adds of a change of basis, a draw or a split of a q x q matrix,
+# work that no sum prices
 _NEEDS = {
     "tutte": lambda g, q, cap: oracles.tutte_terms(g, cap),
     "flow_compositions": oracles.flow_composition_terms,
@@ -445,7 +443,7 @@ def _check_hwe_tutte(ctx: VerifyContext):
     out = []
     q = ctx.group.q
     flows = ctx.flow_compositions
-    T = ctx.tutte
+    T = oracles.tutte(ctx.graph, ctx.max_terms)
     for s in (2, 3):
         lhs = flows.hamming_weight_enum(s)
         rhs = T.flow_enumerator(q, s)
@@ -458,7 +456,7 @@ def _check_monochrome(ctx: VerifyContext):
     out = []
     q = ctx.group.q
     tensions = ctx.tension_compositions
-    T = ctx.tutte
+    T = oracles.tutte(ctx.graph, ctx.max_terms)
     for t in (0, 2, 3):
         # each tension is the coboundary of q^k vertex colourings
         lhs = q ** (T.num_vertices - T.full_rank) * tensions.hamming_weight_enum(t)
@@ -553,7 +551,7 @@ def _check_tutte_edge_model(ctx: VerifyContext):
     out = []
     g = ctx.graph
     q = ctx.group.q
-    T = ctx.tutte
+    T = oracles.tutte(ctx.graph, ctx.max_terms)
     ss = (2, 3)
     gots = duality.tutte_edge_model(g, q, np.array(ss), max_terms=ctx.max_terms).value
     for s, got in zip(ss, gots):

@@ -307,6 +307,21 @@ def test_factor_sum_edge_cases(case):
     assert calls == [(len(ls), radix ** len(set(ls))) for ls in repeats]
 
 
+@pytest.mark.parametrize(
+    "length, labels",
+    [(1, (0, 1)), (3, (0, 5)), (3, (-1, 0))],
+)
+def test_labels_outside_the_colouring_space_raise(length, labels):
+    # a label past length would be counted as read, and the unread labels'
+    # factor radix^(length - labels read) would then be wrong
+    factors = [(np.ones((2, 2)), labels)]
+    with pytest.raises(ValueError, match="outside range"):
+        factor_sum(2, length, factors)
+    # before pricing: a cap of 0 would raise TermCapExceeded
+    with pytest.raises(ValueError, match="outside range"):
+        eliminate(2, length, factors, max_terms=0)
+
+
 def test_table_functions_read_a_grid_they_cannot_write():
     M = complex_vec(np.random.default_rng(3), 9).reshape(3, 3)
 
