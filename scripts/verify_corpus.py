@@ -11,8 +11,8 @@ groups of one graph, so a graph's first group carries their time and its
 later groups' seconds are lower; the records are the same.
 
 Every argument is checked before any battery runs: a group spec that does
-not parse, a graph name not in the corpus or a tolerance that is not a
-finite number of at least 0 is a usage error (exit 2).
+not parse, a graph name not in the corpus, a negative seed or a tolerance
+that is not a finite number of at least 0 is a usage error (exit 2).
 """
 
 import argparse
@@ -51,7 +51,7 @@ def main():
         default="2,3,4,2x2,f4,5",
         help="comma-separated group specs",
     )
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=count, default=0)
     ap.add_argument("--tol", type=tolerance, default=1e-7)
     ap.add_argument("--max-terms", type=count, default=DEFAULT_MAX_TERMS)
     ap.add_argument(

@@ -4,13 +4,14 @@ Subcommands compute single invariants from a graph file or run the
 cross-verification battery; `verify` emits one JSON record per check on
 stdout.  Every subcommand takes `--max-terms`, the cap on the work of its
 sums and oracles; only `verify` takes `--tol` and `--seed`.  Exit codes:
-0 ok, 1 a failed check, 2 a usage or parse error, 3 over a cap or a model
-value that is not finite in float64.
+0 ok, 1 a failed check, 2 a usage or parse error, 3 over a cap or a value
+that is not finite in float64.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--tol", type=tolerance, default=1e-7)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=count, default=0)
     p.add_argument(
         "--suite",
         choices=("all", "fourier", "duality", "signed"),
@@ -153,16 +154,20 @@ def _format_number(val) -> str:
     return f"{val.real:.12g}{val.imag:+.12g}j"
 
 
-def _print_model_value(mv) -> int:
-    """Print a model value and return the exit code: 3 for a sum that is
-    not finite in float64, which has no digits to print."""
-    if not np.isfinite(mv.value):
-        print(f"error: the float64 sum is not finite ({mv.value}, terms {mv.terms})",
+def _print_model_value(value, terms=None) -> int:
+    """Print a value and return the exit code: 3 for a sum that is not
+    finite in float64, which has no digits to print.  A model value comes
+    with its ``terms``, and a line of them and its magnitude goes to stderr."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        cost = "" if terms is None else f", terms {terms}"
+        print(f"error: the float64 sum is not finite ({_format_number(value)}{cost})",
               file=sys.stderr)
         return 3
-    print(_format_number(mv.value))
-    print(f"magnitude {abs(mv.value):.12g}  imag-residual {abs(mv.value.imag):.3g}  terms {mv.terms}",
-          file=sys.stderr)
+    print(_format_number(value))
+    if terms is not None:
+        print(f"magnitude {abs(value):.12g}  imag-residual {abs(value.imag):.3g}  terms {terms}",
+              file=sys.stderr)
     return 0
 
 
@@ -190,14 +195,14 @@ def main(argv=None) -> int:
             hist = _COMPOSITIONS[args.set](
                 g, group, doc.orientation_or_default(), max_terms
             )
-            print(_format_number(hist.hamming_weight_enum(args.s)))
+            return _print_model_value(hist.hamming_weight_enum(args.s))
         elif args.command == "cwe":
             group = _group_of(args)
             w = _parse_weights(args.weights, group.q, "--weights")
             hist = _COMPOSITIONS[args.set](
                 g, group, doc.orientation_or_default(), max_terms
             )
-            print(_format_number(hist.complete_weight_enum(w)))
+            return _print_model_value(hist.complete_weight_enum(w))
         elif args.command == "vertex-model":
             group = _group_of(args)
             gw = _parse_weights(args.weights, group.q**2, "--weights")
@@ -207,9 +212,8 @@ def main(argv=None) -> int:
                 else np.ones(group.q, dtype=complex)
             )
             model = VertexModel(QFunction(group, 1, fw), QFunction(group, 2, gw))
-            return _print_model_value(
-                vertex_partition(g, model, doc.orientation_or_default(), max_terms)
-            )
+            mv = vertex_partition(g, model, doc.orientation_or_default(), max_terms)
+            return _print_model_value(mv.value, mv.terms)
         elif args.command == "edge-model":
             group = _group_of(args)
             family = (
@@ -223,19 +227,18 @@ def main(argv=None) -> int:
                 else None
             )
             model = EdgeModel(family, ew)
-            return _print_model_value(
-                edge_partition(g, model, doc.rotation_or_default(), max_terms)
-            )
+            mv = edge_partition(g, model, doc.rotation_or_default(), max_terms)
+            return _print_model_value(mv.value, mv.terms)
         elif args.command == "sine-model":
             mv = signed.sine_model(
                 g, doc.rotation_or_default(), args.q, args.k, max_terms=max_terms
             )
-            return _print_model_value(mv)
+            return _print_model_value(mv.value, mv.terms)
         elif args.command == "kplus1":
             mv = signed.kplus1_sign_sum(
                 g, doc.rotation_or_default(), args.k, max_terms=max_terms
             )
-            return _print_model_value(mv)
+            return _print_model_value(mv.value, mv.terms)
         elif args.command == "xq":
             group = _group_of(args)
             s = _parse_weights(args.s, group.q, "--s")
@@ -243,7 +246,7 @@ def main(argv=None) -> int:
             val = duality.xq_evaluate(
                 g, group, doc.orientation_or_default(), s, t, max_terms=max_terms
             )
-            print(_format_number(val))
+            return _print_model_value(val)
         elif args.command == "verify":
             group = _group_of(args)
             suites = (
@@ -267,6 +270,9 @@ def main(argv=None) -> int:
             raise SystemExit(f"unknown command {args.command}")
     except TermCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"error: a value is not finite in float64 ({exc})", file=sys.stderr)
         return 3
     except (ValueError, oracles.ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

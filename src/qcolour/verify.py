@@ -12,7 +12,8 @@ only cost gate is the term cap, held to each sum or oracle it calls and to
 the q x q matrix work it declares, and a check over that cap leaves a skip
 record rather than nothing.  A check refuses every quantity it needs
 before it builds any, and a model sum is priced before any of its tables
-is built, so a skip costs no listing and no allocation.
+is built, so a skip costs no listing and no allocation.  A check yields
+its records, and the battery keeps them only if the check finishes.
 
 A check that draws several random weights passes them as one stack to each
 model and to each exact weight-enumerator oracle, so every model is
@@ -104,6 +105,11 @@ def _record(name, anchor, lhs, rhs, tol) -> CheckRecord:
     if tol == 0 and all(isinstance(x, (int, np.integer, Fraction)) for x in (lhs, rhs)):
         passed = bool(lhs == rhs)
     return CheckRecord(name, anchor, _fmt(lhs), _fmt(rhs), resid, passed)
+
+
+def _deviation(name, anchor, lhs, rhs, tol) -> CheckRecord:
+    """The largest entrywise deviation of lhs from rhs, against 0."""
+    return _record(name, anchor, np.max(np.abs(lhs - rhs)), 0.0, tol)
 
 
 def _rng(seed: int, salt: int):
@@ -211,7 +217,11 @@ SUITES: dict[str, list] = {"fourier": [], "duality": [], "signed": []}
 
 def _check(suite, reads=None, applies=None, needs=()):
     """Declare a check: this one line is all the battery knows of it.  The
-    check runs in ``suite`` (a key of ``SUITES``), after the checks defined
+    body yields the check's records, and the check returns them as one list
+    once the body has finished.  This is the one place that keeps a check
+    that raises from leaving the records it yielded before: the battery
+    puts its one skip or error record in their place.  The check
+    runs in ``suite`` (a key of ``SUITES``), after the checks defined
     before it.  Where the precondition ``applies(ctx)`` fails, the check
     returns no record.  Before it runs, the first of the quantities it
     ``needs`` (keys of ``_NEEDS``) that is over its cap raises
@@ -228,7 +238,7 @@ def _check(suite, reads=None, applies=None, needs=()):
                 return []
             for need in needs:
                 _NEEDS[need](ctx.graph, ctx.group.q, ctx.max_terms)
-            return body(ctx)
+            return list(body(ctx))
 
         check.__name__ = check.__qualname__ = body.__name__
         if reads is None:
@@ -271,7 +281,6 @@ def _regular(ctx: VerifyContext) -> bool:
 
 @_check("fourier", reads=("group", "seed", "tol", "cap"), needs=("basis",))
 def _check_unitarity(ctx: VerifyContext):
-    out = []
     rng = ctx.rng(1)
     G = ctx.group
     for d in (1, 2):
@@ -279,37 +288,22 @@ def _check_unitarity(ctx: VerifyContext):
         g = QFunction(G, d, ctx.cvec(rng, G.q**d))
         lhs = np.vdot(fourier(g).values, fourier(f).values)
         rhs = np.vdot(g.values, f.values)
-        out.append(_record(f"fourier.unitarity.d{d}", "fourier.unitarity", lhs, rhs, ctx.tol))
-    return out
+        yield _record(f"fourier.unitarity.d{d}", "fourier.unitarity", lhs, rhs, ctx.tol)
 
 
 @_check("fourier", reads=("group", "seed", "tol", "cap"), needs=("basis",))
 def _check_involution(ctx: VerifyContext):
-    out = []
     rng = ctx.rng(2)
     G = ctx.group
     f = QFunction(G, 2, ctx.cvec(rng, G.q**2))
     ff = fourier(fourier(f))
-    out.append(
-        _record(
-            "fourier.squared-is-negation",
-            "fourier.involution",
-            np.max(np.abs(ff.values - negate(f).values)),
-            0.0,
-            ctx.tol,
-        )
+    yield _deviation(
+        "fourier.squared-is-negation", "fourier.involution", ff.values, negate(f).values, ctx.tol
     )
     f4 = fourier(fourier(ff))
-    out.append(
-        _record(
-            "fourier.fourth-power-identity",
-            "fourier.involution",
-            np.max(np.abs(f4.values - f.values)),
-            0.0,
-            ctx.tol,
-        )
+    yield _deviation(
+        "fourier.fourth-power-identity", "fourier.involution", f4.values, f.values, ctx.tol
     )
-    return out
 
 
 @_check("fourier", reads=("group", "seed", "tol"))
@@ -320,20 +314,11 @@ def _check_convolution(ctx: VerifyContext):
     g = QFunction(G, 1, ctx.cvec(rng, G.q))
     lhs = fourier(pointwise(f, g)).values
     rhs = G.q ** (-0.5) * convolve(fourier(f), fourier(g)).values
-    return [
-        _record(
-            "fourier.product-to-convolution",
-            "fourier.convolution",
-            np.max(np.abs(lhs - rhs)),
-            0.0,
-            ctx.tol,
-        )
-    ]
+    yield _deviation("fourier.product-to-convolution", "fourier.convolution", lhs, rhs, ctx.tol)
 
 
 @_check("fourier", reads=("group", "seed", "tol", "cap"), needs=("basis",))
 def _check_subgroup_transform(ctx: VerifyContext):
-    out = []
     G = ctx.group
     # subgroup indicators transform to scaled orthogonal-submodule indicators
     for d in (1, 2):
@@ -341,24 +326,16 @@ def _check_subgroup_transform(ctx: VerifyContext):
         zero = zero_sum_indicator(G, d)
         lhs = fourier(mono).values
         rhs = G.q ** (1 - d / 2) * zero.values
-        out.append(
-            _record(
-                f"fourier.monochrome-transform.d{d}",
-                "fourier.monochrome-zerosum",
-                np.max(np.abs(lhs - rhs)),
-                0.0,
-                ctx.tol,
-            )
+        yield _deviation(
+            f"fourier.monochrome-transform.d{d}", "fourier.monochrome-zerosum", lhs, rhs, ctx.tol
         )
         perp = orthogonal_submodule(mono)
-        out.append(
-            _record(
-                f"fourier.orthogonal-submodule.d{d}",
-                "fourier.orthogonal-submodule",
-                np.max(np.abs(perp.values - zero.values)),
-                0.0,
-                ctx.tol,
-            )
+        yield _deviation(
+            f"fourier.orthogonal-submodule.d{d}",
+            "fourier.orthogonal-submodule",
+            perp.values,
+            zero.values,
+            ctx.tol,
         )
     if G.flavour == "cyclic" and len(G.factors) == 1:
         q = G.q
@@ -369,31 +346,26 @@ def _check_subgroup_transform(ctx: VerifyContext):
             lhs = fourier(P).values
             perp = orthogonal_submodule(P)
             rhs = q ** (-0.5) * (q // div) * perp.values
-            out.append(
-                _record(
-                    f"fourier.subgroup-transform.step{div}",
-                    "fourier.subgroup-transform",
-                    np.max(np.abs(lhs - rhs)),
-                    0.0,
-                    ctx.tol,
-                )
+            yield _deviation(
+                f"fourier.subgroup-transform.step{div}",
+                "fourier.subgroup-transform",
+                lhs,
+                rhs,
+                ctx.tol,
             )
-    return out
 
 
 @_check("fourier", reads=("group", "seed", "tol"))
 def _check_character_bijection(ctx: VerifyContext):
     G = ctx.group
     rows = {tuple(np.round(G.chi[G.mul[a]], 9)) for a in range(G.q)}
-    return [
-        _record(
-            "fourier.generating-character-bijection",
-            "fourier.generating-character",
-            float(len(rows)),
-            float(G.q),
-            0,
-        )
-    ]
+    yield _record(
+        "fourier.generating-character-bijection",
+        "fourier.generating-character",
+        float(len(rows)),
+        float(G.q),
+        0,
+    )
 
 
 @_check("fourier", reads=("graph", "order", "seed", "tol", "cap"), needs=("basis",))
@@ -413,16 +385,14 @@ def _check_orthogonal_invariance(ctx: VerifyContext):
     oks = orthogonal_invariance_check(
         g, weights, Us, tol=max(ctx.tol, 1e-8), max_terms=ctx.max_terms
     )
-    return [
-        _record(
+    for i, ok in enumerate(oks):
+        yield _record(
             f"models.orthogonal-invariance.u{i}",
             "models.orthogonal-invariance",
             1.0 if ok else 0.0,
             1.0,
             0,
         )
-        for i, ok in enumerate(oks)
-    ]
 
 
 @functools.cache  # independent of graph and group flavour: once per (q, seed)
@@ -440,20 +410,17 @@ def _orthogonal_draws(q: int, seed: int) -> tuple[np.ndarray, ...]:
 
 @_check("duality", needs=("flow_compositions", "tutte"))
 def _check_hwe_tutte(ctx: VerifyContext):
-    out = []
     q = ctx.group.q
     flows = ctx.flow_compositions
     T = oracles.tutte(ctx.graph, ctx.max_terms)
     for s in (2, 3):
         lhs = flows.hamming_weight_enum(s)
         rhs = T.flow_enumerator(q, s)
-        out.append(_record(f"flows.hwe-vs-tutte.s{s}", "tutte.hyperbola", lhs, rhs, 0))
-    return out
+        yield _record(f"flows.hwe-vs-tutte.s{s}", "tutte.hyperbola", lhs, rhs, 0)
 
 
 @_check("duality", needs=("tension_compositions", "tutte"))
 def _check_monochrome(ctx: VerifyContext):
-    out = []
     q = ctx.group.q
     tensions = ctx.tension_compositions
     T = oracles.tutte(ctx.graph, ctx.max_terms)
@@ -461,15 +428,11 @@ def _check_monochrome(ctx: VerifyContext):
         # each tension is the coboundary of q^k vertex colourings
         lhs = q ** (T.num_vertices - T.full_rank) * tensions.hamming_weight_enum(t)
         rhs = T.potts(q, t)
-        out.append(
-            _record(f"tensions.monochrome-polynomial.t{t}", "tensions.monochrome", lhs, rhs, 0)
-        )
-    return out
+        yield _record(f"tensions.monochrome-polynomial.t{t}", "tensions.monochrome", lhs, rhs, 0)
 
 
 @_check("duality", needs=("flow_compositions", "tension_compositions"))
 def _check_macwilliams(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     G = ctx.group
     flows = ctx.flow_compositions
@@ -481,15 +444,11 @@ def _check_macwilliams(ctx: VerifyContext):
     duals = tensions.complete_weight_enum(np.stack([F @ h for h in hs]))
     for i, (lhs, dual) in enumerate(zip(lhss, duals)):
         rhs = G.q ** (-g.num_edges / 2) * flows.rows * dual
-        out.append(
-            _record(f"macwilliams.cwe-dual.draw{i}", "macwilliams.poisson", lhs, rhs, 1e-8)
-        )
-    return out
+        yield _record(f"macwilliams.cwe-dual.draw{i}", "macwilliams.poisson", lhs, rhs, 1e-8)
 
 
 @_check("duality")
 def _check_general_duality(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     G = ctx.group
     rng = ctx.rng(6)
@@ -506,13 +465,11 @@ def _check_general_duality(ctx: VerifyContext):
         max_terms=ctx.max_terms,
     )
     for i, (a, b) in enumerate(zip(_entries(lhs, 5), _entries(rhs, 5))):
-        out.append(_record(f"duality.poisson.draw{i}", "duality.poisson", a, b, 1e-8))
-    return out
+        yield _record(f"duality.poisson.draw{i}", "duality.poisson", a, b, 1e-8)
 
 
 @_check("duality", needs=("flow_compositions", "tension_compositions"))
 def _check_flow_cwe_routes(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     G = ctx.group
     flows = ctx.flow_compositions
@@ -528,27 +485,19 @@ def _check_flow_cwe_routes(ctx: VerifyContext):
     for i, (v1, v2, v3, oracle, toracle) in enumerate(
         zip(v1s, v2s, v3s, foracles, toracles)
     ):
-        out.append(
-            _record(f"flow-cwe.vertex-route.draw{i}", "flow-cwe.vertex", v1, oracle, ctx.tol)
+        yield _record(f"flow-cwe.vertex-route.draw{i}", "flow-cwe.vertex", v1, oracle, ctx.tol)
+        yield _record(f"flow-cwe.edge-route.draw{i}", "flow-cwe.edge", v2, oracle, ctx.tol)
+        yield _record(
+            f"tension-cwe.expectation-route.draw{i}",
+            "tension-cwe.expectation",
+            v3,
+            toracle,
+            ctx.tol,
         )
-        out.append(
-            _record(f"flow-cwe.edge-route.draw{i}", "flow-cwe.edge", v2, oracle, ctx.tol)
-        )
-        out.append(
-            _record(
-                f"tension-cwe.expectation-route.draw{i}",
-                "tension-cwe.expectation",
-                v3,
-                toracle,
-                ctx.tol,
-            )
-        )
-    return out
 
 
 @_check("duality", reads=("graph", "tol", "cap", "order"))
 def _check_tutte_edge_model(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     q = ctx.group.q
     T = oracles.tutte(ctx.graph, ctx.max_terms)
@@ -556,33 +505,24 @@ def _check_tutte_edge_model(ctx: VerifyContext):
     gots = duality.tutte_edge_model(g, q, np.array(ss), max_terms=ctx.max_terms).value
     for s, got in zip(ss, gots):
         want = float(T.flow_enumerator(q, s * s))
-        out.append(
-            _record(f"tutte.edge-model.s{s}", "tutte.hyperbola-edge-model", got, want, ctx.tol)
-        )
-    return out
+        yield _record(f"tutte.edge-model.s{s}", "tutte.hyperbola-edge-model", got, want, ctx.tol)
 
 
 @_check("duality", reads=("graph", "tol", "cap", "order"), applies=_cubic, needs=("tutte",))
 def _check_cubic_flow_model(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     q = ctx.group.q
     got = duality.flow_cubic_edge_model(g, q, max_terms=ctx.max_terms)
     want = oracles.flow_polynomial(g, q, max_terms=ctx.max_terms)
-    out.append(_record("flow.cubic-edge-model", "flow.cubic-edge-model", got, want, 0))
-    return out
+    yield _record("flow.cubic-edge-model", "flow.cubic-edge-model", got, want, 0)
 
 
 @_check("duality", reads=("graph", "tol", "cap"), applies=_cubic, needs=("tutte",))
 def _check_gf4_identity(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     for s, t in ((1, 1), (2, 3)):
         ok, lhs, rhs = duality.gf4_flow_identity_check(g, s, t, max_terms=ctx.max_terms)
-        out.append(
-            _record(f"flow.gf4-vertex-model.s{s}t{t}", "flow.gf4-identity", lhs, rhs, 1e-8)
-        )
-    return out
+        yield _record(f"flow.gf4-vertex-model.s{s}t{t}", "flow.gf4-identity", lhs, rhs, 1e-8)
 
 
 @_check("duality", reads=("graph", "tol", "cap", "order", "seed"), needs=("basis",))
@@ -593,10 +533,8 @@ def _check_spectral(ctx: VerifyContext):
     vm = VertexModel(QFunction(G, 1, fv), QFunction(G, 2, gm.reshape(-1)))
     lhs = vertex_partition(g, vm, max_terms=ctx.max_terms).value
     rhs = duality.spectral_edge_model(g, fv, gm, max_terms=ctx.max_terms).value
-    return [
-        *records,
-        _record("spectral.partition-equality", "spectral.edge-model", lhs, rhs, ctx.tol),
-    ]
+    yield from records
+    yield _record("spectral.partition-equality", "spectral.edge-model", lhs, rhs, ctx.tol)
 
 
 @functools.cache  # independent of graph and group flavour: once per (q, seed)
@@ -636,7 +574,6 @@ def _spectral_draws(q: int, seed: int):
 
 @_check("duality")
 def _check_xq(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     G = ctx.group
     orient = ctx.doc.orientation_or_default()
@@ -659,25 +596,22 @@ def _check_xq(ctx: VerifyContext):
         len(svecs),
     )
     b = duality.xq_dual(g, G, orient, s, t, max_terms=ctx.max_terms)
-    out.append(_record("xq.dual-expansion", "xq.boundary-dual", sides[0], b, ctx.tol))
+    yield _record("xq.dual-expansion", "xq.boundary-dual", sides[0], b, ctx.tol)
     b = duality.xq_edge_model(g, G, s, tsym, max_terms=ctx.max_terms).value
-    out.append(_record("xq.symmetric-edge-model", "xq.edge-model", sides[1], b, ctx.tol))
+    yield _record("xq.symmetric-edge-model", "xq.edge-model", sides[1], b, ctx.tol)
     if specs:
         s0s, t0s = zip(*specs)
         lhs = duality.principal_specialization(
             g, orient, G.q, np.array(s0s), np.array(t0s), max_terms=ctx.max_terms
         )
         for s0, a, b in zip(s0s, _entries(lhs, len(specs)), sides[2:]):
-            out.append(
-                _record(
-                    f"xq.principal-specialization.s{s0:g}",
-                    "xq.principal-specialization",
-                    a,
-                    b,
-                    ctx.tol,
-                )
+            yield _record(
+                f"xq.principal-specialization.s{s0:g}",
+                "xq.principal-specialization",
+                a,
+                b,
+                ctx.tol,
             )
-    return out
 
 
 
@@ -686,30 +620,25 @@ def _check_xq(ctx: VerifyContext):
 
 @_check("signed", reads=())
 def _check_character_det(ctx: VerifyContext):
-    out = []
     worst = 0.0
     for q in range(1, 9):
         closed = signed.character_matrix_det(q)
         mat = np.exp(2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q)
         num = np.linalg.det(mat)
         worst = max(worst, abs(closed - num) / max(1.0, abs(num)))
-    out.append(_record("sign.character-matrix-det", "sign.det-closed-form", worst, 0.0, 1e-8))
-    return out
+    yield _record("sign.character-matrix-det", "sign.det-closed-form", worst, 0.0, 1e-8)
 
 
 @_check("signed", reads=())
 def _check_parity_transforms(ctx: VerifyContext):
-    out = []
     for k, q in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5)):
         G = cyclic_group(q)
         K = signed.canonical_symmetric_set(q, k)
         fF = fourier(signed.parity_function(G, k, K)).values.reshape((q,) * k)
         grid = np.moveaxis(np.indices((q,) * k), 0, -1)
-        worst = float(np.max(np.abs(fF - signed.parity_transform_closed(k, q, grid))))
-        out.append(
-            _record(
-                f"sign.parity-transform.k{k}q{q}", "sign.parity-transform", worst, 0.0, 1e-9
-            )
+        closed = signed.parity_transform_closed(k, q, grid)
+        yield _deviation(
+            f"sign.parity-transform.k{k}q{q}", "sign.parity-transform", fF, closed, 1e-9
         )
     for k in (2, 3):
         q = k + 1
@@ -718,22 +647,14 @@ def _check_parity_transforms(ctx: VerifyContext):
             signed.parity_function(G, k, signed.kplus1_colour_set(k))
         ).values.reshape((q,) * k)
         grid = np.moveaxis(np.indices((q,) * k), 0, -1)
-        worst = float(np.max(np.abs(fF - signed.parity_transform_kplus1(k, grid))))
-        out.append(
-            _record(
-                f"sign.parity-transform-kplus1.k{k}",
-                "sign.parity-transform-kplus1",
-                worst,
-                0.0,
-                1e-9,
-            )
+        closed = signed.parity_transform_kplus1(k, grid)
+        yield _deviation(
+            f"sign.parity-transform-kplus1.k{k}", "sign.parity-transform-kplus1", fF, closed, 1e-9
         )
-    return out
 
 
 @_check("signed", reads=("graph", "tol", "cap"), applies=_regular)
 def _check_zero_sum_chain(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     k = g.regular_degree()
     rot = ctx.doc.rotation_or_default()
@@ -742,44 +663,32 @@ def _check_zero_sum_chain(ctx: VerifyContext):
     mono = signed.monochrome_parity_sum(
         g, rot, G, tuple(range(k)), max_terms=ctx.max_terms
     )
-    out.append(
-        _record(
-            "sign.zero-sum-vs-monochrome-transform",
-            "sign.zero-sum-route",
-            zs.value,
-            signed.zero_sum_mono_sign(k, g.num_edges, g.num_vertices) * mono.value
-            if (k % 2 or (g.num_vertices - g.num_edges) % 2 == 0)
-            else 0.0,
-            ctx.tol,
-        )
+    yield _record(
+        "sign.zero-sum-vs-monochrome-transform",
+        "sign.zero-sum-route",
+        zs.value,
+        signed.zero_sum_mono_sign(k, g.num_edges, g.num_vertices) * mono.value
+        if (k % 2 or (g.num_vertices - g.num_edges) % 2 == 0)
+        else 0.0,
+        ctx.tol,
     )
     proper = signed.proper_colouring_sign_sum(g, rot, k, max_terms=ctx.max_terms)
-    out.append(
-        _record(
-            "sign.monochrome-pairing-is-proper-sum",
-            "sign.proper-colourings",
-            mono.value,
-            float(proper),
-            ctx.tol,
-        )
+    yield _record(
+        "sign.monochrome-pairing-is-proper-sum",
+        "sign.proper-colourings",
+        mono.value,
+        float(proper),
+        ctx.tol,
     )
     P = tuple(range(0, (k + 2) // 2))
     fac = signed.factorization_sign_sum(g, rot, k, P, max_terms=ctx.max_terms)
-    out.append(
-        _record(
-            "sign.factorization-magnitude",
-            "sign.factorization",
-            abs(fac),
-            abs(zs.value),
-            ctx.tol,
-        )
+    yield _record(
+        "sign.factorization-magnitude", "sign.factorization", abs(fac), abs(zs.value), ctx.tol
     )
-    return out
 
 
 @_check("signed", reads=("graph", "tol", "cap"), applies=_regular)
 def _check_sine_and_kplus1(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     k = g.regular_degree()
     rot = ctx.doc.rotation_or_default()
@@ -787,46 +696,30 @@ def _check_sine_and_kplus1(ctx: VerifyContext):
     if k % 2:
         for q in (k, k + 1):
             v = signed.sine_model(g, rot, q, k, max_terms=ctx.max_terms)
-            out.append(
-                _record(
-                    f"sign.sine-model.q{q}",
-                    "sign.sine-model",
-                    abs(v.value),
-                    float(oracle),
-                    max(ctx.tol, 1e-5),
-                )
+            yield _record(
+                f"sign.sine-model.q{q}",
+                "sign.sine-model",
+                abs(v.value),
+                float(oracle),
+                max(ctx.tol, 1e-5),
             )
     v = signed.kplus1_sign_sum(g, rot, k, max_terms=ctx.max_terms)
-    out.append(
-        _record(
-            "sign.kplus1-model",
-            "sign.kplus1-model",
-            abs(v.value),
-            float(oracle),
-            ctx.tol,
-        )
-    )
-    return out
+    yield _record("sign.kplus1-model", "sign.kplus1-model", abs(v.value), float(oracle), ctx.tol)
 
 
 @_check("signed", reads=("graph", "tol", "cap"), applies=_cubic_pfaffian, needs=("tutte",))
 def _check_even_odd_proper4(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     rot = ctx.doc.rotation_or_default()
     got = signed.even_minus_odd_proper4(g, rot, max_terms=ctx.max_terms)
     want = (-4) ** (g.num_edges // 3) * oracles.flow_polynomial(
         g, 4, max_terms=ctx.max_terms
     )
-    out.append(
-        _record("sign.even-minus-odd-proper4", "sign.even-odd-proper4", got, want, 0)
-    )
-    return out
+    yield _record("sign.even-minus-odd-proper4", "sign.even-odd-proper4", got, want, 0)
 
 
 @_check("signed", reads=("graph", "tol", "cap"), applies=_regular)
 def _check_rotation_covariance(ctx: VerifyContext):
-    out = []
     g = ctx.graph
     k = g.regular_degree()
     rot = ctx.doc.rotation_or_default()
@@ -834,12 +727,7 @@ def _check_rotation_covariance(ctx: VerifyContext):
     swapped = rot.swap_adjacent(v, 0)
     a = signed.kplus1_sign_sum(g, rot, k, max_terms=ctx.max_terms).value
     b = signed.kplus1_sign_sum(g, swapped, k, max_terms=ctx.max_terms).value
-    out.append(
-        _record(
-            "sign.rotation-covariance", "sign.rotation-covariance", a, -b, ctx.tol
-        )
-    )
-    return out
+    yield _record("sign.rotation-covariance", "sign.rotation-covariance", a, -b, ctx.tol)
 
 
 
@@ -856,7 +744,10 @@ def run_battery(
     anchor ``term-cap``, lhs/rhs the estimate and the cap, pass None.  A
     check that raises anything else yields a single failed error record,
     and the battery goes on: name ``error.<check>``, anchor ``error``,
-    lhs/rhs the exception's class and message, residual nan, pass False."""
+    lhs/rhs the exception's class and message, residual nan, pass False.
+    A negative seed raises ValueError before any check runs."""
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
     ctx = VerifyContext(doc, group, tol, max_terms, seed)
     records = []
     for suite in suites:

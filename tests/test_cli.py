@@ -420,6 +420,26 @@ def test_cli_usage_errors_exit_two(corpus_files, capsys):
         assert exc.value.code == 2
         assert f"invalid tolerance value: '{tol}'" in capsys.readouterr().err
     assert main(["verify", "--graph", path, "--q", "2", "--tol", "1e-7"]) == 0
+    # a negative seed is refused before any check runs, not once per check
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--graph", path, "--q", "3", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "invalid count value: '-1'" in capsys.readouterr().err
+
+
+def test_a_negative_seed_raises_before_any_check_runs(monkeypatch):
+    ran = []
+
+    def probe(ctx):
+        ran.append(ctx.seed)
+        return []
+
+    monkeypatch.setitem(SUITES, "signed", [probe])
+    with pytest.raises(ValueError, match="seed -1 is negative"):
+        run_battery(CORPUS["k4"], cyclic_group(3), ("signed",), seed=-1)
+    assert ran == []
+    run_battery(CORPUS["k4"], cyclic_group(3), ("signed",), seed=0)
+    assert ran == [0]
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):
@@ -1221,6 +1241,25 @@ def test_a_check_that_raises_leaves_an_error_record_and_the_battery_goes_on(
     assert err.strip() == f"{len(records)} checks: {len(records) - 1} passed, 1 failed, 0 skipped"
 
 
+@pytest.mark.parametrize("reads", [None, ()])
+def test_a_check_that_raises_keeps_none_of_the_records_it_yielded(monkeypatch, reads):
+    # the records a check yielded before it raised are dropped, and a shared
+    # check keeps nothing, so a second call raises again
+    import qcolour.verify as verify_mod
+
+    monkeypatch.setitem(SUITES, "signed", list(SUITES["signed"]))
+
+    @verify_mod._check("signed", reads=reads)
+    def _check_half_done(ctx):
+        yield verify_mod._record("half-done.first", "probe", 1, 1, 0)
+        raise ValueError("stopped half way")
+
+    for _ in range(2):
+        records = run_battery(CORPUS["theta"], cyclic_group(3), ("signed",))
+        mine = [(rec.name, rec.lhs, rec.rhs) for rec in records if "half" in rec.name]
+        assert mine == [("error.half_done", "ValueError", "stopped half way")]
+
+
 def test_cli_refuses_a_model_value_that_is_not_finite(tmp_path, capsys):
     # the signed 3-colouring sum of a 6000-cycle is +-2, but its float64
     # terms overflow; the vertex model on the same cycle stays finite
@@ -1234,3 +1273,22 @@ def test_cli_refuses_a_model_value_that_is_not_finite(tmp_path, capsys):
     args = ["--graph", str(path), "--q", "2", "--weights", "0.5,0.5,0.5,0.5"]
     assert main(["vertex-model", *args]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("petersen", ["xq", "--group", "3", "--s", "1e200,1,1", "--t", "1e200,1,1"]),
+        ("k4", ["cwe", "--q", "2", "--weights", "inf,1"]),
+        ("k4", ["hwe", "--q", "3", "--s", "1e300"]),
+        ("k4", ["cwe", "--q", "2", "--weights", "1e300,1"]),
+    ],
+)
+def test_cli_refuses_a_value_that_is_not_finite(corpus_files, capsys, name, argv):
+    # a sum that is nan, or that overflows float64 on the way, has no digits
+    # to print: one line of error and exit 3, as for a model value
+    path, _ = corpus_files[name]
+    assert main([argv[0], "--graph", path, *argv[1:]]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1

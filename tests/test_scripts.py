@@ -38,6 +38,7 @@ def _first_line_then_close(args):
         ("verify_corpus.py", ["--tol", "nan", "--groups", "2", "--skip", "petersen"]),
         ("verify_corpus.py", ["--groups", "2,zz"]),
         ("verify_corpus.py", ["--skip", "petersn"]),
+        ("verify_corpus.py", ["--seed", "-1"]),
         ("corpus_report.py", ["--q", "0"]),
     ],
 )
