@@ -38,8 +38,8 @@ def _first_line_then_close(args):
         ("verify_corpus.py", ["--tol", "nan", "--groups", "2", "--skip", "petersen"]),
         ("verify_corpus.py", ["--groups", "2,zz"]),
         ("verify_corpus.py", ["--skip", "petersn"]),
-        ("verify_corpus.py", ["--seed", "-1"]),
         ("corpus_report.py", ["--q", "0"]),
+        ("verify_corpus.py", ["--seed", "-1"]),
     ],
 )
 def test_scripts_refuse_bad_arguments_before_they_run(script, args):
