@@ -11,8 +11,9 @@ groups of one graph, so a graph's first group carries their time and its
 later groups' seconds are lower; the records are the same.
 
 Every argument is checked before any battery runs: a group spec that does
-not parse, a graph name not in the corpus, a negative seed or a tolerance
-that is not a finite number of at least 0 is a usage error (exit 2).
+not parse or whose (q, q) tables are over ``--max-terms`` (q^2 terms), a
+graph name not in the corpus, a negative seed or a tolerance that is not a
+finite number of at least 0 is a usage error (exit 2).
 """
 
 import argparse
@@ -21,17 +22,9 @@ import time
 
 from qcolour.cli import count, tolerance
 from qcolour.corpus import CORPUS
-from qcolour.enumeration import DEFAULT_MAX_TERMS
+from qcolour.enumeration import DEFAULT_MAX_TERMS, TermCapExceeded
 from qcolour.groups import group_from_name
 from qcolour.verify import run_battery
-
-
-def group_specs(text: str) -> list:
-    """(spec, group) for each comma-separated group spec."""
-    try:
-        return [(spec, group_from_name(spec)) for spec in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def corpus_names(text: str) -> set:
@@ -46,10 +39,7 @@ def corpus_names(text: str) -> set:
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
-        "--groups",
-        type=group_specs,
-        default="2,3,4,2x2,f4,5",
-        help="comma-separated group specs",
+        "--groups", default="2,3,4,2x2,f4,5", help="comma-separated group specs"
     )
     ap.add_argument("--seed", type=count, default=0)
     ap.add_argument("--tol", type=tolerance, default=1e-7)
@@ -58,13 +48,19 @@ def main():
         "--skip", type=corpus_names, default="", help="comma-separated graphs to skip"
     )
     args = ap.parse_args()
+    # built once --max-terms is known, which prices each group's tables
+    try:
+        specs = args.groups.split(",")
+        groups = [(spec, group_from_name(spec, args.max_terms)) for spec in specs]
+    except (ValueError, TermCapExceeded) as exc:
+        ap.error(f"argument --groups: {exc}")
 
     failures = 0
     start = time.perf_counter()
     for name, doc in CORPUS.items():
         if name in args.skip:
             continue
-        for spec, group in args.groups:
+        for spec, group in groups:
             t0 = time.perf_counter()
             records = run_battery(
                 doc,

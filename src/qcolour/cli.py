@@ -134,10 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _group_of(args):
     if args.group is not None:
-        return group_from_name(args.group)
+        return group_from_name(args.group, args.max_terms)
     if args.q is None:
         raise ValueError("need --group or --q")
-    return group_from_name(str(args.q))
+    return group_from_name(str(args.q), args.max_terms)
 
 
 # the composition histogram that ``hwe`` and ``cwe`` evaluate, by ``--set``

@@ -89,9 +89,22 @@ def tension_vertex_sum(
 ) -> ModelValue:
     """sum over vertex colourings x of prod_v vv[x_v] * prod_e ev[(dx)_e],
     the vertex table sum whose edge tables read ev at the coboundary.
-    Each vector may carry a leading batch axis (see ``models.eliminate``)."""
-    # ev[sub.T] at (x_tail, x_head) is ev[x_head - x_tail]; a loop reads ev[0]
-    edge_tables = [edge_vecs[e].take(group.sub.T, axis=-1) for e in range(g.num_edges)]
+    Each vector may carry a leading batch axis (see ``models.eliminate``).
+    Each edge table is a function of its (tail, head) colours, called only
+    once the sum is priced; the difference index it reads is computed once
+    for the edges and once for the loops."""
+    # sub[head, tail] is x_head - x_tail, so a loop reads ev[0]
+    differences = {}
+
+    def edge_table(ev, loop, tail, head):
+        if loop not in differences:
+            differences[loop] = group.sub[head, tail]
+        return ev.take(differences[loop], axis=-1)
+
+    edge_tables = [
+        functools.partial(edge_table, edge_vecs[e], g.is_loop(e))
+        for e in range(g.num_edges)
+    ]
     return vertex_table_sum(g, group.q, edge_tables, vertex_vecs, orient, max_terms)
 
 
@@ -107,11 +120,10 @@ def boundary_edge_sum(
     Each vector may carry a leading batch axis (see ``models.eliminate``).
     A loop's half-edges cancel in the boundary, so only its edge weight
     reads its label; ``models.edge_table_sum`` would read it at its vertex
-    too, and plan loops at a higher cost.  Each vertex table is a function
-    of its non-loop half-edge colours, called only once the sum is priced
-    (see ``models.eliminate``).  Vertices that share one weight row object
-    and one tuple of signs share one such function, which ``eliminate``
-    reads once for all of them."""
+    too, and plan loops at a higher cost.  Each vertex has a table of its
+    own, a function of its non-loop half-edge colours called only once the
+    sum is priced (see ``models.eliminate``); the signed boundary it reads
+    is computed once per tuple of signs."""
     # one signed sum per tuple of signs: a vertex's distinct edges read one grid
     boundaries = {}
 
@@ -123,18 +135,12 @@ def boundary_edge_sum(
             boundaries[signs] = bnd
         return row.take(boundaries[signs], axis=-1)
 
-    # each table holds its row, so no row keyed here is freed and its id
-    # reused by another row, as a fresh view per row of an array would be
-    tables = {}
     factors = []
     for v in range(g.num_vertices):
         hs = [(e, end) for e, end in g.halfedges_at(v) if not g.is_loop(e)]
         signs = tuple(orient.sigma(e, end) for e, end in hs)
-        row = vertex_vecs[v]
-        key = (id(row), signs)
-        if key not in tables:
-            tables[key] = functools.partial(vertex_table, row, signs)
-        factors.append((tables[key], [e for e, _end in hs]))
+        table = functools.partial(vertex_table, vertex_vecs[v], signs)
+        factors.append((table, [e for e, _end in hs]))
     factors += [(edge_vecs[e], (e,)) for e in range(g.num_edges)]
     return factor_sum(group.q, g.num_edges, factors, max_terms)
 

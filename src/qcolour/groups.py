@@ -27,6 +27,8 @@ from functools import reduce
 
 import numpy as np
 
+from .enumeration import DEFAULT_MAX_TERMS, count_terms
+
 __all__ = [
     "Group",
     "QFunction",
@@ -114,8 +116,10 @@ def gf4() -> Group:
     return Group("f4", (2, 2), "f4", 4, add, neg, mul, chi)
 
 
-def group_from_name(spec: str) -> Group:
-    """Parse a group description: "3", "2x2", "4", or "f4"."""
+def group_from_name(spec: str, max_terms: int = DEFAULT_MAX_TERMS) -> Group:
+    """Parse a group description: "3", "2x2", "4", or "f4".  A group of
+    order q has (q, q) tables, priced at q^2 terms against ``max_terms``
+    (``TermCapExceeded``) before any is built."""
     spec = spec.strip().lower()
     if spec == "f4":
         return gf4()
@@ -123,6 +127,8 @@ def group_from_name(spec: str) -> Group:
         factors = tuple(int(part) for part in spec.split("x"))
     except ValueError:
         raise ValueError(f"cannot parse group spec {spec!r}") from None
+    if min(factors) >= 1:  # else cyclic_group refuses the spec
+        count_terms(math.prod(factors), 2, max_terms)
     return cyclic_group(*factors)
 
 

@@ -492,11 +492,11 @@ def orthogonal_invariance_check(
     """For each matrix U: U tensor U fixes the monochrome pair indicator,
     and the monochrome pairing is invariant under that orthogonal change of
     the vertex weights.  Each test applies every U at once; the unchanged
-    weights and those of every U that passes the first test are paired in
-    one batched sum, and only if some U passes.  The change of basis is a
-    factor of that sum: each half-edge h of edge e has its own label x_h,
-    the weights read the labels of their vertex's half-edges, and the stack
-    of the identity and the kept U sits on (y_e, x_h), so that entry b sums
+    weights and those of every U are paired in one batched sum, and only
+    if some U passes the first test.  The change of basis is a factor of
+    that sum: each half-edge h of edge e has its own label x_h, the weights
+    read the labels of their vertex's half-edges, and the stack of the
+    identity and every U sits on (y_e, x_h), so that entry b sums
     prod_v w_v(x) prod_h U_b[y_e, x_h] over x and y.  ``eliminate`` plans,
     prices and runs it, and reads each weight table only once it is
     priced."""
@@ -508,8 +508,7 @@ def orthogonal_invariance_check(
     fixed = [not dev > tol for dev in moved]
     if not any(fixed):
         return tuple(fixed)
-    kept = Us[fixed]
-    stack = np.concatenate([np.eye(group.q)[None], kept])
+    stack = np.concatenate([np.eye(group.q)[None], Us])
     # half-edge labels follow the edge labels, numbered in vertex order
     factors, length = [], g.num_edges
     for v in range(g.num_vertices):
@@ -520,12 +519,8 @@ def orthogonal_invariance_check(
         length += len(edges)
     mv = factor_sum(group.q, length, factors, max_terms)
     # with no vertices no table carries the batch, and all pair alike
-    lhs, *rhs = mv.broadcast((len(kept) + 1,)).value
-    rhs = iter(rhs)
-    oks = []
-    for ok in fixed:
-        if ok:
-            r = next(rhs)
-            ok = bool(abs(lhs - r) <= tol * max(1.0, abs(lhs), abs(r)))
-        oks.append(ok)
-    return tuple(oks)
+    lhs, *rhs = mv.broadcast((len(Us) + 1,)).value
+    return tuple(
+        ok and bool(abs(lhs - r) <= tol * max(1.0, abs(lhs), abs(r)))
+        for ok, r in zip(fixed, rhs)
+    )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
+from qcolour import groups as groups_mod
 from qcolour.cli import main
 from qcolour.corpus import CORPUS
 from qcolour.graphs import Multigraph, RotationSystem
@@ -355,6 +356,27 @@ def test_cli_tutte_pass_obeys_max_terms(corpus_files, capsys, command):
     args = [command, "--graph", path, "--max-terms", "1000"]
     assert main(args + (["--q", "4"] if command == "flow" else [])) == 3
     assert "32768" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, terms",
+    [
+        (["hwe", "--q", "20000", "--s", "2"], 400000000),
+        (["verify", "--q", "20000"], 400000000),
+        (["xq", "--group", "100x200", "--s", "1", "--t", "1"], 400000000),
+        (["edge-model", "--q", "200", "--max-terms", "1e4"], 40000),
+    ],
+)
+def test_cli_prices_a_groups_tables_before_it_builds_them(
+    corpus_files, capsys, monkeypatch, args, terms
+):
+    def refuse(*factors):
+        raise AssertionError(f"cyclic_group{factors} was built")
+
+    monkeypatch.setattr(groups_mod, "cyclic_group", refuse)
+    path, _ = corpus_files["triangle"]
+    assert main([args[0], "--graph", path, *args[1:]]) == 3
+    assert f"needs {terms} terms" in capsys.readouterr().err
 
 
 # the arguments each subcommand other than verify needs to run

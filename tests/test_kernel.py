@@ -71,17 +71,13 @@ def _boundary_brute(g, G, orient, vv, ev):
 # isolated vertices only, and two edges whose tails share a sign pattern
 @example(Multigraph(4, ()), "3", 0, [0, 0, 0, 0, 0])
 @example(Multigraph(4, ((0, 1), (2, 3))), "2x2", 1, [1, 1, 0, 0, 0])
-def test_boundary_vertex_tables_are_shared_by_row_object(g, spec, seed, heads):
+def test_boundary_vertex_tables_are_one_per_vertex(g, spec, seed, heads):
     G = group_from_name(spec)
     rng = np.random.default_rng(seed)
     orient = Orientation(tuple(heads[: g.num_edges]))
     ev = [complex_vec(rng, G.q) for _ in range(g.num_edges)]
     rows = complex_vec(rng, g.num_vertices * G.q).reshape(g.num_vertices, G.q)
     one = complex_vec(rng, G.q)
-    signs = {
-        tuple(orient.sigma(e, end) for e, end in g.halfedges_at(v) if not g.is_loop(e))
-        for v in range(g.num_vertices)
-    }
     tables = []
     real = duality.factor_sum
 
@@ -89,19 +85,15 @@ def test_boundary_vertex_tables_are_shared_by_row_object(g, spec, seed, heads):
         tables.append({id(t) for t, _ls in factors if callable(t)})
         return real(radix, length, factors, max_terms)
 
-    # a 2-D array's rows, a fresh view each, share no table; the vertices
-    # of one row object share one per sign pattern
-    for vv, shared in (
-        (rows, g.num_vertices),
-        ([one] * g.num_vertices, len(signs)),
-        (list(rows), g.num_vertices),
-    ):
+    # every vertex has a table of its own, whether or not it holds the same
+    # weight row object as another
+    for vv in (rows, [one] * g.num_vertices, list(rows)):
         tables.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(duality, "factor_sum", spy)
             got = boundary_edge_sum(g, G, orient, vv, ev).value
         assert_close(got, _boundary_brute(g, G, orient, list(vv), ev), TOL)
-        assert [len(t) for t in tables] == [shared]
+        assert [len(t) for t in tables] == [g.num_vertices]
 
 
 def _edge_table_brute(g, q, tables, ev):
@@ -432,6 +424,15 @@ BUNDLE_SUMS = {
     "flow_cubic_edge_model": lambda: duality.flow_cubic_edge_model(
         CORPUS["k4"].graph, 2000
     ),
+    # Petersen at 2000 colours with five draws: each of its 15 edge tables
+    # is (5, 2000, 2000), 160 MB in float64
+    "tension_vertex_sum": lambda: tension_vertex_sum(
+        CORPUS["petersen"].graph,
+        group_from_name("2000"),
+        default_orientation(CORPUS["petersen"].graph),
+        None,
+        [np.ones((5, 2000))] * 15,
+    ),
 }
 # the plan's cost: summing out each edge of the bundle reads all the edges
 # still left; K4's steps read 5, 5, 4, 3, 2 and 1 of its 6 edges; the
@@ -439,6 +440,7 @@ BUNDLE_SUMS = {
 REFUSED_ESTIMATE = {
     "flow_cubic_edge_model": 64_016_008_004_002_000,
     "orthogonal_invariance_check": 51_514_007_712_927_591,
+    "tension_vertex_sum": 96_064_008_004_002_000,
 }
 # the split's edge side builds no vertex table: each vertex colour a_v is a
 # label, and the plan sums each edge against (a_0, a_1), then a_0, then a_1

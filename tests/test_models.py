@@ -261,11 +261,11 @@ def test_orthogonal_invariance_pairs_the_unchanged_weights_once(monkeypatch):
     assert len(calls) == 1
     stack = stack_of(calls[0])
     assert np.array_equal(stack, [np.eye(3), *Us])
-    # a U that fails the first test adds no entry to the batch
+    # a U that fails the first test is paired too, and reads False
     calls.clear()
     assert orthogonal_invariance_check(g, w, [Us[0], 2 * np.eye(3)]) == (True, False)
     assert len(calls) == 1
-    assert np.array_equal(stack_of(calls[0]), [np.eye(3), Us[0]])
+    assert np.array_equal(stack_of(calls[0]), [np.eye(3), Us[0], 2 * np.eye(3)])
     # none at all when no U fixes the monochrome indicator
     calls.clear()
     assert orthogonal_invariance_check(g, w, [2 * np.eye(3)]) == (False,)

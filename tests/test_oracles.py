@@ -345,6 +345,20 @@ def test_flow_polynomial_cross_check_runs():
     )
 
 
+def test_flow_cross_check_builds_no_group_over_the_cap(monkeypatch):
+    def refuse(*factors):
+        raise AssertionError(f"cyclic_group{factors} was built")
+
+    monkeypatch.setattr(oracles, "cyclic_group", refuse)
+    path = Multigraph(3, ((0, 1), (1, 2)))
+    # a forest has one flow to list, but Z_(10^5)'s (q, q) tables are over
+    # the cap, so the value is read off the subset histogram alone
+    assert flow_polynomial(path, 10**5) == 0
+    # within the cap the cross-check lists the flows over the group
+    with pytest.raises(AssertionError, match="was built"):
+        flow_polynomial(path, 3)
+
+
 # Reference: scan every edge or vertex colouring and filter, as the oracles
 # did before they enumerated from a spanning forest.
 

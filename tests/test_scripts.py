@@ -40,6 +40,7 @@ def _first_line_then_close(args):
         ("verify_corpus.py", ["--skip", "petersn"]),
         ("corpus_report.py", ["--q", "0"]),
         ("verify_corpus.py", ["--seed", "-1"]),
+        ("verify_corpus.py", ["--groups", "200", "--max-terms", "1e4"]),
     ],
 )
 def test_scripts_refuse_bad_arguments_before_they_run(script, args):
