@@ -19,15 +19,17 @@ of them kept.  The sets come in blocks; ``enumerate_flows`` and
 
 Weight enumerators depend on a set only through its colour compositions
 (how many coordinates take each colour).  A ``CompositionHistogram`` holds
-each distinct composition with its multiplicity: each row's colour counts
-come from one bincount and fold into one integer key, and one 1-D unique
-groups the keys.  ``flow_compositions`` and ``tension_compositions`` group
-block by block as the set is listed and merge the small per-block
-histograms, so the set is never joined or sorted; each enumerator that the
-battery and the command line read is an evaluation of a histogram, taken
-under the document's orientation.  ``complete_weight_enum`` groups the rows
-it is given the same way; ``hamming_weight_enum`` counts zeros row by row,
-which is cheaper than grouping.  The complete enumerator takes a stack of
+each distinct composition with its multiplicity: each row's integer key is
+gathered from its values, one run of colours at a time and re-ranked between
+runs, and one argsort of the keys groups the rows, whose per-colour counts
+are taken from one row per group.  ``flow_compositions`` and
+``tension_compositions`` group block by block as the set is listed and
+merge the small per-block histograms, so the set is never joined or
+sorted; each enumerator that the battery and the command line read is an
+evaluation of a histogram, taken under the document's orientation.
+``complete_weight_enum`` groups the rows it is given the same way;
+``hamming_weight_enum`` counts zeros row by row, which is cheaper than
+grouping.  The complete enumerator takes a stack of
 weight rows, and a single row is a stack of one: the histogram keeps each
 composition's nonzero colour counts as Python ints, and for each row builds
 every colour's powers and multiplies over those counts alone, so a check
@@ -170,16 +172,16 @@ def tutte_terms(g: Multigraph, max_terms: int = DEFAULT_MAX_TERMS) -> int:
 def flow_composition_terms(
     g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS
 ) -> int:
-    """The q^(|E|-r(E)+1) colour counts, q per flow, that
-    ``flow_compositions`` fills, raising TermCapExceeded, as it does before
-    it lists any flow, over max_terms."""
+    """The q^(|E|-r(E)+1) entries, q per flow, that bound the dense
+    (compositions, q) table of ``flow_compositions``, raising
+    TermCapExceeded, as it does before it lists any flow, over max_terms."""
     return count_terms(q, g.num_edges - rank(g) + 1, max_terms)
 
 
 def tension_composition_terms(
     g: Multigraph, q: int, max_terms: int = DEFAULT_MAX_TERMS
 ) -> int:
-    """The q^(r(E)+1) colour counts of the tensions, as
+    """The q^(r(E)+1) entries of the tensions, as
     ``flow_composition_terms``."""
     return count_terms(q, rank(g) + 1, max_terms)
 
@@ -309,25 +311,35 @@ def enumerate_tensions(
     return np.concatenate(list(_tension_blocks(g, group, orient, max_terms)), axis=0)
 
 
-def _group_compositions(counts: np.ndarray, length: int, mults=None):
-    """The distinct rows of ``counts`` in lexicographic order (colour 0 most
-    significant), each with its number of occurrences, or with the sum of
-    its ``mults`` entries when given.
+def _composition_groups(run_key, n: int, q: int, length: int):
+    """Sort n items by their colour compositions: the order that lists
+    equal compositions together in lexicographic order (colour 0 most
+    significant), and where each group starts in it.
 
-    Each row folds into one integer key, colour 0 most significant, so key
-    order is composition order; a key that could pass 2^63 is first
-    replaced by its rank among the keys, which keeps that order."""
-    key, span = np.zeros(counts.shape[0], dtype=np.int64), 1
-    for c in range(counts.shape[1]):
-        if span * (length + 1) > 2**63:
+    A composition's key reads its counts as digits in base length+1,
+    colour 0 most significant, so key order is composition order.  The key
+    is built one run of colours [lo, hi) at a time: ``run_key(lo, hi,
+    powers)`` gives each item's counts of those colours folded with
+    ``powers``, colour lo most significant, and a run is as long as the key
+    stays below 2^63.  Between runs the key is replaced by its rank among
+    the keys, which keeps that order and narrows its span to the number of
+    distinct keys (at least 1, so that a run over no items still stops)."""
+    base = length + 1
+    key, span, lo = np.zeros(n, dtype=np.int64), 1, 0
+    while lo < q:
+        if lo:
             uniq, key = np.unique(key, return_inverse=True)
-            span = len(uniq)
-        key = key * (length + 1) + counts[:, c]
-        span *= length + 1
-    _, starts, inverse = np.unique(key, return_index=True, return_inverse=True)
-    total = np.zeros(len(starts), dtype=np.int64)
-    np.add.at(total, inverse, 1 if mults is None else mults)
-    return counts[starts], total
+            span = max(len(uniq), 1)
+        hi = lo + 1
+        while hi < q and span * base ** (hi + 1 - lo) < 2**63:
+            hi += 1
+        powers = np.array([base**e for e in range(hi - lo - 1, -1, -1)], dtype=np.int64)
+        key = key * base ** (hi - lo) + run_key(lo, hi, powers)
+        lo = hi
+    order = np.argsort(key)
+    ordered = key[order]
+    starts = np.flatnonzero(np.concatenate([[n > 0], ordered[1:] != ordered[:-1]]))
+    return order, starts
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -364,27 +376,45 @@ class CompositionHistogram:
         num_rows, length = rows.shape
         if rows.size and (rows.min() < 0 or rows.max() >= q):
             raise ValueError(f"row values must lie in range({q})")
-        # counts[i, c]: how many coordinates of row i take colour c
-        counts = np.bincount(
-            (rows + q * np.arange(num_rows)[:, None]).ravel(), minlength=num_rows * q
-        ).reshape(num_rows, q)
-        comps, mults = _group_compositions(counts, length)
+
+        def run_key(lo, hi, powers):
+            # each row's key gathered from its values: colour c in the run
+            # weighs powers[c - lo], any other colour nothing
+            table = np.zeros(q, dtype=np.int64)
+            table[lo:hi] = powers
+            return table[rows].sum(axis=1)
+
+        order, starts = _composition_groups(run_key, num_rows, q, length)
+        # comps[i, c]: how many coordinates of group i's first row take colour c
+        firsts = rows[order[starts]]
+        comps = np.bincount(
+            (firsts + q * np.arange(len(starts))[:, None]).ravel(),
+            minlength=len(starts) * q,
+        ).reshape(len(starts), q)
+        mults = np.concatenate([starts[1:], [num_rows]]) - starts
         return cls(_read_only(comps), _read_only(mults), length, num_rows)
 
     @classmethod
     def merged(cls, parts) -> "CompositionHistogram":
         """One histogram of the union of the parts' row sets, which must
-        share their row length and number of colours; as grouping the
-        concatenated rows, without concatenating them."""
+        share their row length and number of colours (else ValueError); as
+        grouping the concatenated rows, without concatenating them."""
         parts = list(parts)
-        length = parts[0].length
-        comps, mults = _group_compositions(
-            np.concatenate([p.comps for p in parts]),
-            length,
-            np.concatenate([p.mults for p in parts]),
+        if not parts:
+            raise ValueError("no histograms to merge")
+        length, q = parts[0].length, parts[0].comps.shape[1]
+        if any((p.length, p.comps.shape[1]) != (length, q) for p in parts):
+            raise ValueError(
+                "histograms of rows of lengths and colour counts "
+                f"{sorted({(p.length, p.comps.shape[1]) for p in parts})} cannot merge"
+            )
+        comps = np.concatenate([p.comps for p in parts])
+        order, starts = _composition_groups(
+            lambda lo, hi, powers: comps[:, lo:hi] @ powers, len(comps), q, length
         )
+        mults = np.add.reduceat(np.concatenate([p.mults for p in parts])[order], starts)
         rows = sum(p.rows for p in parts)
-        return cls(_read_only(comps), _read_only(mults), length, rows)
+        return cls(_read_only(comps[order[starts]]), _read_only(mults), length, rows)
 
     @functools.cached_property
     def _terms(self) -> tuple[list[list[int]], list[int], list[int]]:
@@ -501,9 +531,10 @@ def flow_compositions(
 ) -> CompositionHistogram:
     """The composition histogram of the flows under ``orient`` (the
     default orientation when None), grouped block by block as they are
-    listed and merged as they stream, never concatenated or sorted.
-    Grouping counts each flow's q colours, so the q^(|E|-r(E)+1) counts,
-    not the flows, are held to max_terms (``flow_composition_terms``)."""
+    listed and merged as they stream, never concatenated or sorted.  The
+    histogram holds q colour counts per composition, and there are at most
+    as many compositions as flows, so q^(|E|-r(E)+1), not the flows, is
+    held to max_terms (``flow_composition_terms``)."""
     flow_composition_terms(g, group.q, max_terms)
     orient = orient or default_orientation(g)
     return _streamed_histogram(_flow_blocks(g, group, orient, max_terms), group.q)

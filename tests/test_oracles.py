@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import itertools
 import math
@@ -787,6 +788,86 @@ def test_merged_histograms_equal_whole_set_grouping(q, length, n, block, seed):
     keys = [tuple(c) for c in whole.comps.tolist()]
     assert keys == sorted(set(keys))
     assert int(whole.mults.sum()) == n
+
+
+@st.composite
+def _row_sets(draw):
+    """(q, rows): up to 40 rows of length 0..6 over range(q), q in 1..40,
+    about half the coordinates at colour 0 so that compositions repeat."""
+    q, length = draw(st.integers(1, 40)), draw(st.integers(0, 6))
+    value = st.one_of(st.just(0), st.integers(0, q - 1))
+    row = st.lists(value, min_size=length, max_size=length)
+    rows = draw(st.lists(row, max_size=40))
+    return q, np.array(rows, dtype=np.int64).reshape(len(rows), length)
+
+
+def _counted_compositions(rows, q):
+    """Reference: each row's per-colour count tuple, counted, in
+    lexicographic order (colour 0 first)."""
+    counted = collections.Counter(tuple(row.count(c) for c in range(q)) for row in rows)
+    return sorted(counted.items())
+
+
+def _as_counted(hist):
+    assert hist.comps.dtype == hist.mults.dtype == np.int64
+    assert not hist.comps.flags.writeable and not hist.mults.flags.writeable
+    return list(zip(map(tuple, hist.comps.tolist()), hist.mults.tolist()))
+
+
+_RERANKED = np.array(
+    [[0] * 6, [22] * 6, [0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0], [5, 9, 5, 9, 22, 0]]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_sets(), st.lists(st.integers(0, 40), max_size=5))
+# (6+1)^23 > 2^63: the key is re-ranked between runs, in each part too
+@example((23, np.concatenate([_RERANKED, _RERANKED[::-1], _RERANKED[:2]])), [3, 3, 8])
+# 2^64 > 2^63 = base^63: colour 0 alone would weigh 2^63 in a 63-colour run
+@example((64, np.array([[c] for c in (0, 63, 1, 0, 62, 31, 0)])), [1, 4])
+# no rows to re-rank: the next run must still stop below 2^63
+@example((64, np.zeros((0, 6), dtype=np.int64)), [0])
+@example((1, np.zeros((3, 0), dtype=np.int64)), [])
+def test_histograms_match_a_counter_of_count_tuples(case, cuts):
+    q, rows = case
+    n, length = rows.shape
+    want = _counted_compositions(rows.tolist(), q)
+    whole = CompositionHistogram.of_rows(rows, q)
+    assert _as_counted(whole) == want
+    assert (whole.length, whole.rows, whole.comps.shape[1]) == (length, n, q)
+    # any split of the rows, empty parts included, merges to the same
+    ends = sorted(c % (n + 1) for c in cuts) + [n]
+    parts = [CompositionHistogram.of_rows(rows[a:b], q) for a, b in zip([0, *ends], ends)]
+    merged = CompositionHistogram.merged(parts)
+    assert _as_counted(merged) == want
+    assert (merged.length, merged.rows, merged.comps.shape[1]) == (length, n, q)
+
+
+def test_grouping_holds_no_per_row_count_matrix():
+    # the triangle's tensions over Z150 in one call: a (rows, q) int64 count
+    # matrix alone would be 27 MB
+    rows = enumerate_tensions(graph_of("triangle"), cyclic_group(150))
+    q = 150
+    assert rows.shape == (q**2, 3)
+    tracemalloc.start()
+    try:
+        hist = CompositionHistogram.of_rows(rows, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.hwe_coefficients() == [(q - 1) * (q - 2), 3 * (q - 1), 0, 1]
+    assert peak < rows.shape[0] * q * 8 // 2
+
+
+def test_merged_refuses_parts_that_do_not_match():
+    with pytest.raises(ValueError, match="no histograms"):
+        CompositionHistogram.merged([])
+    short = CompositionHistogram.of_rows([[1, 1]], 2)
+    with pytest.raises(ValueError, match="cannot merge"):
+        CompositionHistogram.merged([short, CompositionHistogram.of_rows([[0, 0, 0, 0]], 2)])
+    with pytest.raises(ValueError, match="cannot merge"):
+        CompositionHistogram.merged([short, CompositionHistogram.of_rows([[1, 1]], 3)])
+    assert CompositionHistogram.merged([short]).mults.tolist() == [1]
 
 
 def test_histogram_groups_compositions_past_int64_keys():
